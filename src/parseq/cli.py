@@ -4,7 +4,8 @@ Subcommands: check (equivalence of two parsers), check-rel (the same
 loop under a user-supplied initial relation), simulate (run one parser
 on a packet), oracle (brute-force referee), dump-reach (the template
 reachability overapproximation). Exit codes: 0 Equivalent, 1
-NotEquivalent, 2 Inconclusive, 3 usage or input error.
+NotEquivalent, 2 Inconclusive or an unexpected internal error, 3 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-smt", metavar="DIR", help="write each solver query to DIR")
         p.add_argument("--witness", metavar="PATH", help="write the final relation (text, or JSON for .json)")
         p.add_argument("--timeout", type=float, default=60.0, metavar="N", help="per-query solver timeout in seconds")
-        p.add_argument("--enum-fallback", action="store_true", help="decide entailments by exhaustive enumeration, no solver")
         p.add_argument(
             "--solver",
             default="auto",
             choices=["auto", "z3", "cvc4", "boolector", "builtin", "internal", "enum"],
             help="entailment backend (auto probes external solvers, then falls back to the in-process one)",
         )
+        # after --solver, whose default "auto" must be the one argparse applies
+        p.add_argument("--enum-fallback", dest="solver", action="store_const", const="enum", help="the same as --solver enum")
         p.add_argument("--solver-path", metavar="EXE", help="explicit solver executable")
 
     p = sub.add_parser("check", help="decide equivalence of two parsers")
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 def solver_config(args: argparse.Namespace) -> SolverConfig:
     if args.timeout <= 0:
         raise UsageError("--timeout must be positive")
-    if args.enum_fallback or args.solver == "enum":
+    if args.solver == "enum":
         backend, command = "enum", None
     elif args.solver == "internal":
         backend, command = "internal", None
@@ -265,6 +267,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (UsageError, frontend.Diagnostic, oracle.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # never read as a verdict: exit 1 means NotEquivalent
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CODES[INCONCLUSIVE]
 
 
 if __name__ == "__main__":

@@ -1,15 +1,17 @@
 """Symbolic relations on configuration pairs.
 
-Formulas relate a left and a right configuration. Variables are single
-bits; conjunction, disjunction, negation and top are first-class but
-denotationally equal to their implication/bottom encodings.
+Formulas relate a left and a right configuration. Variables are
+bitvectors of a fixed width (one bit unless stated); conjunction,
+disjunction, negation and top are first-class but denotationally equal to
+their implication/bottom encodings. The same language, with only literals
+and variables as leaves, is what the QF_BV translation in ``smt`` emits.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .core import ACCEPT, REJECT, RESULTS, Automaton, Configuration, slice_bits
 
@@ -45,6 +47,7 @@ class BHdrRef:
 @dataclass(frozen=True)
 class Var:
     name: str
+    width: int = 1
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,67 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Traversal
+
+Node = Union[Formula, BitExpr]
+
+
+# Both walks test exact types rather than isinstance: they are the inner
+# loop of wp, and no node class is subclassed.
+
+
+def rewrite(node: Node, fn: Callable[[Node], Node]) -> Node:
+    """Rebuild a formula or bit expression bottom-up: each node's children
+    are rewritten first, then ``fn`` maps the rebuilt node. A leaf map
+    returns every node it does not replace unchanged."""
+    t = type(node)
+    if t is BConcat:
+        node = BConcat(rewrite(node.left, fn), rewrite(node.right, fn))
+    elif t is BSlice:
+        node = BSlice(rewrite(node.expr, fn), node.lo, node.hi)
+    elif t is Eq:
+        node = Eq(rewrite(node.left, fn), rewrite(node.right, fn))
+    elif t is Implies:
+        node = Implies(rewrite(node.hyp, fn), rewrite(node.concl, fn))
+    elif t is And:
+        node = And(tuple(rewrite(p, fn) for p in node.conjuncts))
+    elif t is Or:
+        node = Or(tuple(rewrite(p, fn) for p in node.disjuncts))
+    elif t is Not:
+        node = Not(rewrite(node.body, fn))
+    return fn(node)
+
+
+def leaves(node: Node) -> Iterator[Node]:
+    """The childless nodes under ``node``, left to right: bit-expression
+    leaves and atomic formulas."""
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    while stack:
+        n = pop()
+        t = type(n)
+        if t is BConcat or t is Eq:
+            push(n.right)
+            push(n.left)
+        elif t is BSlice:
+            push(n.expr)
+        elif t is Implies:
+            push(n.concl)
+            push(n.hyp)
+        elif t is And:
+            stack += reversed(n.conjuncts)
+        elif t is Or:
+            stack += reversed(n.disjuncts)
+        elif t is Not:
+            push(n.body)
+        else:
+            yield n
+
+
+# ---------------------------------------------------------------------------
 # Semantics
 
-Valuation = dict[str, str]  # variable name -> single bit
+Valuation = dict[str, str]  # variable name -> its bits
 
 
 def eval_bit_expr(
@@ -190,89 +251,42 @@ def holds(phi: Formula, cl: Configuration, cr: Configuration, v: Valuation) -> b
 
 
 def variables(phi: Formula) -> set[str]:
-    out: set[str] = set()
+    return {x.name for x in leaves(phi) if isinstance(x, Var)}
 
-    def be_walk(be: BitExpr) -> None:
-        if isinstance(be, Var):
-            out.add(be.name)
-        elif isinstance(be, BSlice):
-            be_walk(be.expr)
-        elif isinstance(be, BConcat):
-            be_walk(be.left)
-            be_walk(be.right)
 
-    def walk(f: Formula) -> None:
-        if isinstance(f, Eq):
-            be_walk(f.left)
-            be_walk(f.right)
-        elif isinstance(f, Implies):
-            walk(f.hyp)
-            walk(f.concl)
-        elif isinstance(f, And):
-            for p in f.conjuncts:
-                walk(p)
-        elif isinstance(f, Or):
-            for p in f.disjuncts:
-                walk(p)
-        elif isinstance(f, Not):
-            walk(f.body)
+def var_widths(phi: Formula) -> dict[str, int]:
+    return {x.name: x.width for x in leaves(phi) if isinstance(x, Var)}
 
-    walk(phi)
-    return out
+
+def valuations(phi: Formula) -> Iterator[Valuation]:
+    """Every valuation of phi's variables, in a fixed order."""
+    widths = sorted(var_widths(phi).items())
+    for bits in itertools.product("01", repeat=sum(w for _, w in widths)):
+        v, pos = {}, 0
+        for name, w in widths:
+            v[name] = "".join(bits[pos : pos + w])
+            pos += w
+        yield v
 
 
 def rename_vars(phi: Formula, mapping: dict[str, str]) -> Formula:
-    def be(x: BitExpr) -> BitExpr:
+    def ren(x: Node) -> Node:
         if isinstance(x, Var) and x.name in mapping:
-            return Var(mapping[x.name])
-        if isinstance(x, BSlice):
-            return BSlice(be(x.expr), x.lo, x.hi)
-        if isinstance(x, BConcat):
-            return BConcat(be(x.left), be(x.right))
+            return Var(mapping[x.name], x.width)
         return x
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Eq):
-            return Eq(be(f.left), be(f.right))
-        if isinstance(f, Implies):
-            return Implies(walk(f.hyp), walk(f.concl))
-        if isinstance(f, And):
-            return And(tuple(walk(p) for p in f.conjuncts))
-        if isinstance(f, Or):
-            return Or(tuple(walk(p) for p in f.disjuncts))
-        if isinstance(f, Not):
-            return Not(walk(f.body))
-        return f
-
-    return walk(phi)
+    return rewrite(phi, ren)
 
 
-def instantiate_vars(phi: Formula, assignment: dict[str, str]) -> Formula:
-    """Replace bit variables by literal bits."""
+def instantiate_vars(phi: Formula, assignment: Valuation) -> Formula:
+    """Replace variables by literal bits."""
 
-    def be(x: BitExpr) -> BitExpr:
+    def inst(x: Node) -> Node:
         if isinstance(x, Var) and x.name in assignment:
             return BLit(assignment[x.name])
-        if isinstance(x, BSlice):
-            return BSlice(be(x.expr), x.lo, x.hi)
-        if isinstance(x, BConcat):
-            return BConcat(be(x.left), be(x.right))
         return x
 
-    def walk(f: Formula) -> Formula:
-        if isinstance(f, Eq):
-            return Eq(be(f.left), be(f.right))
-        if isinstance(f, Implies):
-            return Implies(walk(f.hyp), walk(f.concl))
-        if isinstance(f, And):
-            return And(tuple(walk(p) for p in f.conjuncts))
-        if isinstance(f, Or):
-            return Or(tuple(walk(p) for p in f.disjuncts))
-        if isinstance(f, Not):
-            return Not(walk(f.body))
-        return f
-
-    return walk(phi)
+    return rewrite(phi, inst)
 
 
 def canonical_vars(phi: Formula, prefix: str = "v") -> Formula:
@@ -282,58 +296,17 @@ def canonical_vars(phi: Formula, prefix: str = "v") -> Formula:
     discipline never shares them across relation entries), so renaming
     preserves meaning while making alpha-equivalent formulas equal.
     """
-    order: list[str] = []
-
-    def be_walk(x: BitExpr) -> None:
-        if isinstance(x, Var) and x.name not in order:
-            order.append(x.name)
-        elif isinstance(x, BSlice):
-            be_walk(x.expr)
-        elif isinstance(x, BConcat):
-            be_walk(x.left)
-            be_walk(x.right)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Eq):
-            be_walk(f.left)
-            be_walk(f.right)
-        elif isinstance(f, Implies):
-            walk(f.hyp)
-            walk(f.concl)
-        elif isinstance(f, And):
-            for p in f.conjuncts:
-                walk(p)
-        elif isinstance(f, Or):
-            for p in f.disjuncts:
-                walk(p)
-        elif isinstance(f, Not):
-            walk(f.body)
-
-    walk(phi)
+    order = dict.fromkeys(x.name for x in leaves(phi) if isinstance(x, Var))
     return rename_vars(phi, {name: f"{prefix}{i}" for i, name in enumerate(order)})
 
 
 def denotes(phi: Formula, cl: Configuration, cr: Configuration) -> bool:
     """True iff phi holds under every valuation of its variables."""
-    names = sorted(variables(phi))
-    for bits in itertools.product("01", repeat=len(names)):
-        if not holds(phi, cl, cr, dict(zip(names, bits))):
-            return False
-    return True
+    return all(holds(phi, cl, cr, v) for v in valuations(phi))
 
 
 def is_pure(phi: Formula) -> bool:
-    if isinstance(phi, (StateIs, BufLenIs)):
-        return False
-    if isinstance(phi, Implies):
-        return is_pure(phi.hyp) and is_pure(phi.concl)
-    if isinstance(phi, And):
-        return all(is_pure(p) for p in phi.conjuncts)
-    if isinstance(phi, Or):
-        return all(is_pure(p) for p in phi.disjuncts)
-    if isinstance(phi, Not):
-        return is_pure(phi.body)
-    return True
+    return not any(isinstance(x, (StateIs, BufLenIs)) for x in leaves(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -410,45 +383,26 @@ def guard(t1: Template, t2: Template, body: Formula) -> Guarded:
 # Substitution
 
 
-def subst_bit_expr(
-    be: BitExpr,
-    buf: dict[str, BitExpr],
-    hdr: dict[tuple[str, str], BitExpr],
-) -> BitExpr:
-    """Simultaneous substitution of buffer and header references.
-
-    ``buf`` maps a side to a replacement for that side's buffer;
-    ``hdr`` maps (name, side) pairs to replacements.
-    """
-    if isinstance(be, BufRef) and be.side in buf:
-        return buf[be.side]
-    if isinstance(be, BHdrRef) and (be.name, be.side) in hdr:
-        return hdr[(be.name, be.side)]
-    if isinstance(be, BSlice):
-        return BSlice(subst_bit_expr(be.expr, buf, hdr), be.lo, be.hi)
-    if isinstance(be, BConcat):
-        return BConcat(
-            subst_bit_expr(be.left, buf, hdr), subst_bit_expr(be.right, buf, hdr)
-        )
-    return be
-
-
 def subst(
     phi: Formula,
     buf: dict[str, BitExpr],
     hdr: dict[tuple[str, str], BitExpr],
 ) -> Formula:
-    if isinstance(phi, Eq):
-        return Eq(subst_bit_expr(phi.left, buf, hdr), subst_bit_expr(phi.right, buf, hdr))
-    if isinstance(phi, Implies):
-        return Implies(subst(phi.hyp, buf, hdr), subst(phi.concl, buf, hdr))
-    if isinstance(phi, And):
-        return And(tuple(subst(p, buf, hdr) for p in phi.conjuncts))
-    if isinstance(phi, Or):
-        return Or(tuple(subst(p, buf, hdr) for p in phi.disjuncts))
-    if isinstance(phi, Not):
-        return Not(subst(phi.body, buf, hdr))
-    return phi
+    """Simultaneous substitution of buffer and header references.
+
+    ``buf`` maps a side to a replacement for that side's buffer;
+    ``hdr`` maps (name, side) pairs to replacements.
+    """
+
+    def sub(x: Node) -> Node:
+        t = type(x)
+        if t is BufRef:
+            return buf.get(x.side, x)
+        if t is BHdrRef:
+            return hdr.get((x.name, x.side), x)
+        return x
+
+    return rewrite(phi, sub)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +435,7 @@ class WidthContext:
         if isinstance(be, BLit):
             return len(be.bits)
         if isinstance(be, Var):
-            return 1
+            return be.width
         if isinstance(be, BufRef):
             return self.buflens.get(be.side)
         if isinstance(be, BHdrRef):

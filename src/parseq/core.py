@@ -7,7 +7,6 @@ extracted from the packet (leftmost character).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Union
 
 ACCEPT = "accept"
@@ -122,38 +121,32 @@ class State:
 class Automaton:
     headers: tuple[tuple[str, int], ...]  # (name, size), sizes >= 1
     states: tuple[tuple[str, State], ...]
+    # Lookup tables built once from the two fields above. An ill-typed
+    # state (one that extracts an unknown header) gets no opsize entry, so
+    # that construction succeeds and typecheck can report it.
+    sizes: dict[str, int] = field(init=False, repr=False, compare=False)
+    state_map: dict[str, State] = field(init=False, repr=False, compare=False)
+    _opsizes: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def sizes(self) -> dict[str, int]:
-        return _sizes(self)
-
-    @property
-    def state_map(self) -> dict[str, State]:
-        return _state_map(self)
+    def __post_init__(self):
+        object.__setattr__(self, "sizes", dict(self.headers))
+        object.__setattr__(self, "state_map", dict(self.states))
+        opsizes = {}
+        for q, st in self.states:
+            try:
+                opsizes[q] = opsize(st.op, self)
+            except KeyError:
+                pass
+        object.__setattr__(self, "_opsizes", opsizes)
 
     def state(self, name: str) -> State:
         return self.state_map[name]
 
     def opsize_of(self, name: str) -> int:
-        return _opsize_of(self, name)
+        return self._opsizes[name]
 
     def targets_of(self, name: str) -> set[str]:
         return select_targets(self.state(name).trans)
-
-
-@lru_cache(maxsize=None)
-def _sizes(aut: "Automaton") -> dict[str, int]:
-    return dict(aut.headers)
-
-
-@lru_cache(maxsize=None)
-def _state_map(aut: "Automaton") -> dict[str, State]:
-    return dict(aut.states)
-
-
-@lru_cache(maxsize=None)
-def _opsize_of(aut: "Automaton", name: str) -> int:
-    return opsize(aut.state(name).op, aut)
 
 
 def select_targets(tz: TransBlock) -> set[str]:

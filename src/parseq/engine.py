@@ -7,8 +7,9 @@ entailed by R (at its guard) is skipped, otherwise it joins R and its
 weakest preconditions join the frontier. On a drained frontier the
 verdict reduces to whether the initial configurations satisfy R.
 
-A solver failure is never interpreted; it aborts the run with an
-Inconclusive result carrying the reason.
+A failure is never interpreted: a solver failure, the iteration bound or
+any other exception aborts the run with an Inconclusive result whose
+reason names the exception.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .confrel import (
     render_guarded,
 )
 from .reach import ReachSet, TemplatePair, all_template_pairs, reach_fixpoint
-from .smt import SolverConfig, SolverFailure, decide_entailment
+from .smt import SolverConfig, decide_entailment
 from .wp import FreshVars, wp
 
 EQUIVALENT = "Equivalent"
@@ -122,13 +123,6 @@ def init_relation(reach: ReachSet) -> list[Guarded]:
         for p in reach.sorted()
         if mixed_acceptance(p)
     ]
-
-
-def entailment(
-    rel: Iterable[Guarded], psi: Guarded, aut: Automaton, config: SolverConfig
-) -> bool:
-    """Does the conjunction of ``rel`` entail ``psi``? (Skip test.)"""
-    return decide_entailment(rel, psi, aut, config)
 
 
 def final_check(
@@ -220,7 +214,7 @@ def pre_bisimulation(
                 )
             phi, origin = frontier.popleft()
             stats.solver_calls += 1
-            if entailment(witness.formulas(), phi, aut, config):
+            if decide_entailment(witness.formulas(), phi, aut, config):
                 stats.skips += 1
             else:
                 index = len(witness.entries)
@@ -241,8 +235,8 @@ def pre_bisimulation(
         if ok:
             return done(Result(EQUIVALENT))
         return done(Result(NOT_EQUIVALENT, reason=why))
-    except SolverFailure as exc:
-        return done(Result(INCONCLUSIVE, reason=str(exc)))
+    except Exception as exc:  # solver trouble, the iteration bound, deep recursion
+        return done(Result(INCONCLUSIVE, reason=f"{type(exc).__name__}: {exc}"))
 
 
 def check_states(

@@ -19,12 +19,15 @@ import shutil
 import subprocess
 import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from .core import Automaton, Configuration, Store
 from .confrel import (
+    BOT,
+    EMPTY_CTX,
     LEFT,
     RIGHT,
+    TOP,
     And,
     BConcat,
     BHdrRef,
@@ -37,19 +40,21 @@ from .confrel import (
     Formula,
     Guarded,
     Implies,
+    Node,
     Not,
     Or,
     StateIs,
     Template,
     Top,
     Var,
-    BitExpr,
     WidthContext,
     denotes,
     instantiate_vars,
-    render_guarded,
+    leaves,
+    rewrite,
     simplify,
-    variables,
+    valuations,
+    var_widths,
 )
 from . import sat
 
@@ -65,121 +70,6 @@ class SolverFailure(Exception):
 
 class EnumTooLarge(Exception):
     """The enumeration backend was asked for more bits than its budget."""
-
-
-# ---------------------------------------------------------------------------
-# Quantifier-free bitvector terms and formulas
-
-
-@dataclass(frozen=True)
-class FbVar:
-    name: str
-    width: int
-
-
-@dataclass(frozen=True)
-class FbLit:
-    bits: str
-
-
-@dataclass(frozen=True)
-class FbExtract:
-    term: "FbTerm"
-    lo: int  # leftmost-bit-is-0 indexing, inclusive
-    hi: int
-
-
-@dataclass(frozen=True)
-class FbConcat:
-    left: "FbTerm"
-    right: "FbTerm"
-
-
-FbTerm = Union[FbVar, FbLit, FbExtract, FbConcat]
-
-
-@dataclass(frozen=True)
-class FbTrue:
-    pass
-
-
-@dataclass(frozen=True)
-class FbFalse:
-    pass
-
-
-@dataclass(frozen=True)
-class FbEq:
-    left: FbTerm
-    right: FbTerm
-
-
-@dataclass(frozen=True)
-class FbNot:
-    body: "FbFormula"
-
-
-@dataclass(frozen=True)
-class FbAnd:
-    parts: tuple["FbFormula", ...]
-
-
-@dataclass(frozen=True)
-class FbOr:
-    parts: tuple["FbFormula", ...]
-
-
-@dataclass(frozen=True)
-class FbImplies:
-    hyp: "FbFormula"
-    concl: "FbFormula"
-
-
-FbFormula = Union[FbTrue, FbFalse, FbEq, FbNot, FbAnd, FbOr, FbImplies]
-
-FB_TRUE = FbTrue()
-FB_FALSE = FbFalse()
-
-
-def fb_width(t: FbTerm) -> int:
-    if isinstance(t, FbVar):
-        return t.width
-    if isinstance(t, FbLit):
-        return len(t.bits)
-    if isinstance(t, FbExtract):
-        return t.hi - t.lo + 1
-    if isinstance(t, FbConcat):
-        return fb_width(t.left) + fb_width(t.right)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def fb_vars(f: FbFormula) -> dict[str, int]:
-    out: dict[str, int] = {}
-
-    def t_walk(t: FbTerm) -> None:
-        if isinstance(t, FbVar):
-            out[t.name] = t.width
-        elif isinstance(t, FbExtract):
-            t_walk(t.term)
-        elif isinstance(t, FbConcat):
-            t_walk(t.left)
-            t_walk(t.right)
-
-    def walk(g: FbFormula) -> None:
-        if isinstance(g, FbEq):
-            t_walk(g.left)
-            t_walk(g.right)
-        elif isinstance(g, FbNot):
-            walk(g.body)
-        elif isinstance(g, (FbAnd, FbOr)):
-            for p in g.parts:
-                walk(p)
-        elif isinstance(g, FbImplies):
-            walk(g.hyp)
-            walk(g.concl)
-
-    walk(f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -221,33 +111,9 @@ _SANE = re.compile(r"[^A-Za-z0-9_]")
 
 def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
     """Deterministic, collision-free SMT names for header references."""
-    refs: set[tuple[str, str]] = set()
-
-    def t_walk(be: BitExpr) -> None:
-        if isinstance(be, BHdrRef):
-            refs.add((be.name, be.side))
-        elif isinstance(be, BSlice):
-            t_walk(be.expr)
-        elif isinstance(be, BConcat):
-            t_walk(be.left)
-            t_walk(be.right)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Eq):
-            t_walk(f.left)
-            t_walk(f.right)
-        elif isinstance(f, Implies):
-            walk(f.hyp)
-            walk(f.concl)
-        elif isinstance(f, (And, Or)):
-            parts = f.conjuncts if isinstance(f, And) else f.disjuncts
-            for p in parts:
-                walk(p)
-        elif isinstance(f, Not):
-            walk(f.body)
-
-    for f in formulas:
-        walk(f)
+    refs = {
+        (x.name, x.side) for f in formulas for x in leaves(f) if isinstance(x, BHdrRef)
+    }
     table: dict[tuple[str, str], str] = {}
     used: set[str] = {"bufL", "bufR"}
     for name, side in sorted(refs):
@@ -261,106 +127,78 @@ def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
     return table
 
 
-def _bv_term(
-    be: BitExpr, ctx: WidthContext, names: dict[tuple[str, str], str]
-) -> FbTerm:
-    if isinstance(be, BLit):
-        return FbLit(be.bits)
-    if isinstance(be, BufRef):
-        w = ctx.width(be)
-        if w is None:
-            raise InternalError(f"unknown buffer width for side {be.side!r}")
-        if w == 0:
-            return FbLit("")
-        return FbVar("bufL" if be.side == LEFT else "bufR", w)
-    if isinstance(be, BHdrRef):
-        w = ctx.width(be)
-        if w is None:
-            raise InternalError(f"unknown header {be.name!r}")
-        return FbVar(names[(be.name, be.side)], w)
-    if isinstance(be, Var):
-        return FbVar(f"v_{be.name}", 1)
-    if isinstance(be, BSlice):
-        inner = _bv_term(be.expr, ctx, names)
-        w = fb_width(inner)
-        if w == 0:
-            return FbLit("")
-        lo = min(be.lo, w - 1)
-        hi = min(be.hi, w - 1)
-        if lo == 0 and hi == w - 1:
-            return inner
-        return FbExtract(inner, lo, hi)
-    if isinstance(be, BConcat):
-        left = _bv_term(be.left, ctx, names)
-        right = _bv_term(be.right, ctx, names)
-        if fb_width(left) == 0:
-            return right
-        if fb_width(right) == 0:
-            return left
-        return FbConcat(left, right)
-    raise TypeError(f"not a bit expression: {be!r}")
-
-
-def _bv_formula(
-    phi: Formula, ctx: WidthContext, names: dict[tuple[str, str], str]
-) -> FbFormula:
-    if isinstance(phi, Bottom):
-        return FB_FALSE
-    if isinstance(phi, Top):
-        return FB_TRUE
-    if isinstance(phi, (StateIs, BufLenIs)):
-        raise InternalError(f"impure formula survived filtering: {phi!r}")
-    if isinstance(phi, Eq):
-        left = _bv_term(phi.left, ctx, names)
-        right = _bv_term(phi.right, ctx, names)
-        wl, wr = fb_width(left), fb_width(right)
-        if wl != wr:
-            return FB_FALSE
-        if wl == 0:
-            return FB_TRUE
-        return FbEq(left, right)
-    if isinstance(phi, Implies):
-        return FbImplies(_bv_formula(phi.hyp, ctx, names), _bv_formula(phi.concl, ctx, names))
-    if isinstance(phi, And):
-        return FbAnd(tuple(_bv_formula(p, ctx, names) for p in phi.conjuncts))
-    if isinstance(phi, Or):
-        return FbOr(tuple(_bv_formula(p, ctx, names) for p in phi.disjuncts))
-    if isinstance(phi, Not):
-        return FbNot(_bv_formula(phi.body, ctx, names))
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 # Each formula's bit variables are universally quantified over that formula
 # alone. The conclusion's become free (skolemized by the negation); a premise's
 # are eliminated by expanding every assignment, keeping the logic
-# quantifier-free and the check exact. Premises with more variables than this
-# bound keep them free instead — still sound for the entailment, just weaker,
-# which can only cause extra Extend steps.
+# quantifier-free and the check exact. Premises with more variable bits than
+# this bound keep them free instead — still sound for the entailment, just
+# weaker, which can only cause extra Extend steps.
 PREMISE_EXPANSION_LIMIT = 8
 
 
 def _premise_instances(p: Formula, ctx: WidthContext) -> list[Formula]:
-    names = sorted(variables(p))
-    if not names or len(names) > PREMISE_EXPANSION_LIMIT:
+    bits = sum(var_widths(p).values())
+    if not bits or bits > PREMISE_EXPANSION_LIMIT:
         return [p]
     out = []
-    for bits in itertools.product("01", repeat=len(names)):
-        inst = simplify(instantiate_vars(p, dict(zip(names, bits))), ctx)
+    for v in valuations(p):
+        inst = simplify(instantiate_vars(p, v), ctx)
         if not isinstance(inst, Top):
             out.append(inst)
     return out
 
 
-def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[FbFormula]:
+def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[Formula]:
     """Assertions whose joint unsatisfiability is the entailment's validity:
-    every premise (expanded over its variables) plus the negated conclusion."""
+    every premise (expanded over its variables) plus the negated conclusion.
+
+    The assertions are QF_BV formulas: their only leaves are literals and
+    width-carrying variables (bufL/bufR, L_h/R_h per header, v_x per bit
+    variable). Slices are clamped, zero-width concat parts dropped, an
+    equation of unequal widths is false and one of zero width is true.
+    """
     ctx = entailment_context(ent, aut)
     names = _name_table(list(ent.premises) + [ent.conclusion])
-    out = []
-    for p in ent.premises:
-        for inst in _premise_instances(p, ctx):
-            out.append(_bv_formula(inst, ctx, names))
-    out.append(FbNot(_bv_formula(ent.conclusion, ctx, names)))
+    width = EMPTY_CTX.width
+
+    def bv(x: Node) -> Node:
+        if isinstance(x, BufRef):
+            w = ctx.width(x)
+            if w is None:
+                raise InternalError(f"unknown buffer width for side {x.side!r}")
+            return Var("bufL" if x.side == LEFT else "bufR", w) if w else BLit("")
+        if isinstance(x, BHdrRef):
+            w = ctx.width(x)
+            if w is None:
+                raise InternalError(f"unknown header {x.name!r}")
+            return Var(names[(x.name, x.side)], w)
+        if isinstance(x, Var):
+            return Var(f"v_{x.name}", x.width)
+        if isinstance(x, BSlice):
+            w = width(x.expr)
+            if w == 0:
+                return BLit("")
+            lo, hi = min(x.lo, w - 1), min(x.hi, w - 1)
+            return x.expr if lo == 0 and hi == w - 1 else BSlice(x.expr, lo, hi)
+        if isinstance(x, BConcat):
+            if width(x.left) == 0:
+                return x.right
+            return x.left if width(x.right) == 0 else x
+        if isinstance(x, Eq):
+            wl, wr = width(x.left), width(x.right)
+            if wl != wr:
+                return BOT
+            return TOP if wl == 0 else x
+        if isinstance(x, (StateIs, BufLenIs)):
+            raise InternalError(f"impure formula survived filtering: {x!r}")
+        return x
+
+    out = [
+        rewrite(inst, bv)
+        for p in ent.premises
+        for inst in _premise_instances(p, ctx)
+    ]
+    out.append(Not(rewrite(ent.conclusion, bv)))
     return out
 
 
@@ -368,49 +206,47 @@ def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[FbFormula]:
 # SMT-LIB serialization
 
 
-def _smt_term(t: FbTerm) -> str:
-    if isinstance(t, FbVar):
-        return t.name
-    if isinstance(t, FbLit):
-        return "#b" + t.bits
-    if isinstance(t, FbExtract):
-        w = fb_width(t.term)
+def _smt(f: Node) -> str:
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, BLit):
+        return "#b" + f.bits
+    if isinstance(f, BSlice):
+        w = EMPTY_CTX.width(f.expr)
         # our bit i is SMT bit (w - 1 - i)
-        return f"((_ extract {w - 1 - t.lo} {w - 1 - t.hi}) {_smt_term(t.term)})"
-    if isinstance(t, FbConcat):
-        return f"(concat {_smt_term(t.left)} {_smt_term(t.right)})"
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _smt_formula(f: FbFormula) -> str:
-    if isinstance(f, FbTrue):
+        return f"((_ extract {w - 1 - f.lo} {w - 1 - f.hi}) {_smt(f.expr)})"
+    if isinstance(f, BConcat):
+        return f"(concat {_smt(f.left)} {_smt(f.right)})"
+    if isinstance(f, Top):
         return "true"
-    if isinstance(f, FbFalse):
+    if isinstance(f, Bottom):
         return "false"
-    if isinstance(f, FbEq):
-        return f"(= {_smt_term(f.left)} {_smt_term(f.right)})"
-    if isinstance(f, FbNot):
-        return f"(not {_smt_formula(f.body)})"
-    if isinstance(f, FbAnd):
-        if not f.parts:
+    if isinstance(f, Eq):
+        return f"(= {_smt(f.left)} {_smt(f.right)})"
+    if isinstance(f, Not):
+        return f"(not {_smt(f.body)})"
+    if isinstance(f, And):
+        if not f.conjuncts:
             return "true"
-        return "(and " + " ".join(_smt_formula(p) for p in f.parts) + ")"
-    if isinstance(f, FbOr):
-        if not f.parts:
+        return "(and " + " ".join(_smt(p) for p in f.conjuncts) + ")"
+    if isinstance(f, Or):
+        if not f.disjuncts:
             return "false"
-        return "(or " + " ".join(_smt_formula(p) for p in f.parts) + ")"
-    if isinstance(f, FbImplies):
-        return f"(=> {_smt_formula(f.hyp)} {_smt_formula(f.concl)})"
-    raise TypeError(f"not a formula: {f!r}")
+        return "(or " + " ".join(_smt(p) for p in f.disjuncts) + ")"
+    if isinstance(f, Implies):
+        return f"(=> {_smt(f.hyp)} {_smt(f.concl)})"
+    raise TypeError(f"not a QF_BV formula or term: {f!r}")
 
 
-def serialize_smtlib(assertions: list[FbFormula], comment: str = "") -> str:
+def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
     """SMT-LIB v2 script: unsat means the negated query was valid."""
     decls: dict[str, int] = {}
     for f in assertions:
-        for name, w in fb_vars(f).items():
-            if decls.setdefault(name, w) != w:
-                raise InternalError(f"variable {name} used at widths {decls[name]} and {w}")
+        for x in leaves(f):
+            if isinstance(x, Var) and decls.setdefault(x.name, x.width) != x.width:
+                raise InternalError(
+                    f"variable {x.name} used at widths {decls[x.name]} and {x.width}"
+                )
     lines = []
     if comment:
         for ln in comment.splitlines():
@@ -419,7 +255,7 @@ def serialize_smtlib(assertions: list[FbFormula], comment: str = "") -> str:
     for name in sorted(decls):
         lines.append(f"(declare-const {name} (_ BitVec {decls[name]}))")
     for f in assertions:
-        lines.append(f"(assert {_smt_formula(f)})")
+        lines.append(f"(assert {_smt(f)})")
     lines.append("(check-sat)")
     return "\n".join(lines) + "\n"
 
@@ -446,14 +282,14 @@ class Blaster:
             raise InternalError(f"variable {name} used at widths {len(bits)} and {width}")
         return bits
 
-    def term(self, t: FbTerm) -> list[int]:
-        if isinstance(t, FbVar):
+    def term(self, t: Node) -> list[int]:
+        if isinstance(t, Var):
             return self.var_bits(t.name, t.width)
-        if isinstance(t, FbLit):
+        if isinstance(t, BLit):
             return [self.true_lit if b == "1" else -self.true_lit for b in t.bits]
-        if isinstance(t, FbExtract):
-            return self.term(t.term)[t.lo : t.hi + 1]
-        if isinstance(t, FbConcat):
+        if isinstance(t, BSlice):
+            return self.term(t.expr)[t.lo : t.hi + 1]
+        if isinstance(t, BConcat):
             return self.term(t.left) + self.term(t.right)
         raise TypeError(f"not a term: {t!r}")
 
@@ -479,28 +315,28 @@ class Blaster:
     def _or(self, lits: list[int]) -> int:
         return -self._and([-lit for lit in lits])
 
-    def formula(self, f: FbFormula) -> int:
-        if isinstance(f, FbTrue):
+    def formula(self, f: Formula) -> int:
+        if isinstance(f, Top):
             return self.true_lit
-        if isinstance(f, FbFalse):
+        if isinstance(f, Bottom):
             return -self.true_lit
-        if isinstance(f, FbEq):
+        if isinstance(f, Eq):
             lb, rb = self.term(f.left), self.term(f.right)
             if len(lb) != len(rb):
                 return -self.true_lit
             return self._and([self._iff(a, b) for a, b in zip(lb, rb)])
-        if isinstance(f, FbNot):
+        if isinstance(f, Not):
             return -self.formula(f.body)
-        if isinstance(f, FbAnd):
-            return self._and([self.formula(p) for p in f.parts])
-        if isinstance(f, FbOr):
-            return self._or([self.formula(p) for p in f.parts])
-        if isinstance(f, FbImplies):
+        if isinstance(f, And):
+            return self._and([self.formula(p) for p in f.conjuncts])
+        if isinstance(f, Or):
+            return self._or([self.formula(p) for p in f.disjuncts])
+        if isinstance(f, Implies):
             return self._or([-self.formula(f.hyp), self.formula(f.concl)])
         raise TypeError(f"not a formula: {f!r}")
 
 
-def check_sat(assertions: list[FbFormula]) -> bool:
+def check_sat(assertions: list[Formula]) -> bool:
     """Satisfiability of the conjunction, by bit blasting."""
     bl = Blaster()
     for f in assertions:
@@ -548,16 +384,13 @@ class SolverConfig:
 
     backend is one of "enum" (exhaustive valuation enumeration),
     "internal" (in-process bit blasting) or "subprocess" (SMT-LIB over
-    a pipe to ``command``). enum_fallback short-circuits small queries
-    through enumeration regardless of backend.
+    a pipe to ``command``).
     """
 
     backend: str = "internal"
     command: Optional[tuple[str, ...]] = None
     timeout: float = 60.0
     dump_dir: Optional[str] = None
-    enum_fallback: bool = False
-    enum_threshold: int = 16
     _dump_count: int = field(default=0, repr=False)
 
     def dump(self, text: str) -> None:
@@ -608,36 +441,9 @@ def solve_smtlib(text: str, command: tuple[str, ...], timeout: float = 60.0) -> 
 
 def _enum_domain(ent: FilteredEntailment, aut: Automaton):
     """Referenced configuration bits: headers per side plus buffers."""
-    formulas = list(ent.premises) + [ent.conclusion]
-    hdrs: set[tuple[str, str]] = set()
-    bufs: set[str] = set()
-
-    def t_walk(be: BitExpr) -> None:
-        if isinstance(be, BHdrRef):
-            hdrs.add((be.name, be.side))
-        elif isinstance(be, BufRef):
-            bufs.add(be.side)
-        elif isinstance(be, BSlice):
-            t_walk(be.expr)
-        elif isinstance(be, BConcat):
-            t_walk(be.left)
-            t_walk(be.right)
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Eq):
-            t_walk(f.left)
-            t_walk(f.right)
-        elif isinstance(f, Implies):
-            walk(f.hyp)
-            walk(f.concl)
-        elif isinstance(f, (And, Or)):
-            for p in f.conjuncts if isinstance(f, And) else f.disjuncts:
-                walk(p)
-        elif isinstance(f, Not):
-            walk(f.body)
-
-    for f in formulas:
-        walk(f)
+    refs = [x for f in list(ent.premises) + [ent.conclusion] for x in leaves(f)]
+    hdrs = {(x.name, x.side) for x in refs if isinstance(x, BHdrRef)}
+    bufs = {x.side for x in refs if isinstance(x, BufRef)}
     ctx = entailment_context(ent, aut)
     slots: list[tuple[str, str, int]] = []  # (kind, key, width)
     for name, side in sorted(hdrs):
@@ -649,11 +455,11 @@ def _enum_domain(ent: FilteredEntailment, aut: Automaton):
 
 def enum_bits(ent: FilteredEntailment, aut: Automaton) -> int:
     """Exponent of the enumeration cost: configuration bits plus the
-    largest per-formula variable count (variables quantify per formula,
-    so only the widest inner enumeration compounds the outer one)."""
+    largest per-formula count of variable bits (variables quantify per
+    formula, so only the widest inner enumeration compounds the outer one)."""
     slots = _enum_domain(ent, aut)
     formulas = list(ent.premises) + [ent.conclusion]
-    widest = max((len(variables(f)) for f in formulas), default=0)
+    widest = max((sum(var_widths(f).values()) for f in formulas), default=0)
     return sum(w for _, _, w in slots) + widest
 
 
@@ -698,10 +504,8 @@ def decide_filtered(
     ent: FilteredEntailment, aut: Automaton, config: SolverConfig
 ) -> bool:
     """Validity of a filtered entailment via the configured backend."""
-    if config.enum_fallback and enum_bits(ent, aut) <= config.enum_threshold:
-        return decide_by_enumeration(ent, aut)
     if config.backend == "enum":
-        return decide_by_enumeration(ent, aut, threshold=None)
+        return decide_by_enumeration(ent, aut)
     assertions = to_fol_bv(ent, aut)
     if config.backend == "internal":
         if config.dump_dir:
@@ -737,6 +541,3 @@ def decide_entailment(
         return True
     ent = template_filter(rel, goal)
     return decide_filtered(ent, aut, config)
-
-
-entails = decide_entailment

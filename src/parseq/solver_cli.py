@@ -13,23 +13,23 @@ from __future__ import annotations
 import sys
 from typing import Union
 
-from .smt import (
-    Blaster,
-    FB_FALSE,
-    FB_TRUE,
-    FbAnd,
-    FbConcat,
-    FbEq,
-    FbExtract,
-    FbFormula,
-    FbImplies,
-    FbLit,
-    FbNot,
-    FbOr,
-    FbTerm,
-    FbVar,
-    fb_width,
+from .confrel import (
+    BOT,
+    EMPTY_CTX,
+    TOP,
+    And,
+    BConcat,
+    BitExpr,
+    BLit,
+    BSlice,
+    Eq,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Var,
 )
+from .smt import check_sat
 
 Sexp = Union[str, list]
 
@@ -88,19 +88,19 @@ def parse_sexps(tokens: list[str]) -> list[Sexp]:
     return out
 
 
-def _literal(tok: str) -> FbLit:
+def _literal(tok: str) -> BLit:
     if tok.startswith("#b"):
-        return FbLit(tok[2:])
+        return BLit(tok[2:])
     if tok.startswith("#x"):
         bits = "".join(format(int(d, 16), "04b") for d in tok[2:])
-        return FbLit(bits)
+        return BLit(bits)
     raise ParseError(f"not a bitvector literal: {tok}")
 
 
 class Script:
     def __init__(self):
         self.widths: dict[str, int] = {}
-        self.assertions: list[FbFormula] = []
+        self.assertions: list[Formula] = []
         self.checked = False
 
     def _sort_width(self, sort: Sexp) -> int:
@@ -113,12 +113,12 @@ class Script:
             return int(sort[2])
         raise ParseError(f"unsupported sort: {sort!r}")
 
-    def term(self, e: Sexp) -> FbTerm:
+    def term(self, e: Sexp) -> BitExpr:
         if isinstance(e, str):
             if e.startswith("#"):
                 return _literal(e)
             if e in self.widths:
-                return FbVar(e, self.widths[e])
+                return Var(e, self.widths[e])
             raise ParseError(f"undeclared symbol: {e}")
         if not e:
             raise ParseError("empty term")
@@ -129,23 +129,23 @@ class Script:
                 raise ParseError("concat needs two arguments")
             t = args[0]
             for a in args[1:]:
-                t = FbConcat(t, a)
+                t = BConcat(t, a)
             return t
         if isinstance(head, list) and len(head) == 4 and head[0] == "_" and head[1] == "extract":
             i, j = int(head[2]), int(head[3])
             inner = self.term(e[1])
-            w = fb_width(inner)
+            w = EMPTY_CTX.width(inner)
             if not (w > i >= j >= 0):
                 raise ParseError(f"extract {i} {j} out of range for width {w}")
             # SMT bit k is our bit (w - 1 - k)
-            return FbExtract(inner, w - 1 - i, w - 1 - j)
+            return BSlice(inner, w - 1 - i, w - 1 - j)
         raise ParseError(f"unsupported term: {e!r}")
 
-    def formula(self, e: Sexp) -> FbFormula:
+    def formula(self, e: Sexp) -> Formula:
         if e == "true":
-            return FB_TRUE
+            return TOP
         if e == "false":
-            return FB_FALSE
+            return BOT
         if isinstance(e, str):
             raise ParseError(f"boolean symbols unsupported: {e}")
         if not e:
@@ -155,19 +155,19 @@ class Script:
             args = [self.term(a) for a in e[1:]]
             if len(args) < 2:
                 raise ParseError("= needs two arguments")
-            eqs = tuple(FbEq(a, b) for a, b in zip(args, args[1:]))
-            return eqs[0] if len(eqs) == 1 else FbAnd(eqs)
+            eqs = tuple(Eq(a, b) for a, b in zip(args, args[1:]))
+            return eqs[0] if len(eqs) == 1 else And(eqs)
         if head == "not":
-            return FbNot(self.formula(e[1]))
+            return Not(self.formula(e[1]))
         if head == "and":
-            return FbAnd(tuple(self.formula(a) for a in e[1:]))
+            return And(tuple(self.formula(a) for a in e[1:]))
         if head == "or":
-            return FbOr(tuple(self.formula(a) for a in e[1:]))
+            return Or(tuple(self.formula(a) for a in e[1:]))
         if head == "=>":
             parts = [self.formula(a) for a in e[1:]]
             f = parts[-1]
             for p in reversed(parts[:-1]):
-                f = FbImplies(p, f)
+                f = Implies(p, f)
             return f
         raise ParseError(f"unsupported formula: {e!r}")
 
@@ -189,10 +189,7 @@ class Script:
             self.assertions.append(self.formula(cmd[1]))
             return
         if head == "check-sat":
-            bl = Blaster()
-            for f in self.assertions:
-                bl.sat.add_clause([bl.formula(f)])
-            print("sat" if bl.sat.solve() else "unsat", file=out)
+            print("sat" if check_sat(self.assertions) else "unsat", file=out)
             self.checked = True
             return
         raise ParseError(f"unsupported command: {head}")

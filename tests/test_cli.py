@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import parseq.engine
 from parseq import fixture_path
 from parseq.cli import main
 
@@ -119,6 +120,36 @@ class TestCheck:
         )
         assert code == 2
         assert out.startswith("Inconclusive")
+
+
+    def test_internal_exception_exits_two(self, capsys, monkeypatch):
+        def broken_wp(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(parseq.engine, "wp", broken_wp)
+        code, out, _ = run(
+            capsys,
+            "check",
+            fixture_path("sloppy_small"), "parse_eth",
+            fixture_path("strict_small"), "parse_eth",
+            "--solver", "internal",
+        )
+        assert code == 2
+        assert out.startswith("Inconclusive: RecursionError")
+
+    def test_uncaught_exception_exits_two(self, capsys, monkeypatch):
+        def broken_check(*args, **kwargs):
+            raise RuntimeError("probe")
+
+        monkeypatch.setattr(parseq.engine, "check_equivalence", broken_check)
+        code, _, err = run(
+            capsys,
+            "check",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "probe" in err
 
 
 class TestOtherCommands:

@@ -126,6 +126,44 @@ def _random_store(rng, sizes):
     return Store.of({h: random_bits(rng, sz) for h, sz in sizes.items()})
 
 
+class TestWideVariables:
+    """A 3-bit variable means what three 1-bit variables side by side mean."""
+
+    @staticmethod
+    def shapes(x):
+        return [
+            Eq(x, BSlice(BHdrRef("h", LEFT), 0, 2)),
+            Implies(Eq(x, BLit("011")), Eq(x, BufRef(LEFT))),
+            Or((Eq(BSlice(x, 0, 0), BLit("0")), Eq(BSlice(x, 0, 0), BLit("1")))),
+            Not(Eq(BConcat(BSlice(x, 1, 2), BufRef(RIGHT)), BLit("101"))),
+        ]
+
+    def wide_and_split(self):
+        split = BConcat(Var("a"), BConcat(Var("b"), Var("c")))
+        return self.shapes(Var("x", 3)), self.shapes(split)
+
+    def test_denotes(self):
+        wide, split = self.wide_and_split()
+        got = [denotes(phi, CL, CR) for phi in wide]
+        assert got == [denotes(phi, CL, CR) for phi in split]
+        assert got == [False, True, True, False]
+
+    def test_instantiate_vars(self):
+        for wide, split in zip(*self.wide_and_split()):
+            for bits in itertools.product("01", repeat=3):
+                w = instantiate_vars(wide, {"x": "".join(bits)})
+                s = instantiate_vars(split, dict(zip("abc", bits)))
+                assert variables(w) == set()
+                assert holds(w, CL, CR, {}) == holds(s, CL, CR, {})
+        phi = Eq(Var("x", 3), BufRef(LEFT))
+        assert instantiate_vars(phi, {"x": "011"}) == Eq(BLit("011"), BufRef(LEFT))
+
+    def test_renaming_keeps_widths(self):
+        phi = Eq(BConcat(Var("x7", 3), Var("x2")), BHdrRef("h", LEFT))
+        assert canonical_vars(phi) == Eq(BConcat(Var("v0", 3), Var("v1")), BHdrRef("h", LEFT))
+        assert WidthContext().width(Var("x", 3)) == 3
+
+
 class TestGuards:
     def test_guard_rejects_impure_bodies(self):
         t = Template("q", 0)

@@ -220,6 +220,11 @@ class TestTypecheck:
         aut = Automaton((("h", 1),), (("Q0", State((), Goto(ACCEPT))),))
         assert typecheck(aut)  # opsize 0 breaks the buffer invariant
 
+    def test_extract_of_unknown_header(self):
+        # construction builds the lookup tables and must not reject this
+        aut = Automaton((("h", 1),), (("Q0", State((Extract("g"),), Goto(ACCEPT))),))
+        assert any("'g'" in e for e in typecheck(aut))
+
 
 class TestDisjointSum:
     def test_renamings_are_disjoint_and_total(self):

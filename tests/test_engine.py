@@ -8,9 +8,11 @@ from _gen import random_automaton
 from conftest import FIXTURE_PAIRS, load_fixture
 from parseq.core import Automaton, Extract, Goto, State, disjoint_sum
 from parseq.confrel import BOT, TOP, Guarded, Template, T_ACCEPT, T_REJECT
+import parseq.engine
 from parseq.engine import (
     EQUIVALENT,
     INCONCLUSIVE,
+    EngineError,
     NOT_EQUIVALENT,
     Witness,
     check_equivalence,
@@ -135,6 +137,18 @@ class TestFailureHandling:
         )
         assert res.verdict == INCONCLUSIVE
 
+    @pytest.mark.parametrize("exc", [RecursionError, EngineError, ValueError])
+    def test_internal_exception_is_inconclusive(self, monkeypatch, internal_config, exc):
+        def broken_wp(*args, **kwargs):
+            raise exc("probe")
+
+        monkeypatch.setattr(parseq.engine, "wp", broken_wp)
+        res = check_equivalence(
+            chain_automaton(), "A", chain_automaton(), "B", config=internal_config
+        )
+        assert res.verdict == INCONCLUSIVE
+        assert exc.__name__ in res.reason
+
     def test_stats_are_populated(self, internal_config):
         res = check_equivalence(
             chain_automaton(), "A", chain_automaton(), "A", config=internal_config
@@ -201,3 +215,28 @@ class TestWithRelation:
             aut, "A", aut, "A", i_extra=[bad], config=internal_config
         )
         assert res.verdict == NOT_EQUIVALENT
+
+
+class TestRepeatedChecks:
+    def test_second_check_compares_no_automata(self, monkeypatch, internal_config):
+        # Lookup tables belong to each automaton, so a check on a freshly
+        # loaded pair equal to an earlier one never compares automata.
+        def check_fresh_pair():
+            res = check_equivalence(
+                load_fixture("mpls_ref_small"), "q1",
+                load_fixture("mpls_vec_small"), "q3",
+                config=internal_config,
+            )
+            assert res.verdict == EQUIVALENT
+
+        check_fresh_pair()
+        calls = []
+        eq = Automaton.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return eq(self, other)
+
+        monkeypatch.setattr(Automaton, "__eq__", counting_eq)
+        check_fresh_pair()
+        assert len(calls) == 0

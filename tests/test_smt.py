@@ -9,19 +9,21 @@ from parseq.confrel import (
     LEFT,
     RIGHT,
     TOP,
+    BConcat,
     BLit,
     BSlice,
     BufLenIs,
     BufRef,
     Eq,
     Guarded,
+    Not,
     StateIs,
     Template,
     Var,
 )
 from parseq.smt import (
+    PREMISE_EXPANSION_LIMIT,
     EnumTooLarge,
-    FbNot,
     FilteredEntailment,
     InternalError,
     SolverConfig,
@@ -75,7 +77,7 @@ class TestTranslation:
         ent = FilteredEntailment(T0, T0, (), TOP)
         out = to_fol_bv(ent, aut)
         assert len(out) == 1
-        assert isinstance(out[0], FbNot)
+        assert isinstance(out[0], Not)
 
     def test_zero_width_buffer_never_declared(self):
         aut = tiny_automaton()
@@ -98,6 +100,32 @@ class TestTranslation:
         )
         assert not check_sat(to_fol_bv(ent, aut))  # unsat == entailment valid
         assert decide_by_enumeration(ent, aut)
+
+    def test_wide_premise_variable_expands_like_its_bits(self):
+        # forall x:3. buf> = x  is unsatisfiable, like  forall a b c. buf> = a++b++c
+        aut = Automaton(
+            (("h", 4),),
+            (("Q0", State((Extract("h"),), Goto("accept"))),),
+        )
+        t = Template("Q0", 3)
+        wide = FilteredEntailment(t, t, (Eq(BufRef(RIGHT), Var("x", 3)),), BOT)
+        split = FilteredEntailment(
+            t, t, (Eq(BufRef(RIGHT), BConcat(Var("a"), BConcat(Var("b"), Var("c")))),), BOT
+        )
+        assert len(to_fol_bv(wide, aut)) == len(to_fol_bv(split, aut)) == 2**3 + 1
+        assert not check_sat(to_fol_bv(wide, aut))
+        assert decide_by_enumeration(wide, aut)
+        assert enum_bits(wide, aut) == enum_bits(split, aut) == 3 + 3
+
+    def test_expansion_limit_counts_bits(self):
+        # two variables, but more bits than the limit: kept free, not expanded
+        aut = tiny_automaton()
+        half = PREMISE_EXPANSION_LIMIT // 2 + 1
+        premise = Eq(Var("x", half), Var("y", half))
+        out = to_fol_bv(FilteredEntailment(T0, T0, (premise,), BOT), aut)
+        assert out[0] == Eq(Var("v_x", half), Var("v_y", half))
+        assert len(out) == 2
+        assert f"(declare-const v_x (_ BitVec {half}))" in serialize_smtlib(out)
 
     def test_serialization_is_deterministic(self):
         aut = tiny_automaton()

@@ -5,8 +5,9 @@ import subprocess
 import sys
 
 from _gen import random_entailment
+from parseq.confrel import BConcat, BLit, BSlice, Eq, Var
 from parseq.smt import check_sat, serialize_smtlib, to_fol_bv
-from parseq.solver_cli import run_script
+from parseq.solver_cli import Script, parse_sexps, run_script, tokenize
 
 
 def run(text):
@@ -41,6 +42,22 @@ class TestScripts:
         assert run(text)[1] == "sat"
         contradiction = text.replace("extract 3 2) a) #b10", "extract 3 2) a) #b01")
         assert run(contradiction)[1] == "unsat"
+
+    def test_wide_constant_under_extract_and_concat(self):
+        decl = "(declare-const x (_ BitVec 3))"
+        fits = "(assert (= (concat ((_ extract 2 1) x) #b1) #b101))"
+        clash = "(assert (= x #b011))"
+        script = Script()
+        for cmd in parse_sexps(tokenize(decl + fits + clash)):
+            script.run_command(cmd, io.StringIO())
+        x = Var("x", 3)
+        assert script.assertions == [
+            Eq(BConcat(BSlice(x, 0, 1), BLit("1")), BLit("101")),
+            Eq(x, BLit("011")),
+        ]
+        assert check_sat(script.assertions[:1]) and not check_sat(script.assertions)
+        assert run(decl + fits + "(check-sat)")[1] == "sat"
+        assert run(decl + fits + clash + "(check-sat)")[1] == "unsat"
 
     def test_hex_literals(self):
         text = "(declare-const a (_ BitVec 8))(assert (= a #x5a))(check-sat)"
