@@ -545,10 +545,9 @@ def simplify(phi: Formula, ctx: WidthContext = EMPTY_CTX) -> Formula:
                 return BOT
             if isinstance(p, Top):
                 continue
-            if isinstance(p, And):
-                parts.extend(p.conjuncts)
-            elif p not in parts:
-                parts.append(p)
+            for q in p.conjuncts if isinstance(p, And) else (p,):
+                if q not in parts:
+                    parts.append(q)
         return conj(parts)
     if isinstance(phi, Or):
         parts = []
@@ -558,10 +557,9 @@ def simplify(phi: Formula, ctx: WidthContext = EMPTY_CTX) -> Formula:
                 return TOP
             if isinstance(p, Bottom):
                 continue
-            if isinstance(p, Or):
-                parts.extend(p.disjuncts)
-            elif p not in parts:
-                parts.append(p)
+            for q in p.disjuncts if isinstance(p, Or) else (p,):
+                if q not in parts:
+                    parts.append(q)
         return disj(parts)
     if isinstance(phi, Not):
         body = simplify(phi.body, ctx)

@@ -34,7 +34,13 @@ from .confrel import (
     render,
     render_guarded,
 )
-from .reach import ReachSet, TemplatePair, all_template_pairs, reach_fixpoint
+from .reach import (
+    ReachSet,
+    TemplatePair,
+    all_template_pairs,
+    predecessors,
+    reach_fixpoint,
+)
 from .smt import SolverConfig, decide_entailment
 from .wp import FreshVars, wp
 
@@ -132,17 +138,16 @@ def final_check(
     t2: Template,
     aut: Automaton,
     config: SolverConfig,
-) -> tuple[bool, str]:
-    """Do all initial configuration pairs (satisfying phi_extra) satisfy
-    the relation? Conjuncts guarded elsewhere hold vacuously at the
-    initial templates, so one solver call per matching conjunct suffices."""
+) -> Optional[Guarded]:
+    """The first conjunct of ``rel``, the relation's conjuncts guarded by
+    (t1, t2), that some initial configuration pair satisfying phi_extra
+    violates, or None. Conjuncts guarded elsewhere hold vacuously at the
+    initial templates, so one solver call per conjunct of ``rel`` suffices."""
     premises = [] if isinstance(phi_extra, Top) else [Guarded(t1, t2, phi_extra)]
-    for k, r in enumerate(rel):
-        if r.t1 != t1 or r.t2 != t2:
-            continue
+    for r in rel:
         if not decide_entailment(premises, r, aut, config):
-            return False, f"initial configurations violate #{k}: {render_guarded(r)}"
-    return True, ""
+            return r
+    return None
 
 
 def _reach_for(
@@ -178,7 +183,10 @@ def pre_bisimulation(
     stats = Stats()
     start = time.monotonic()
     reach = _reach_for(aut, t_init1, t_init2, leaps, use_reach)
+    preds = predecessors(reach, aut, leaps)
     witness = Witness()
+    # R indexed by guard: an entailment only reads the goal's own guard
+    by_guard: dict[tuple[Template, Template], list[Guarded]] = {}
     fresh = FreshVars()
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
@@ -214,26 +222,25 @@ def pre_bisimulation(
                 )
             phi, origin = frontier.popleft()
             stats.solver_calls += 1
-            if decide_entailment(witness.formulas(), phi, aut, config):
+            same_guard = by_guard.setdefault((phi.t1, phi.t2), [])
+            if decide_entailment(same_guard, phi, aut, config):
                 stats.skips += 1
             else:
                 index = len(witness.entries)
                 witness.entries.append(Entry(phi, origin))
+                same_guard.append(phi)
                 stats.extends += 1
-                for g in wp(phi, reach, aut, fresh, leaps=leaps):
+                for g in wp(phi, reach, aut, fresh, leaps=leaps, preds=preds):
                     push(g, f"wp of #{index}")
             if debug_check is not None:
                 debug_check(witness.formulas(), [g for g, _ in frontier])
-        stats.solver_calls += sum(
-            1
-            for e in witness.entries
-            if e.guarded.t1 == t_init1 and e.guarded.t2 == t_init2
-        )
-        ok, why = final_check(
-            phi_extra, witness.formulas(), t_init1, t_init2, aut, config
-        )
-        if ok:
+        initial = by_guard.get((t_init1, t_init2), [])
+        stats.solver_calls += len(initial)
+        bad = final_check(phi_extra, initial, t_init1, t_init2, aut, config)
+        if bad is None:
             return done(Result(EQUIVALENT))
+        k = witness.formulas().index(bad)
+        why = f"initial configurations violate #{k}: {render_guarded(bad)}"
         return done(Result(NOT_EQUIVALENT, reason=why))
     except Exception as exc:  # solver trouble, the iteration bound, deep recursion
         return done(Result(INCONCLUSIVE, reason=f"{type(exc).__name__}: {exc}"))

@@ -2,11 +2,13 @@
 
 Templates abstract configurations to (state, buffer length); sigma
 over-approximates single-bit successors, sigma_leap its multi-bit
-variant, and reach_fixpoint closes a seed set of template pairs.
+variant, reach_fixpoint closes a seed set of template pairs, and
+predecessors inverts the chosen step relation over a closed set.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -93,30 +95,44 @@ class ReachSet:
         return "\n".join(f"{p.left} {p.right}" for p in self.sorted())
 
 
+def successors(
+    p: TemplatePair, aut: Automaton, leaps: bool = True
+) -> set[TemplatePair]:
+    """The step relation of a check: one leap, or one bit on both sides."""
+    if leaps:
+        return sigma_leap(p, aut)
+    return {
+        TemplatePair(l, r) for l in sigma(p.left, aut) for r in sigma(p.right, aut)
+    }
+
+
 def reach_fixpoint(
     seeds: Iterable[TemplatePair], aut: Automaton, leaps: bool = True
 ) -> ReachSet:
     """Least template-pair set containing the seeds and closed under the
-    chosen successor relation. Worklist order is sorted for determinism."""
+    chosen successor relation."""
     seeds = frozenset(seeds)
     seen: set[TemplatePair] = set(seeds)
-    worklist = sorted(seeds, key=lambda p: (str(p.left), str(p.right)))
+    worklist = deque(seeds)
     while worklist:
-        p = worklist.pop(0)
-        if leaps:
-            succs = sigma_leap(p, aut)
-        else:
-            succs = {
-                TemplatePair(l, r)
-                for l in sigma(p.left, aut)
-                for r in sigma(p.right, aut)
-            }
-        fresh = sorted(
-            succs - seen, key=lambda q: (str(q.left), str(q.right))
-        )
+        fresh = successors(worklist.popleft(), aut, leaps) - seen
         seen.update(fresh)
         worklist.extend(fresh)
     return ReachSet(frozenset(seen), seeds)
+
+
+Predecessors = dict[TemplatePair, list[TemplatePair]]
+
+
+def predecessors(reach: ReachSet, aut: Automaton, leaps: bool = True) -> Predecessors:
+    """Each successor of a pair in ``reach`` -> the pairs of ``reach`` that
+    step into it, in ``reach.sorted()`` order. Pairs nothing steps into
+    are absent."""
+    preds: Predecessors = defaultdict(list)
+    for p in reach.sorted():
+        for q in successors(p, aut, leaps):
+            preds[q].append(p)
+    return dict(preds)
 
 
 def all_template_pairs(

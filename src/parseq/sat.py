@@ -70,9 +70,6 @@ class Solver:
 
     def _propagate(self, level: int) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        i = len(self.trail) - 1 if self.trail else 0
-        queue = list(self.trail)
-        head = 0
         # reprocess from the start of the newly enqueued suffix
         head = self._prop_head
         while head < len(self.trail):

@@ -1,9 +1,12 @@
 """Weakest preconditions over the symbolic relation language.
 
-The per-side transformer rewinds one single-bit step of one side of a
-configuration pair; the paired transformer composes the right and left
-sides over one shared input bit (or, with leaps, over a shared sequence
-of bits covering the steps up to the next state transition).
+The per-side transformer rewinds k steps of one side of a configuration
+pair as one k-bit read: the side's buffer grows by a k-bit variable, or
+the variable completes the buffer and the state's operation runs on it.
+The paired transformer composes the right and left sides over one shared
+read, of one bit, or with leaps of every bit up to the next state
+transition on either side. Each precondition then splits the read into
+one-bit variables for just the bits it still depends on.
 """
 
 from __future__ import annotations
@@ -25,18 +28,23 @@ from .confrel import (
     Formula,
     Guarded,
     Implies,
+    LEFT,
+    Node,
     Not,
+    RIGHT,
+    T_REJECT,
     Template,
     Top,
     Var,
     WidthContext,
     conj,
     disj,
+    rewrite,
     simplify,
     subst,
     variables,
 )
-from .reach import ReachSet, TemplatePair, leap_size
+from .reach import Predecessors, ReachSet, TemplatePair, leap_size, predecessors
 
 SymbolicStore = dict[str, BitExpr]
 
@@ -144,35 +152,39 @@ def wp_side(
     x: str,
     aut: Automaton,
     check_fresh: bool = True,
+    k: int = 1,
 ) -> Formula:
-    """Rewind one single-bit step of one side.
+    """Rewind k single-bit steps of one side as one read of k bits.
 
     Returns a pure formula psi such that, for configurations c on the
     given side matching t_src, c satisfies psi (for all values of the
-    read bit x) exactly when every one-bit successor of c matching t_dst
-    satisfies phi. The paired transformer shares x between both sides
-    and disables the freshness check for the second application.
+    k-bit variable x, the bits read) exactly when every k-bit successor
+    of c matching t_dst satisfies phi. k may not exceed the bits the side
+    has left before its state transition. The paired transformer shares
+    x between both sides and checks its freshness itself.
     """
     if check_fresh and x in variables(phi):
         raise FreshnessError(f"{x} is not fresh")
     if t_src.state in RESULTS:
-        if t_dst != Template(core.REJECT, 0):
+        if t_dst != T_REJECT:
             return TOP
         return subst(phi, {side: BLit("")}, {})
     size = aut.opsize_of(t_src.state)
     remaining = size - t_src.buflen
-    if remaining > 1:
-        # buffering edge: the read bit is appended to this side's buffer
-        if t_dst != Template(t_src.state, t_src.buflen + 1):
+    if k > remaining:
+        raise ValueError(f"read of {k} bits overshoots template {t_src}")
+    full_buf = BConcat(BufRef(side), Var(x, k))
+    if remaining > k:
+        # buffering edge: the read bits are appended to this side's buffer
+        if t_dst != Template(t_src.state, t_src.buflen + k):
             return TOP
-        return subst(phi, {side: BConcat(BufRef(side), Var(x))}, {})
-    # transition edge: the read bit completes the buffer
+        return subst(phi, {side: full_buf}, {})
+    # transition edge: the read bits complete the buffer
     if t_dst.buflen != 0 or t_dst.state not in core.select_targets(
         aut.state(t_src.state).trans
     ):
         return TOP
     st = aut.state(t_src.state)
-    full_buf = BConcat(BufRef(side), Var(x))
     post = symbolic_exec_op(st.op, identity_store(aut, side), full_buf, size, aut)
     cond = symbolic_trans_cond(st.trans, post, t_dst.state)
     phi2 = subst(
@@ -181,11 +193,49 @@ def wp_side(
     return Implies(cond, phi2)
 
 
+def split_read(phi: Formula, x: str, k: int, taken: set[str]) -> Formula:
+    """Replace the k-bit variable x by one-bit variables x_<i> for only
+    the bits phi reads, joined by a balanced ++ so a wide read stays
+    shallow. phi must be simplified: x then occurs only bare or under one
+    slice clamped to its width, inside equations. A slice with lo > hi
+    reads nothing."""
+
+    def bits(lo: int, hi: int) -> BitExpr:
+        if lo > hi:
+            return BLit("")
+        if lo == hi:
+            name = f"{x}_{lo}"
+            if name in taken:
+                raise FreshnessError(f"{name} is not fresh")
+            return Var(name)
+        mid = (lo + hi) // 2
+        return BConcat(bits(lo, mid), bits(mid + 1, hi))
+
+    def read(be: BitExpr) -> BitExpr:
+        t = type(be)
+        if t is Var and be.name == x:
+            return bits(0, k - 1)
+        if t is BSlice:
+            inner = be.expr
+            if type(inner) is Var and inner.name == x:
+                return bits(be.lo, be.hi)
+            return BSlice(read(inner), be.lo, be.hi)
+        if t is BConcat:
+            return BConcat(read(be.left), read(be.right))
+        return be
+
+    def split(n: Node) -> Node:
+        return Eq(read(n.left), read(n.right)) if type(n) is Eq else n
+
+    return rewrite(phi, split)
+
+
 def template_chain(
     t_src: Template, k: int, t_end: Template, aut: Automaton
 ) -> Optional[list[Template]]:
     """The forced k-step template path of one side, or None when no path
-    from t_src can end at t_end."""
+    from t_src can end at t_end. The reference the predecessor index is
+    tested against."""
     if t_src.state in RESULTS:
         if t_end != Template(core.REJECT, 0):
             return None
@@ -212,30 +262,33 @@ def wp(
     aut: Automaton,
     fresh: FreshVars,
     leaps: bool = True,
+    preds: Optional[Predecessors] = None,
 ) -> list[Guarded]:
     """Template-guarded weakest preconditions of a guarded formula, one
     per reachable predecessor pair that can actually step into psig's
-    guard; vacuous entries simplify to true and are dropped."""
+    guard; vacuous entries simplify to true and are dropped.
+
+    ``preds`` is ``predecessors(reach_set, aut, leaps)``; a caller that
+    asks for many preconditions over one reach set builds it once.
+    """
+    if preds is None:
+        preds = predecessors(reach_set, aut, leaps)
+    taken = variables(psig.body)
     out: list[Guarded] = []
-    for pair in reach_set.sorted():
+    for pair in preds.get(TemplatePair(psig.t1, psig.t2), ()):
         k = leap_size(pair.left, pair.right, aut) if leaps else 1
-        chain_l = template_chain(pair.left, k, psig.t1, aut)
-        chain_r = template_chain(pair.right, k, psig.t2, aut)
-        if chain_l is None or chain_r is None:
-            continue
-        xs = [fresh() for _ in range(k)]
-        body_vars = variables(psig.body)
-        if any(x in body_vars for x in xs):
+        x = fresh()
+        if x in taken:
             raise FreshnessError("fresh-variable counter collided with formula")
-        phi = psig.body
-        for i in range(k, 0, -1):
-            phi = wp_side(phi, ">", chain_r[i - 1], chain_r[i], xs[i - 1], aut)
-            phi = wp_side(
-                phi, "<", chain_l[i - 1], chain_l[i], xs[i - 1], aut, check_fresh=False
-            )
+        phi = wp_side(
+            psig.body, RIGHT, pair.right, psig.t2, x, aut, check_fresh=False, k=k
+        )
+        phi = wp_side(phi, LEFT, pair.left, psig.t1, x, aut, check_fresh=False, k=k)
         g = Guarded(pair.left, pair.right, phi)
         phi = simplify(phi, WidthContext.for_guard(aut, g))
         if isinstance(phi, Top):
             continue
+        if k > 1:
+            phi = split_read(phi, x, k, taken)
         out.append(Guarded(pair.left, pair.right, phi))
     return out

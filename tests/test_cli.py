@@ -152,6 +152,24 @@ class TestCheck:
         assert err.startswith("error:") and "probe" in err
 
 
+    def test_1200_bit_leap_is_equivalent(self, capsys, tmp_path):
+        one = tmp_path / "one.p4a"
+        two = tmp_path / "two.p4a"
+        one.write_text(
+            "state q { extract(h, 1200); "
+            "select(h[0:0]) { (0b0) => accept (0b1) => reject } }\n"
+        )
+        two.write_text(
+            "state q { extract(a, 600); extract(b, 600); "
+            "select(a[0:0]) { (0b0) => accept (0b1) => reject } }\n"
+        )
+        code, out, _ = run(
+            capsys, "check", str(one), "q", str(two), "q", "--solver", "internal"
+        )
+        assert code == 0
+        assert out.startswith("Equivalent")
+
+
 class TestOtherCommands:
     def test_simulate(self, capsys):
         code, out, _ = run(

@@ -229,6 +229,32 @@ class TestSimplify:
                     assert holds(phi, cl, cr, v) == holds(psi, cl, cr, v)
 
 
+class TestSimplifyIdempotent:
+    A = Eq(BufRef(LEFT), BLit("1"))
+    B = Eq(BufRef(RIGHT), BLit("0"))
+    CTX = WidthContext({}, {LEFT: 1, RIGHT: 1})
+
+    def test_flattened_conjunction_drops_duplicates(self):
+        assert simplify(And((self.A, And((self.A, self.B)))), self.CTX) == And(
+            (self.A, self.B)
+        )
+
+    def test_flattened_disjunction_drops_duplicates(self):
+        assert simplify(Or((self.A, Or((self.A, self.B)))), self.CTX) == Or(
+            (self.A, self.B)
+        )
+
+    def test_simplify_twice_is_simplify_once(self, rng):
+        for _ in range(300):
+            aut = random_automaton(rng, max_states=1, max_header_bits=3)
+            sizes = dict(aut.headers)
+            buflens = {LEFT: rng.randrange(3), RIGHT: rng.randrange(3)}
+            ctx = WidthContext(sizes, buflens)
+            phi = random_formula(rng, sizes, buflens, ["x", "y"], depth=3)
+            once = simplify(phi, ctx)
+            assert simplify(once, ctx) == once, render(phi)
+
+
 class TestRender:
     def test_deterministic_and_readable(self):
         g = Guarded(

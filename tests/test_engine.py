@@ -191,6 +191,23 @@ class TestLoopInvariants:
             assert pruned.reach.pairs <= full.reach.pairs
 
 
+    def test_entailments_see_only_the_goals_guard(self, monkeypatch, internal_config):
+        real = parseq.engine.decide_entailment
+        seen = []
+
+        def recording(rel, goal, aut, config):
+            rel = list(rel)
+            seen.append(len(rel))
+            assert all((r.t1, r.t2) == (goal.t1, goal.t2) for r in rel)
+            return real(rel, goal, aut, config)
+
+        monkeypatch.setattr(parseq.engine, "decide_entailment", recording)
+        a1, a2 = load_fixture("mpls_ref_small"), load_fixture("mpls_vec_small")
+        res = check_equivalence(a1, "q1", a2, "q3", config=internal_config)
+        assert res.verdict == "Equivalent"
+        assert len(seen) == res.stats.solver_calls and max(seen) > 0
+
+
 class TestWithRelation:
     def test_empty_extras_match_plain_check(self, internal_config):
         aut = chain_automaton()

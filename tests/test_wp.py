@@ -11,12 +11,14 @@ import itertools
 import pytest
 
 from _gen import random_automaton, random_formula
+from parseq import parse_source
 from parseq.core import (
     ACCEPT,
     REJECT,
     RESULTS,
     Configuration,
     Store,
+    disjoint_sum,
     multi_step,
     step,
 )
@@ -25,6 +27,8 @@ from parseq.confrel import (
     LEFT,
     RIGHT,
     TOP,
+    T_ACCEPT,
+    T_REJECT,
     BLit,
     Eq,
     Guarded,
@@ -32,9 +36,19 @@ from parseq.confrel import (
     Var,
     denotes,
     template_of,
+    templates_of,
+    var_widths,
     variables,
 )
-from parseq.reach import all_template_pairs, leap_size
+from parseq.engine import check_equivalence
+from parseq.reach import (
+    TemplatePair,
+    all_template_pairs,
+    leap_size,
+    predecessors,
+    reach_fixpoint,
+)
+from parseq.smt import SolverConfig
 from parseq.wp import FreshVars, FreshnessError, template_chain, wp, wp_side
 
 
@@ -185,3 +199,146 @@ class TestPairedLemma:
         psig = Guarded(t1, t1, BOT)
         for g in wp(psig, reach, aut, FreshVars()):
             assert any(p.left == g.t1 and p.right == g.t2 for p in reach.pairs)
+
+
+class TestWideRead:
+    def test_biconditional_exhaustive(self, rng):
+        """For every c at t_src and every k up to the bits left before the
+        transition: [every k-bit successor matching t_dst satisfies phi]
+        iff [c satisfies wp_side(phi, k) for all values of the k-bit read]."""
+        checked = 0
+        for _ in range(30):
+            aut = random_automaton(rng, max_states=2, max_header_bits=2)
+            sizes = dict(aut.headers)
+            configs = all_configs(aut)
+            templates = sorted({template_of(c) for c in configs}, key=str)
+            for t_src, t_dst in itertools.product(templates, templates):
+                if t_src.state in RESULTS:
+                    k = rng.randint(1, 2)
+                else:
+                    k = rng.randint(1, aut.opsize_of(t_src.state) - t_src.buflen)
+                cr = rng.choice(configs)
+                phi = random_formula(
+                    rng, sizes, {LEFT: t_dst.buflen, RIGHT: len(cr.buffer)}, ["y0"]
+                )
+                psi = wp_side(phi, LEFT, t_src, t_dst, "xf", aut, k=k)
+                words = ["".join(w) for w in itertools.product("01", repeat=k)]
+                for cl in configs:
+                    if template_of(cl) != t_src:
+                        continue
+                    lhs = all(
+                        template_of(multi_step(cl, w, aut)) != t_dst
+                        or denotes(phi, multi_step(cl, w, aut), cr)
+                        for w in words
+                    )
+                    assert lhs == denotes(psi, cl, cr), (t_src, t_dst, k, cl, cr)
+                    checked += 1
+        assert checked > 500
+
+    def test_overlong_read_raises(self, rng):
+        aut = random_automaton(rng)
+        q = aut.states[0][0]
+        size = aut.opsize_of(q)
+        with pytest.raises(ValueError):
+            wp_side(BOT, LEFT, Template(q, 0), Template(q, 0), "x", aut, k=size + 1)
+
+    def test_preconditions_read_one_bit_variables(self, rng):
+        for _ in range(30):
+            aut = random_automaton(rng)
+            sizes = dict(aut.headers)
+            names = [q for q, _ in aut.states]
+            reach = all_template_pairs(aut, names, names)
+            p = rng.choice(reach.sorted())
+            buflens = {LEFT: p.left.buflen, RIGHT: p.right.buflen}
+            body = random_formula(rng, sizes, buflens, ["y0"])
+            for g in wp(Guarded(p.left, p.right, body), reach, aut, FreshVars()):
+                assert set(var_widths(g.body).values()) <= {1}
+
+
+def _wide_pair(bits: int, select: str, pattern: str, right: str):
+    """One bits-wide extract against two half-width extracts; each side
+    selects ``select`` (of h, or of a on the right) against ``pattern``."""
+    one = parse_source(
+        f"state q {{ extract(h, {bits}); "
+        f"select(h{select}) {{ ({pattern}) => accept _ => reject }} }}"
+    )
+    two = parse_source(
+        f"state q {{ extract(a, {bits // 2}); extract(b, {bits // 2}); "
+        f"select({right}) {{ ({pattern}) => accept _ => reject }} }}"
+    )
+    return one, two
+
+
+def _summed(one, two):
+    """The summed automaton, its two start templates and their reach set."""
+    total, left, right = disjoint_sum(one, two)
+    t1, t2 = Template(left.states["q"], 0), Template(right.states["q"], 0)
+    return total, t1, t2, reach_fixpoint({TemplatePair(t1, t2)}, total)
+
+
+class TestWideLeaps:
+    INTERNAL = SolverConfig(backend="internal")
+
+    def test_4096_bit_pair_is_equivalent(self):
+        one, two = _wide_pair(4096, "[0:0]", "0b0", "a[0:0]")
+        res = check_equivalence(one, "q", two, "q", config=self.INTERNAL)
+        assert res.verdict == "Equivalent", res.reason
+
+    def test_1024_bit_select_splits_every_bit(self):
+        one, two = _wide_pair(2048, "[0:1023]", "0b" + "10" * 512, "a")
+        res = check_equivalence(one, "q", two, "q", config=self.INTERNAL)
+        assert res.verdict == "Equivalent", res.reason
+        # the precondition of "left accepts, right rejects" reads the 1024
+        # selected bits of the shared 2048-bit leap, one variable per bit
+        total, _, _, reach = _summed(one, two)
+        psig = Guarded(T_ACCEPT, T_REJECT, BOT)
+        (g,) = wp(psig, reach, total, FreshVars())
+        widths = var_widths(g.body)
+        assert len(widths) == 1024 and set(widths.values()) == {1}
+
+    def test_split_bit_names_must_be_fresh(self):
+        one, two = _wide_pair(8, "[0:0]", "0b0", "a[0:0]")
+        total, _, _, reach = _summed(one, two)
+        body = Eq(Var("x0_0"), BLit("1"))
+        psig = Guarded(T_ACCEPT, T_REJECT, body)
+        with pytest.raises(FreshnessError):
+            wp(psig, reach, total, FreshVars())
+
+    def test_leap_draws_one_fresh_name_per_predecessor(self):
+        one, _ = _wide_pair(4096, "[0:0]", "0b0", "a[0:0]")
+        total, t1, t2, reach = _summed(one, one)
+        assert leap_size(t1, t2, total) == 4096
+        psig = Guarded(T_ACCEPT, T_REJECT, BOT)
+        preds = predecessors(reach, total)[TemplatePair(psig.t1, psig.t2)]
+        fresh = FreshVars()
+        (g,) = wp(psig, reach, total, fresh)
+        assert fresh.count == len(preds) == 1
+        assert variables(g.body) == {"x0_0"}
+
+
+class TestPredecessorIndex:
+    @pytest.mark.parametrize("leaps", [True, False])
+    @pytest.mark.parametrize("use_reach", [True, False])
+    def test_index_matches_template_chain_scan(self, rng, leaps, use_reach):
+        """Every pair's predecessors are, in sorted order, exactly the
+        pairs whose forced template chains end at it."""
+        for _ in range(20):
+            aut = random_automaton(rng)
+            names = [q for q, _ in aut.states]
+            if use_reach:
+                seed = TemplatePair(Template(names[0], 0), Template(names[-1], 0))
+                reach = reach_fixpoint({seed}, aut, leaps=leaps)
+            else:
+                reach = all_template_pairs(aut, names, names)
+            preds = predecessors(reach, aut, leaps)
+            templates = templates_of(aut)
+            for t1, t2 in itertools.product(templates, templates):
+                expected = []
+                for p in reach.sorted():
+                    k = leap_size(p.left, p.right, aut) if leaps else 1
+                    if (
+                        template_chain(p.left, k, t1, aut) is not None
+                        and template_chain(p.right, k, t2, aut) is not None
+                    ):
+                        expected.append(p)
+                assert preds.get(TemplatePair(t1, t2), []) == expected
