@@ -41,7 +41,7 @@ from .reach import (
     predecessors,
     reach_fixpoint,
 )
-from .smt import SolverConfig, decide_entailment
+from .smt import GuardRelation, SolverConfig, decide_entailment
 from .wp import FreshVars, wp
 
 EQUIVALENT = "Equivalent"
@@ -186,7 +186,7 @@ def pre_bisimulation(
     preds = predecessors(reach, aut, leaps)
     witness = Witness()
     # R indexed by guard: an entailment only reads the goal's own guard
-    by_guard: dict[tuple[Template, Template], list[Guarded]] = {}
+    by_guard: dict[tuple[Template, Template], GuardRelation] = {}
     fresh = FreshVars()
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
@@ -222,7 +222,9 @@ def pre_bisimulation(
                 )
             phi, origin = frontier.popleft()
             stats.solver_calls += 1
-            same_guard = by_guard.setdefault((phi.t1, phi.t2), [])
+            same_guard = by_guard.get((phi.t1, phi.t2))
+            if same_guard is None:
+                same_guard = by_guard[phi.t1, phi.t2] = GuardRelation(phi.t1, phi.t2)
             if decide_entailment(same_guard, phi, aut, config):
                 stats.skips += 1
             else:

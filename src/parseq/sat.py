@@ -1,219 +1,358 @@
-"""A small CDCL SAT solver.
+"""A small incremental CDCL SAT solver.
 
 Backend for bit-blasted bitvector queries: two-watched literals, 1UIP
-clause learning, VSIDS-style activities, phase saving and geometric
-restarts. Variables are positive ints, literals signed ints.
+clause learning, VSIDS-style activities in an indexed heap, phase saving
+and geometric restarts. Variables are positive ints, literals signed ints.
+
+The solver is incremental in the way of MiniSat (Eén & Sörensson, *An
+Extensible SAT-solver*, SAT 2003): clauses may be added between calls,
+learned clauses and level-0 facts are kept, and each call solves under
+the literals in ``assumptions``. After a satisfiable answer the trail
+holds the model until the next ``add_clause`` or ``solve``.
 """
 
 from __future__ import annotations
+
+import time
+from typing import Optional
+
+# The wall clock is read once every this many propagate-or-decide steps.
+DEADLINE_STRIDE = 256
+
+
+class SolverFailure(Exception):
+    """The solver did not produce a usable sat/unsat answer."""
 
 
 class Solver:
     def __init__(self):
         self.nvars = 0
-        self.clauses: list[list[int]] = []
-        self.watches: dict[int, list[list[int]]] = {}
-        self.assign: dict[int, bool] = {}
-        self.level: dict[int, int] = {}
-        self.reason: dict[int, list[int] | None] = {}
+        self.clauses: list[list[int]] = []  # every clause kept, learned ones too
+        # Literal-indexed arrays: literal l sits at index l, so positive
+        # literals fill the front and negative ones the back (Python's
+        # negative indices). They hold 2 * capacity + 1 slots. A watch
+        # list is made when its literal is first watched.
+        self._capacity = 0
+        self.vals: list[Optional[bool]] = [None]
+        self.watches: list[Optional[list[list[int]]]] = [None]
+        # Variable-indexed arrays; slot 0 is unused.
+        self.level = [0]
+        self.reason: list[Optional[list[int]]] = [None]
+        self.activity = [0.0]
+        self.phase = [False]
+        # Binary max-heap of variables by activity, ties to the lower
+        # variable; heap_pos[v] is v's index in it, or -1.
+        self.heap: list[int] = []
+        self.heap_pos = [-1]
         self.trail: list[int] = []
-        self.activity: dict[int, float] = {}
-        self.phase: dict[int, bool] = {}
+        self.trail_lim: list[int] = []  # trail length where each level starts
+        self.prop_head = 0
+        self.var_inc = 1.0
         self.ok = True
+        # Set by the caller before solve().
+        self.assumptions: list[int] = []
+        self.deadline: Optional[float] = None  # time.monotonic() value
+
+    # -- variables and the activity heap ------------------------------------
 
     def new_var(self) -> int:
         self.nvars += 1
         v = self.nvars
-        self.activity[v] = 0.0
-        self.phase[v] = False
+        if v > self._capacity:
+            self._grow(max(16, 2 * self._capacity))
+        self.level.append(0)
+        self.reason.append(None)
+        self.activity.append(0.0)
+        self.phase.append(False)
+        self.heap_pos.append(-1)
+        self._heap_insert(v)
         return v
 
-    def _watch(self, lit: int, clause: list[int]) -> None:
-        self.watches.setdefault(lit, []).append(clause)
+    def _grow(self, capacity: int) -> None:
+        old = self._capacity
+        vals: list[Optional[bool]] = [None] * (2 * capacity + 1)
+        watches: list[Optional[list[list[int]]]] = [None] * (2 * capacity + 1)
+        if old:
+            vals[1 : old + 1] = self.vals[1 : old + 1]
+            vals[-old:] = self.vals[-old:]
+            watches[1 : old + 1] = self.watches[1 : old + 1]
+            watches[-old:] = self.watches[-old:]
+        self.vals, self.watches, self._capacity = vals, watches, capacity
 
-    def value(self, lit: int) -> bool | None:
-        v = self.assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
+    def _before(self, a: int, b: int) -> bool:
+        act = self.activity
+        return act[a] > act[b] or (act[a] == act[b] and a < b)
+
+    def _sift_up(self, i: int) -> None:
+        heap, pos = self.heap, self.heap_pos
+        v = heap[i]
+        while i > 0:
+            parent = (i - 1) >> 1
+            u = heap[parent]
+            if not self._before(v, u):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = parent
+        heap[i] = v
+        pos[v] = i
+
+    def _sift_down(self, i: int) -> None:
+        heap, pos = self.heap, self.heap_pos
+        v, n = heap[i], len(heap)
+        while True:
+            child = 2 * i + 1
+            if child >= n:
+                break
+            if child + 1 < n and self._before(heap[child + 1], heap[child]):
+                child += 1
+            u = heap[child]
+            if not self._before(u, v):
+                break
+            heap[i] = u
+            pos[u] = i
+            i = child
+        heap[i] = v
+        pos[v] = i
+
+    def _heap_insert(self, v: int) -> None:
+        self.heap.append(v)
+        self.heap_pos[v] = len(self.heap) - 1
+        self._sift_up(len(self.heap) - 1)
+
+    def _heap_pop(self) -> int:
+        heap = self.heap
+        top, last = heap[0], heap.pop()
+        self.heap_pos[top] = -1
+        if heap:
+            heap[0] = last
+            self._sift_down(0)
+        return top
+
+    def _bump(self, v: int) -> None:
+        self.activity[v] += self.var_inc
+        if self.heap_pos[v] >= 0:
+            self._sift_up(self.heap_pos[v])
+
+    # -- clauses and assignments --------------------------------------------
+
+    def value(self, lit: int) -> Optional[bool]:
+        return self.vals[lit]
 
     def add_clause(self, lits: list[int]) -> None:
+        """Add a clause, also between calls. Literals false at level 0 are
+        dropped, a clause true there is skipped, and a unit clause becomes
+        a level-0 fact."""
+        self._backtrack(0)
+        if not self.ok:
+            return
+        vals = self.vals
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:
-            if -lit in seen:
-                return  # tautology
-            if lit not in seen:
+            if not 0 < abs(lit) <= self.nvars:
+                raise ValueError(f"literal {lit} names no variable")
+            val = vals[lit]
+            if val is True or -lit in seen:
+                return  # satisfied at level 0, or a tautology
+            if val is None and lit not in seen:
                 seen.add(lit)
                 out.append(lit)
         if not out:
             self.ok = False
             return
-        if len(out) == 1:
-            # delay unit enqueuing to solve(); store as a clause watched once
-            self.clauses.append(out)
-            return
         self.clauses.append(out)
-        self._watch(out[0], out)
-        self._watch(out[1], out)
+        if len(out) == 1:
+            self._assign(out[0], None)
+        else:
+            self._watch(out)
 
-    def _enqueue(self, lit: int, reason: list[int] | None, level: int) -> bool:
-        val = self.value(lit)
-        if val is not None:
-            return val
-        v = abs(lit)
-        self.assign[v] = lit > 0
-        self.level[v] = level
+    def _watch(self, clause: list[int]) -> None:
+        for lit in clause[0], clause[1]:
+            watchlist = self.watches[lit]
+            if watchlist is None:
+                self.watches[lit] = [clause]
+            else:
+                watchlist.append(clause)
+
+    def _assign(self, lit: int, reason: Optional[list[int]]) -> None:
+        v = lit if lit > 0 else -lit
+        self.vals[lit] = True
+        self.vals[-lit] = False
+        self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
-        return True
 
-    def _propagate(self, level: int) -> list[int] | None:
+    def _propagate(self) -> Optional[list[int]]:
         """Unit propagation; returns a conflicting clause or None."""
-        # reprocess from the start of the newly enqueued suffix
-        head = self._prop_head
-        while head < len(self.trail):
-            lit = self.trail[head]
+        vals, watches, trail = self.vals, self.watches, self.trail
+        level_of, reason_of = self.level, self.reason
+        level = len(self.trail_lim)
+        head = self.prop_head
+        while head < len(trail):
+            falsified = -trail[head]
             head += 1
-            falsified = -lit
-            watchlist = self.watches.get(falsified, [])
-            new_list: list[list[int]] = []
-            conflict: list[int] | None = None
-            for idx, clause in enumerate(watchlist):
-                if conflict is not None:
-                    new_list.append(clause)
-                    continue
-                # ensure falsified is at position 1
+            watchlist = watches[falsified]
+            if not watchlist:
+                continue
+            keep: list[list[int]] = []
+            watches[falsified] = keep
+            for i, clause in enumerate(watchlist):
+                # keep the falsified watch at position 1
                 if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
-                if self.value(clause[0]) is True:
-                    new_list.append(clause)
+                    clause[0], clause[1] = clause[1], falsified
+                first = clause[0]
+                if vals[first] is True:
+                    keep.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watch(clause[1], clause)
-                        moved = True
+                    lit = clause[k]
+                    if vals[lit] is not False:
+                        clause[1], clause[k] = lit, falsified
+                        moved = watches[lit]
+                        if moved is None:
+                            watches[lit] = [clause]
+                        else:
+                            moved.append(clause)
                         break
-                if moved:
-                    continue
-                new_list.append(clause)
-                if self.value(clause[0]) is False:
-                    conflict = clause
                 else:
-                    self._enqueue(clause[0], clause, level)
-            self.watches[falsified] = new_list
-            if conflict is not None:
-                self._prop_head = len(self.trail)
-                return conflict
-        self._prop_head = head
+                    keep.append(clause)
+                    if vals[first] is False:
+                        keep.extend(watchlist[i + 1 :])
+                        self.prop_head = len(trail)
+                        return clause
+                    v = first if first > 0 else -first
+                    vals[first] = True
+                    vals[-first] = False
+                    level_of[v] = level
+                    reason_of[v] = clause
+                    trail.append(first)
+        self.prop_head = head
         return None
 
-    def _bump(self, v: int) -> None:
-        self.activity[v] = self.activity.get(v, 0.0) + self._var_inc
-
-    def _analyze(self, conflict: list[int], level: int) -> tuple[list[int], int]:
-        """1UIP conflict analysis; returns learned clause and backjump level."""
-        learned: list[int] = []
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """1UIP conflict analysis; returns the learned clause, asserting
+        literal first and a literal of the backjump level second, and the
+        backjump level."""
+        level_of, trail = self.level, self.trail
+        current = len(self.trail_lim)
+        learned = [0]
         seen: set[int] = set()
         counter = 0
-        lit = 0
-        reason: list[int] | None = conflict
-        idx = len(self.trail) - 1
+        reason: Optional[list[int]] = conflict
+        idx = len(trail) - 1
         while True:
             assert reason is not None
             for q in reason:
-                if q == lit:
-                    continue
-                v = abs(q)
-                if v not in seen and self.level.get(v, 0) > 0:
+                v = q if q > 0 else -q
+                if v not in seen and level_of[v] > 0:
                     seen.add(v)
                     self._bump(v)
-                    if self.level[v] == level:
+                    if level_of[v] == current:
                         counter += 1
                     else:
                         learned.append(q)
             while True:
-                lit = -self.trail[idx]
+                lit = trail[idx]
                 idx -= 1
-                if abs(lit) in seen:
+                if (lit if lit > 0 else -lit) in seen:
                     break
             counter -= 1
             if counter == 0:
                 break
-            reason = self.reason[abs(lit)]
-        learned.insert(0, lit)
+            reason = self.reason[lit if lit > 0 else -lit]
+        learned[0] = -lit
         if len(learned) == 1:
             return learned, 0
-        back = max(self.level[abs(q)] for q in learned[1:])
-        return learned, back
+        top = max(range(1, len(learned)), key=lambda i: level_of[abs(learned[i])])
+        learned[1], learned[top] = learned[top], learned[1]
+        return learned, level_of[abs(learned[1])]
 
     def _backtrack(self, level: int) -> None:
-        while self.trail and self.level[abs(self.trail[-1])] > level:
-            lit = self.trail.pop()
-            v = abs(lit)
-            self.phase[v] = self.assign[v]
-            del self.assign[v]
-            del self.level[v]
-            del self.reason[v]
-        self._prop_head = min(self._prop_head, len(self.trail))
+        if len(self.trail_lim) <= level:
+            return
+        start = self.trail_lim[level]
+        vals, phase, pos = self.vals, self.phase, self.heap_pos
+        for lit in self.trail[start:]:
+            v = lit if lit > 0 else -lit
+            vals[lit] = vals[-lit] = None
+            phase[v] = lit > 0
+            if pos[v] < 0:
+                self._heap_insert(v)
+        del self.trail[start:]
+        del self.trail_lim[level:]
+        self.prop_head = min(self.prop_head, start)
 
-    def _decide(self) -> int | None:
-        best_v, best_a = None, -1.0
-        for v in range(1, self.nvars + 1):
-            if v not in self.assign and self.activity.get(v, 0.0) > best_a:
-                best_v, best_a = v, self.activity.get(v, 0.0)
-        if best_v is None:
-            return None
-        return best_v if self.phase.get(best_v, False) else -best_v
+    def _decide(self) -> Optional[int]:
+        vals = self.vals
+        while self.heap:
+            v = self._heap_pop()
+            if vals[v] is None:
+                return v if self.phase[v] else -v
+        return None
+
+    # -- search -------------------------------------------------------------
 
     def solve(self) -> bool:
+        """Satisfiability of the clauses together with ``assumptions``.
+
+        An unsat answer under assumptions leaves the solver usable; one
+        without them is final. Raises SolverFailure, backtracked to level
+        0, once time.monotonic() passes ``deadline``.
+        """
+        self._backtrack(0)
         if not self.ok:
             return False
-        self._var_inc = 1.0
-        self._prop_head = 0
-        # enqueue stored units at level 0
-        for clause in self.clauses:
-            if len(clause) == 1:
-                if not self._enqueue(clause[0], None, 0):
-                    return False
-        level = 0
+        assumptions = self.assumptions
         conflicts = 0
         restart_limit = 100
+        steps = 0
         while True:
-            conflict = self._propagate(level)
+            if steps % DEADLINE_STRIDE == 0 and self.deadline is not None:
+                if time.monotonic() > self.deadline:
+                    self._backtrack(0)
+                    raise SolverFailure("solver timeout")
+            steps += 1
+            conflict = self._propagate()
             if conflict is not None:
-                if level == 0:
+                if not self.trail_lim:
+                    self.ok = False
                     return False
                 conflicts += 1
-                self._var_inc *= 1.05
-                if self._var_inc > 1e100:
-                    for v in self.activity:
-                        self.activity[v] *= 1e-100
-                    self._var_inc *= 1e-100
-                learned, back = self._analyze(conflict, level)
+                self.var_inc *= 1.05
+                if self.var_inc > 1e100:
+                    self.activity = [a * 1e-100 for a in self.activity]
+                    self.var_inc *= 1e-100
+                learned, back = self._analyze(conflict)
                 self._backtrack(back)
-                level = back
                 if len(learned) == 1:
-                    if not self._enqueue(learned[0], None, 0):
-                        return False
+                    self._assign(learned[0], None)
                 else:
                     self.clauses.append(learned)
-                    self._watch(learned[0], learned)
-                    self._watch(learned[1], learned)
-                    self._enqueue(learned[0], learned, level)
-                if conflicts >= restart_limit and level > 0:
+                    self._watch(learned)
+                    self._assign(learned[0], learned)
+                if conflicts >= restart_limit and self.trail_lim:
                     conflicts = 0
                     restart_limit = int(restart_limit * 1.5)
                     self._backtrack(0)
-                    level = 0
-            else:
-                lit = self._decide()
-                if lit is None:
-                    return True
-                level += 1
-                self._enqueue(lit, None, level)
+                continue
+            depth = len(self.trail_lim)
+            if depth < len(assumptions):
+                # each assumption gets its own decision level, even when
+                # it already holds, so levels and assumptions stay aligned
+                lit = assumptions[depth]
+                if self.vals[lit] is False:
+                    return False
+                self.trail_lim.append(len(self.trail))
+                if self.vals[lit] is None:
+                    self._assign(lit, None)
+                continue
+            lit = self._decide()
+            if lit is None:
+                return True
+            self.trail_lim.append(len(self.trail))
+            self._assign(lit, None)
 
     def model(self) -> dict[int, bool]:
-        return dict(self.assign)
+        """The assignment of the last satisfiable answer, by variable."""
+        return {abs(lit): lit > 0 for lit in self.trail}

@@ -18,8 +18,9 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import Automaton, Configuration, Store
 from .confrel import (
@@ -57,15 +58,12 @@ from .confrel import (
     var_widths,
 )
 from . import sat
+from .sat import SolverFailure
 
 
 class InternalError(Exception):
     """A formula reached the bitvector translation that should have been
     eliminated earlier (state or buffer-length assertions)."""
-
-
-class SolverFailure(Exception):
-    """The solver did not produce a usable sat/unsat answer."""
 
 
 class EnumTooLarge(Exception):
@@ -148,17 +146,17 @@ def _premise_instances(p: Formula, ctx: WidthContext) -> list[Formula]:
     return out
 
 
-def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[Formula]:
-    """Assertions whose joint unsatisfiability is the entailment's validity:
-    every premise (expanded over its variables) plus the negated conclusion.
-
-    The assertions are QF_BV formulas: their only leaves are literals and
-    width-carrying variables (bufL/bufR, L_h/R_h per header, v_x per bit
-    variable). Slices are clamped, zero-width concat parts dropped, an
-    equation of unequal widths is false and one of zero width is true.
-    """
-    ctx = entailment_context(ent, aut)
-    names = _name_table(list(ent.premises) + [ent.conclusion])
+def _bv_translation(
+    ctx: WidthContext,
+    hdr_name: Callable[[str, str], str],
+    var_name: Callable[[Var], str] = lambda x: f"v_{x.name}",
+) -> Callable[[Node], Node]:
+    """The ``rewrite`` function that turns a pure formula at a guard with
+    widths ``ctx`` into QF_BV: its only leaves become literals and
+    width-carrying variables (bufL/bufR, ``hdr_name(name, side)`` per
+    header, ``var_name(x)`` per bit variable). Slices are clamped,
+    zero-width concat parts dropped, an equation of unequal widths is false
+    and one of zero width is true."""
     width = EMPTY_CTX.width
 
     def bv(x: Node) -> Node:
@@ -171,9 +169,9 @@ def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[Formula]:
             w = ctx.width(x)
             if w is None:
                 raise InternalError(f"unknown header {x.name!r}")
-            return Var(names[(x.name, x.side)], w)
+            return Var(hdr_name(x.name, x.side), w)
         if isinstance(x, Var):
-            return Var(f"v_{x.name}", x.width)
+            return Var(var_name(x), x.width)
         if isinstance(x, BSlice):
             w = width(x.expr)
             if w == 0:
@@ -193,6 +191,17 @@ def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[Formula]:
             raise InternalError(f"impure formula survived filtering: {x!r}")
         return x
 
+    return bv
+
+
+def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[Formula]:
+    """Assertions whose joint unsatisfiability is the entailment's validity:
+    every premise (expanded over its variables) plus the negated conclusion,
+    in QF_BV as ``_bv_translation`` makes it. Header names are sanitized
+    for SMT-LIB (L_h/R_h per header) and collision-free."""
+    ctx = entailment_context(ent, aut)
+    names = _name_table(list(ent.premises) + [ent.conclusion])
+    bv = _bv_translation(ctx, lambda name, side: names[(name, side)])
     out = [
         rewrite(inst, bv)
         for p in ent.premises
@@ -265,22 +274,39 @@ def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
 
 
 class Blaster:
-    """Tseitin encoding of bitvector formulas into a SAT solver."""
+    """Tseitin encoding of bitvector formulas into a SAT solver.
+
+    Gates fold against the constant and against equal or opposite
+    inputs, and are shared: one per input pair (iff) or input set (and).
+    """
 
     def __init__(self):
         self.sat = sat.Solver()
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
         self.env: dict[str, list[int]] = {}
+        self._iffs: dict[tuple[int, int], int] = {}
+        self._ands: dict[tuple[int, ...], int] = {}
 
-    def var_bits(self, name: str, width: int) -> list[int]:
+    def var_bits(
+        self, name: str, width: int, lo: int = 0, hi: Optional[int] = None
+    ) -> list[int]:
+        """Literals of bits lo..hi of a variable. A bit gets its SAT
+        variable when first read, so the unread bits of a wide buffer
+        cost nothing."""
         bits = self.env.get(name)
         if bits is None:
-            bits = [self.sat.new_var() for _ in range(width)]
-            self.env[name] = bits
+            bits = self.env[name] = [0] * width
         if len(bits) != width:
             raise InternalError(f"variable {name} used at widths {len(bits)} and {width}")
-        return bits
+        hi = width - 1 if hi is None else hi
+        part = bits[lo : hi + 1]
+        if 0 in part:
+            for i in range(lo, hi + 1):
+                if not bits[i]:
+                    bits[i] = self.sat.new_var()
+            part = bits[lo : hi + 1]
+        return part
 
     def term(self, t: Node) -> list[int]:
         if isinstance(t, Var):
@@ -288,28 +314,50 @@ class Blaster:
         if isinstance(t, BLit):
             return [self.true_lit if b == "1" else -self.true_lit for b in t.bits]
         if isinstance(t, BSlice):
+            if isinstance(t.expr, Var):
+                return self.var_bits(t.expr.name, t.expr.width, t.lo, t.hi)
             return self.term(t.expr)[t.lo : t.hi + 1]
         if isinstance(t, BConcat):
             return self.term(t.left) + self.term(t.right)
         raise TypeError(f"not a term: {t!r}")
 
     def _iff(self, a: int, b: int) -> int:
-        o = self.sat.new_var()
-        self.sat.add_clause([-o, -a, b])
-        self.sat.add_clause([-o, a, -b])
-        self.sat.add_clause([o, a, b])
-        self.sat.add_clause([o, -a, -b])
+        t = self.true_lit
+        if a == b:
+            return t
+        if a == -b:
+            return -t
+        if a == t or a == -t:
+            return b if a == t else -b
+        if b == t or b == -t:
+            return a if b == t else -a
+        key = (a, b) if a < b else (b, a)
+        o = self._iffs.get(key)
+        if o is None:
+            o = self._iffs[key] = self.sat.new_var()
+            self.sat.add_clause([-o, -a, b])
+            self.sat.add_clause([-o, a, -b])
+            self.sat.add_clause([o, a, b])
+            self.sat.add_clause([o, -a, -b])
         return o
 
     def _and(self, lits: list[int]) -> int:
-        if not lits:
-            return self.true_lit
-        if len(lits) == 1:
-            return lits[0]
-        o = self.sat.new_var()
+        t = self.true_lit
+        parts: set[int] = set()
         for lit in lits:
-            self.sat.add_clause([-o, lit])
-        self.sat.add_clause([o] + [-lit for lit in lits])
+            if lit == -t or -lit in parts:
+                return -t
+            if lit != t:
+                parts.add(lit)
+        if len(parts) <= 1:
+            return parts.pop() if parts else t
+        key = tuple(sorted(parts))
+        o = self._ands.get(key)
+        if o is None:
+            o = self._ands[key] = self.sat.new_var()
+            for lit in key:
+                self.sat.add_clause([-o, lit])
+            self.sat.add_clause([o] + [-lit for lit in key])
         return o
 
     def _or(self, lits: list[int]) -> int:
@@ -336,12 +384,73 @@ class Blaster:
         raise TypeError(f"not a formula: {f!r}")
 
 
-def check_sat(assertions: list[Formula]) -> bool:
-    """Satisfiability of the conjunction, by bit blasting."""
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def check_sat(assertions: list[Formula], timeout: Optional[float] = None) -> bool:
+    """Satisfiability of the conjunction, by bit blasting. Raises
+    SolverFailure when the search outlasts ``timeout`` seconds."""
     bl = Blaster()
     for f in assertions:
         bl.sat.add_clause([bl.formula(f)])
+    bl.sat.deadline = _deadline(timeout)
     return bl.sat.solve()
+
+
+class GuardContext:
+    """One incremental solver for the entailments at one guard.
+
+    Each premise is simplified under the guard's widths, expanded,
+    translated and blasted once, as a permanent clause. Each goal is
+    blasted into the same solver and decided by one ``solve()`` under the
+    assumption of its negation. An earlier goal's Tseitin definitions can
+    be met by every assignment of its inputs, so they leave later answers
+    as a fresh per-query solver would give them.
+    """
+
+    def __init__(self, aut: Automaton, t1: Template, t2: Template):
+        self.widths = WidthContext.for_guard(aut, Guarded(t1, t2, TOP))
+        self.blaster = Blaster()
+        self.asserted = 0  # how many conjuncts of the relation are premises
+        # Names never leave the solver, so headers need no SMT-LIB
+        # sanitizing; prefixes keep the kinds apart. A variable's name
+        # carries its width: goals accumulate here, and one goal's v0 may
+        # be wider than another's.
+        self._bv = _bv_translation(
+            self.widths,
+            lambda name, side: ("L_" if side == LEFT else "R_") + name,
+            lambda x: f"v{x.width}_{x.name}",
+        )
+
+    def entails(
+        self, rel: list[Guarded], conclusion: Formula, timeout: Optional[float]
+    ) -> bool:
+        """Do the conjuncts of ``rel`` entail ``conclusion``, simplified
+        under this guard's widths? Conjuncts past ``asserted`` are
+        asserted first."""
+        solver = self.blaster.sat
+        for r in rel[self.asserted :]:
+            for inst in _premise_instances(simplify(r.body, self.widths), self.widths):
+                solver.add_clause([self.blaster.formula(rewrite(inst, self._bv))])
+        self.asserted = len(rel)
+        solver.assumptions = [self.blaster.formula(Not(rewrite(conclusion, self._bv)))]
+        solver.deadline = _deadline(timeout)
+        return not solver.solve()
+
+
+class GuardRelation(list):
+    """The conjuncts of R at the guard (t1, t2), in the order they joined.
+
+    With the internal backend, ``decide_entailment`` keeps this guard's
+    GuardContext here once the guard has a premise."""
+
+    __slots__ = ("t1", "t2", "context")
+
+    def __init__(self, t1: Template, t2: Template):
+        super().__init__()
+        self.t1, self.t2 = t1, t2
+        self.context: Optional[GuardContext] = None
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +619,7 @@ def decide_filtered(
     if config.backend == "internal":
         if config.dump_dir:
             config.dump(serialize_smtlib(assertions, comment=_provenance(ent)))
-        return not check_sat(assertions)
+        return not check_sat(assertions, config.timeout)
     if config.backend == "subprocess":
         text = serialize_smtlib(assertions, comment=_provenance(ent))
         config.dump(text)
@@ -532,12 +641,33 @@ def _provenance(ent: FilteredEntailment) -> str:
 def decide_entailment(
     rel: Iterable[Guarded], goal: Guarded, aut: Automaton, config: SolverConfig
 ) -> bool:
-    """Does the conjunction of ``rel`` entail the guarded formula ``goal``?"""
-    ctx = WidthContext.for_guard(aut, goal)
-    goal = Guarded(goal.t1, goal.t2, simplify(goal.body, ctx))
-    rel = [Guarded(r.t1, r.t2, simplify(r.body, ctx)) for r in rel
-           if r.t1 == goal.t1 and r.t2 == goal.t2]
-    if isinstance(goal.body, Top):
+    """Does the conjunction of ``rel`` entail the guarded formula ``goal``?
+
+    A non-empty GuardRelation at the goal's guard is decided in its
+    GuardContext with the internal backend; everything else builds one
+    filtered entailment for this query.
+    """
+    widths = WidthContext.for_guard(aut, goal)
+    conclusion = simplify(goal.body, widths)
+    if isinstance(conclusion, Top):
         return True
-    ent = template_filter(rel, goal)
-    return decide_filtered(ent, aut, config)
+
+    def filtered() -> FilteredEntailment:
+        premises = template_filter(rel, goal).premises
+        return FilteredEntailment(
+            goal.t1, goal.t2, tuple(simplify(p, widths) for p in premises), conclusion
+        )
+
+    if (
+        config.backend == "internal"
+        and isinstance(rel, GuardRelation)
+        and rel
+        and (rel.t1, rel.t2) == (goal.t1, goal.t2)
+    ):
+        if config.dump_dir:
+            ent = filtered()
+            config.dump(serialize_smtlib(to_fol_bv(ent, aut), comment=_provenance(ent)))
+        if rel.context is None:
+            rel.context = GuardContext(aut, rel.t1, rel.t2)
+        return rel.context.entails(rel, conclusion, config.timeout)
+    return decide_filtered(filtered(), aut, config)

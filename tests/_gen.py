@@ -187,11 +187,12 @@ def random_formula(rng, sizes, buflens, varnames, depth=2):
     return TOP if kind == "top" else BOT
 
 
-def random_entailment(rng):
-    """A filtered entailment over the disjoint sum of two small automata."""
+def random_guard(rng):
+    """A guard over the disjoint sum of two small automata: the sum, the
+    guard's templates, and a formula generator at that guard, which draws
+    pure formulas over its widths and up to three bit variables."""
     from parseq.core import disjoint_sum
-    from parseq.confrel import LEFT, RIGHT, Guarded, Template
-    from parseq.smt import template_filter
+    from parseq.confrel import LEFT, RIGHT, Template
 
     a1 = random_automaton(rng, max_states=2, max_header_bits=2)
     a2 = random_automaton(rng, max_states=2, max_header_bits=2)
@@ -203,11 +204,17 @@ def random_entailment(rng):
     t2 = Template(rq, rng.randrange(total.opsize_of(rq)))
     buflens = {LEFT: t1.buflen, RIGHT: t2.buflen}
     varnames = ["x0", "x1", "x2"][: rng.randint(0, 3)]
-    goal = Guarded(t1, t2, random_formula(rng, sizes, buflens, varnames))
-    rel = [
-        Guarded(t1, t2, random_formula(rng, sizes, buflens, varnames))
-        for _ in range(rng.randint(0, 3))
-    ]
+    return total, t1, t2, lambda: random_formula(rng, sizes, buflens, varnames)
+
+
+def random_entailment(rng):
+    """A filtered entailment over the disjoint sum of two small automata."""
+    from parseq.confrel import Guarded
+    from parseq.smt import template_filter
+
+    total, t1, t2, formula = random_guard(rng)
+    goal = Guarded(t1, t2, formula())
+    rel = [Guarded(t1, t2, formula()) for _ in range(rng.randint(0, 3))]
     return template_filter(rel, goal), total
 
 

@@ -121,6 +121,17 @@ class TestCheck:
         assert code == 2
         assert out.startswith("Inconclusive")
 
+    def test_internal_solver_timeout_exits_two(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "check",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+            "--solver", "internal", "--timeout", "1e-9",
+        )
+        assert code == 2
+        assert out.startswith("Inconclusive: SolverFailure")
+
 
     def test_internal_exception_exits_two(self, capsys, monkeypatch):
         def broken_wp(*args, **kwargs):

@@ -9,6 +9,7 @@ from conftest import FIXTURE_PAIRS, load_fixture
 from parseq.core import Automaton, Extract, Goto, State, disjoint_sum
 from parseq.confrel import BOT, TOP, Guarded, Template, T_ACCEPT, T_REJECT
 import parseq.engine
+import parseq.smt
 from parseq.engine import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -206,6 +207,20 @@ class TestLoopInvariants:
         res = check_equivalence(a1, "q1", a2, "q3", config=internal_config)
         assert res.verdict == "Equivalent"
         assert len(seen) == res.stats.solver_calls and max(seen) > 0
+
+    def test_each_premise_is_expanded_once(self, monkeypatch, internal_config):
+        real = parseq.smt._premise_instances
+        calls = []
+
+        def counting(p, ctx):
+            calls.append(p)
+            return real(p, ctx)
+
+        monkeypatch.setattr(parseq.smt, "_premise_instances", counting)
+        a1, a2 = load_fixture("ipopt_generic"), load_fixture("ipopt_timestamp")
+        res = check_equivalence(a1, "parse_0", a2, "parse_0", config=internal_config)
+        assert res.verdict == "Equivalent"
+        assert 0 < len(calls) <= len(res.witness.entries)
 
 
 class TestWithRelation:

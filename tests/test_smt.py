@@ -2,14 +2,16 @@
 
 import pytest
 
-from _gen import random_entailment
+from _gen import random_entailment, random_guard
 from parseq.core import Automaton, Extract, Goto, State
 from parseq.confrel import (
     BOT,
     LEFT,
     RIGHT,
     TOP,
+    And,
     BConcat,
+    BHdrRef,
     BLit,
     BSlice,
     BufLenIs,
@@ -23,8 +25,10 @@ from parseq.confrel import (
 )
 from parseq.smt import (
     PREMISE_EXPANSION_LIMIT,
+    Blaster,
     EnumTooLarge,
     FilteredEntailment,
+    GuardRelation,
     InternalError,
     SolverConfig,
     SolverFailure,
@@ -270,3 +274,75 @@ class TestDecideEntailment:
         files = list(tmp_path.glob("*_query.smt2"))
         assert len(files) == 1
         assert files[0].read_text().startswith(";")
+
+
+class TestBlaster:
+    def test_comparing_with_a_literal_adds_no_iff_variables(self):
+        bl = Blaster()
+        eq = Eq(Var("x", 4), BLit("0101"))
+        lit = bl.formula(eq)
+        assert bl.sat.nvars == 1 + 4 + 1  # the constant, x, one and gate
+        assert bl.formula(eq) == lit  # the gate is shared
+        assert bl.sat.nvars == 6
+
+    def test_a_slice_allocates_only_the_bits_it_reads(self):
+        bl = Blaster()
+        bl.formula(Eq(BSlice(Var("buf", 64), 3, 4), BLit("10")))
+        assert bl.sat.nvars == 1 + 2 + 1  # the constant, two bits, one and gate
+        assert len(bl.term(Var("buf", 64))) == 64
+
+    def test_trivial_gates_fold(self):
+        bl = Blaster()
+        t = bl.true_lit
+        a = bl.var_bits("a", 1)[0]
+        assert bl.formula(Eq(Var("a"), Var("a"))) == t
+        assert bl.formula(And((Eq(Var("a"), BLit("1")), Not(Eq(Var("a"), BLit("1")))))) == -t
+        assert bl._and([a, t, a]) == a
+        assert bl.sat.nvars == 2
+
+
+class TestGuardContext:
+    def test_agrees_with_a_fresh_query_at_every_step(self, rng, internal_config):
+        contexts = 0
+        for case in range(120):
+            aut, t1, t2, formula = random_guard(rng)
+            rel = GuardRelation(t1, t2)
+            for step in range(6):
+                goal = Guarded(t1, t2, formula())
+                fresh = FilteredEntailment(t1, t2, tuple(r.body for r in rel), goal.body)
+                want = decide_filtered(fresh, aut, internal_config)
+                assert decide_entailment(rel, goal, aut, internal_config) == want, (case, step)
+                if not want or rng.random() < 0.3:
+                    rel.append(goal)
+            contexts += rel.context is not None
+        assert contexts > 60
+
+    def test_first_query_keeps_no_solver(self, internal_config):
+        aut = tiny_automaton()
+        rel = GuardRelation(T0, T1)
+        g = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        assert not decide_entailment(rel, g, aut, internal_config)
+        assert rel.context is None
+        rel.append(g)
+        assert decide_entailment(rel, g, aut, internal_config)
+        assert rel.context is not None
+
+    def test_goal_variables_may_differ_in_width(self, internal_config):
+        aut = tiny_automaton()
+        rel = GuardRelation(T0, T1)
+        rel.append(Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1"))))
+        wide = Guarded(T0, T1, Eq(Var("v0", 2), BHdrRef("h", LEFT)))
+        narrow = Guarded(T0, T1, Eq(Var("v0"), BufRef(RIGHT)))
+        assert not decide_entailment(rel, wide, aut, internal_config)
+        assert not decide_entailment(rel, narrow, aut, internal_config)
+
+    def test_timeout_is_a_solver_failure(self):
+        aut = tiny_automaton()
+        config = SolverConfig(backend="internal", timeout=1e-9)
+        rel = GuardRelation(T0, T1)
+        g = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        with pytest.raises(SolverFailure):
+            decide_entailment(rel, g, aut, config)
+        rel.append(g)
+        with pytest.raises(SolverFailure):
+            decide_entailment(rel, g, aut, config)
