@@ -60,11 +60,14 @@ class Stats:
     extends: int = 0
     solver_calls: int = 0
     wall_time: float = 0.0
+    instances: int = 0  # premise instances the guards' solvers asserted
+    extra_solves: int = 0  # their solve() calls beyond one per query
 
     def summary(self) -> str:
         return (
             f"iterations={self.iterations} skips={self.skips} "
             f"extends={self.extends} solver_calls={self.solver_calls} "
+            f"instances={self.instances} extra_solves={self.extra_solves} "
             f"wall_time={self.wall_time:.2f}s"
         )
 
@@ -208,6 +211,10 @@ def pre_bisimulation(
 
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
+        for rel in by_guard.values():
+            if rel.context is not None:
+                stats.instances += rel.context.instances
+                stats.extra_solves += rel.context.extra_solves
         result.stats = stats
         result.witness = witness
         result.reach = reach

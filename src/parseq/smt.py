@@ -20,7 +20,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import Automaton, Configuration, Store
 from .confrel import (
@@ -47,6 +47,7 @@ from .confrel import (
     StateIs,
     Template,
     Top,
+    Valuation,
     Var,
     WidthContext,
     denotes,
@@ -54,7 +55,7 @@ from .confrel import (
     leaves,
     rewrite,
     simplify,
-    valuations,
+    subst,
     var_widths,
 )
 from . import sat
@@ -126,23 +127,103 @@ def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
 
 
 # Each formula's bit variables are universally quantified over that formula
-# alone. The conclusion's become free (skolemized by the negation); a premise's
-# are eliminated by expanding every assignment, keeping the logic
-# quantifier-free and the check exact. Premises with more variable bits than
-# this bound keep them free instead — still sound for the entailment, just
-# weaker, which can only cause extra Extend steps.
-PREMISE_EXPANSION_LIMIT = 8
+# alone. The conclusion's become free (skolemized by the negation). A
+# premise's are eliminated exactly, at any width, by walking the cofactors
+# of its variable bits: ``to_fol_bv`` collects every instance that is not
+# true, and a GuardContext searches one premise at a time for an instance
+# false under a SAT model.
+
+_KNOWN = str.maketrans("01?", "110")
+_VALUE = str.maketrans("01?", "010")
 
 
-def _premise_instances(p: Formula, ctx: WidthContext) -> list[Formula]:
-    bits = sum(var_widths(p).values())
-    if not bits or bits > PREMISE_EXPANSION_LIMIT:
-        return [p]
+def _pattern(be: Node, ctx: WidthContext) -> str:
+    """A bit expression's bits: its literal ones, and "?" elsewhere."""
+    t = type(be)
+    if t is BLit:
+        return be.bits
+    if t is BConcat:
+        return _pattern(be.left, ctx) + _pattern(be.right, ctx)
+    return "?" * ctx.width(be)
+
+
+def _clashes(eq: Eq, ctx: WidthContext) -> bool:
+    """Do the sides hold different literal bits at an aligned position?"""
+    left, right = _pattern(eq.left, ctx), _pattern(eq.right, ctx)
+    if len(left) != len(right) or "?" not in left + right:
+        return False  # simplify has decided these already
+    known = int(left.translate(_KNOWN), 2) & int(right.translate(_KNOWN), 2)
+    return bool(known & (int(left.translate(_VALUE), 2) ^ int(right.translate(_VALUE), 2)))
+
+
+def _fold_clashes(phi: Formula, ctx: WidthContext) -> Formula:
+    """phi with each equation whose sides clash at a literal bit made
+    false, simplified again if one was."""
+    clashed = False
+
+    def clash(x: Node) -> Node:
+        nonlocal clashed
+        if type(x) is Eq and _clashes(x, ctx):
+            clashed = True
+            return BOT
+        return x
+
+    phi = rewrite(phi, clash)
+    return simplify(phi, ctx) if clashed else phi
+
+
+def _fix_bit(phi: Formula, name: str, bit: str, ctx: WidthContext) -> Formula:
+    """phi with the leftmost bit of variable ``name`` fixed, simplified,
+    clashes folded. ``Var(x, w)`` becomes ``bit ++ Var(x, w - 1)``, so no
+    fresh name is needed."""
+
+    def fix(x: Node) -> Node:
+        if type(x) is Var and x.name == name:
+            return BLit(bit) if x.width == 1 else BConcat(BLit(bit), Var(name, x.width - 1))
+        return x
+
+    return _fold_clashes(simplify(rewrite(phi, fix), ctx), ctx)
+
+
+def _cofactors(
+    p: Formula, ctx: WidthContext, deadline: Optional[float]
+) -> Iterator[tuple[Formula, Valuation]]:
+    """The cofactor walk over a simplified formula's variable bits.
+
+    Each step fixes the leftmost bit of the first variable by name, 0
+    before 1 (``_fix_bit``). A branch ends at true (dropped), at false, or
+    with no variable left, and is yielded with the bits it fixed, in the
+    order of ``valuations``. A branch is simplified only when the walk
+    reaches it. Raises SolverFailure once ``deadline`` passes."""
+    stack: list[tuple[Formula, Valuation, str, str]] = [(p, {}, "", "")]
+    while stack:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverFailure("solver timeout")
+        phi, fixed, name, bit = stack.pop()
+        if name:
+            phi = _fix_bit(phi, name, bit, ctx)
+            if isinstance(phi, Top):
+                continue
+            fixed = {**fixed, name: fixed.get(name, "") + bit}
+        widths = var_widths(phi)
+        if not widths:
+            yield phi, fixed
+            continue
+        name = min(widths)
+        stack.append((phi, fixed, name, "1"))
+        stack.append((phi, fixed, name, "0"))
+
+
+def _premise_instances(
+    p: Formula, ctx: WidthContext, deadline: Optional[float]
+) -> list[Formula]:
+    """The instances of a simplified premise that are not true; just false
+    when one is false."""
     out = []
-    for v in valuations(p):
-        inst = simplify(instantiate_vars(p, v), ctx)
-        if not isinstance(inst, Top):
-            out.append(inst)
+    for inst, _ in _cofactors(p, ctx, deadline):
+        if isinstance(inst, Bottom):
+            return [BOT]
+        out.append(inst)
     return out
 
 
@@ -194,18 +275,21 @@ def _bv_translation(
     return bv
 
 
-def to_fol_bv(ent: FilteredEntailment, aut: Automaton) -> list[Formula]:
+def to_fol_bv(
+    ent: FilteredEntailment, aut: Automaton, deadline: Optional[float] = None
+) -> list[Formula]:
     """Assertions whose joint unsatisfiability is the entailment's validity:
     every premise (expanded over its variables) plus the negated conclusion,
     in QF_BV as ``_bv_translation`` makes it. Header names are sanitized
-    for SMT-LIB (L_h/R_h per header) and collision-free."""
+    for SMT-LIB (L_h/R_h per header) and collision-free. The expansion
+    raises SolverFailure once time.monotonic() passes ``deadline``."""
     ctx = entailment_context(ent, aut)
     names = _name_table(list(ent.premises) + [ent.conclusion])
     bv = _bv_translation(ctx, lambda name, side: names[(name, side)])
     out = [
         rewrite(inst, bv)
         for p in ent.premises
-        for inst in _premise_instances(p, ctx)
+        for inst in _premise_instances(p, ctx, deadline)
     ]
     out.append(Not(rewrite(ent.conclusion, bv)))
     return out
@@ -388,55 +472,123 @@ def _deadline(timeout: Optional[float]) -> Optional[float]:
     return None if timeout is None else time.monotonic() + timeout
 
 
-def check_sat(assertions: list[Formula], timeout: Optional[float] = None) -> bool:
+def check_sat(assertions: list[Formula], deadline: Optional[float] = None) -> bool:
     """Satisfiability of the conjunction, by bit blasting. Raises
-    SolverFailure when the search outlasts ``timeout`` seconds."""
+    SolverFailure once time.monotonic() passes ``deadline``."""
     bl = Blaster()
     for f in assertions:
         bl.sat.add_clause([bl.formula(f)])
-    bl.sat.deadline = _deadline(timeout)
+    bl.sat.deadline = deadline
     return bl.sat.solve()
 
 
 class GuardContext:
     """One incremental solver for the entailments at one guard.
 
-    Each premise is simplified under the guard's widths, expanded,
-    translated and blasted once, as a permanent clause. Each goal is
-    blasted into the same solver and decided by one ``solve()`` under the
-    assumption of its negation. An earlier goal's Tseitin definitions can
-    be met by every assignment of its inputs, so they leave later answers
-    as a fresh per-query solver would give them.
+    A premise without variables is simplified under the guard's widths,
+    translated and blasted once, as a permanent clause. A premise with
+    variables is simplified once and kept pending: its instances are
+    added lazily, by model-based instantiation (Ge & de Moura, *Complete
+    Instantiation for Quantified Formulas in SMT*, CAV 2009). Each goal is
+    blasted into the same solver and solved under the assumption of its
+    negation. On sat, the model's configuration is substituted into each
+    pending premise and the cofactor walk looks for a valuation of its
+    variables that falsifies it; every instance found is asserted and the
+    goal solved again. Each instance is false under the model it came
+    from, so the loop ends: unsat means valid, and a model no pending
+    premise rejects means not entailed.
+
+    An earlier goal's Tseitin definitions can be met by every assignment
+    of its inputs, and instances follow from the premises, so both leave
+    later answers as a fresh per-query solver would give them.
     """
 
     def __init__(self, aut: Automaton, t1: Template, t2: Template):
         self.widths = WidthContext.for_guard(aut, Guarded(t1, t2, TOP))
         self.blaster = Blaster()
         self.asserted = 0  # how many conjuncts of the relation are premises
+        self.pending: list[Formula] = []  # premises with variables
+        self.instances = 0  # instances of pending premises asserted
+        self.extra_solves = 0  # solve() calls beyond one per goal
         # Names never leave the solver, so headers need no SMT-LIB
         # sanitizing; prefixes keep the kinds apart. A variable's name
         # carries its width: goals accumulate here, and one goal's v0 may
         # be wider than another's.
         self._bv = _bv_translation(
-            self.widths,
-            lambda name, side: ("L_" if side == LEFT else "R_") + name,
-            lambda x: f"v{x.width}_{x.name}",
+            self.widths, self._hdr_name, lambda x: f"v{x.width}_{x.name}"
         )
 
+    @staticmethod
+    def _hdr_name(name: str, side: str) -> str:
+        return ("L_" if side == LEFT else "R_") + name
+
+    def _assert(self, p: Formula) -> None:
+        self.blaster.sat.add_clause([self.blaster.formula(rewrite(p, self._bv))])
+
+    def _model_bits(self, name: str, width: int) -> BLit:
+        """A configuration variable's bits in the last model. A bit the
+        Blaster never allocated is unconstrained and reads as 0."""
+        value = self.blaster.sat.value
+        lits = self.blaster.env.get(name, [0] * width)
+        return BLit("".join("1" if lit and value(lit) else "0" for lit in lits))
+
+    def _falsified_instance(
+        self, p: Formula, deadline: Optional[float]
+    ) -> Optional[Formula]:
+        """An instance of pending premise ``p`` false under the last
+        model, simplified, or None when the model satisfies ``p``."""
+        widths = self.widths
+        buf = {
+            side: self._model_bits("bufL" if side == LEFT else "bufR", widths.buflens[side])
+            for side in (LEFT, RIGHT)
+        }
+        hdr = {
+            (x.name, x.side): self._model_bits(
+                self._hdr_name(x.name, x.side), widths.sizes[x.name]
+            )
+            for x in leaves(p)
+            if type(x) is BHdrRef
+        }
+        at_model = _fold_clashes(simplify(subst(p, buf, hdr), widths), widths)
+        if isinstance(at_model, Top):
+            return None
+        falsified = next(_cofactors(at_model, widths, deadline), None)
+        if falsified is None:
+            return None
+        fixed = falsified[1]  # bits the walk left open read as 0
+        v = {name: fixed.get(name, "").ljust(w, "0") for name, w in var_widths(p).items()}
+        return simplify(instantiate_vars(p, v), widths)
+
     def entails(
-        self, rel: list[Guarded], conclusion: Formula, timeout: Optional[float]
+        self, rel: list[Guarded], conclusion: Formula, deadline: Optional[float]
     ) -> bool:
         """Do the conjuncts of ``rel`` entail ``conclusion``, simplified
-        under this guard's widths? Conjuncts past ``asserted`` are
-        asserted first."""
-        solver = self.blaster.sat
+        under this guard's widths? Conjuncts past ``asserted`` join
+        first. Raises SolverFailure once time.monotonic() passes
+        ``deadline``."""
         for r in rel[self.asserted :]:
-            for inst in _premise_instances(simplify(r.body, self.widths), self.widths):
-                solver.add_clause([self.blaster.formula(rewrite(inst, self._bv))])
+            p = simplify(r.body, self.widths)
+            if var_widths(p):
+                self.pending.append(p)
+            else:
+                self._assert(p)
         self.asserted = len(rel)
+        solver = self.blaster.sat
         solver.assumptions = [self.blaster.formula(Not(rewrite(conclusion, self._bv)))]
-        solver.deadline = _deadline(timeout)
-        return not solver.solve()
+        solver.deadline = deadline
+        while solver.solve():
+            found = [
+                inst
+                for p in self.pending
+                if (inst := self._falsified_instance(p, deadline)) is not None
+            ]
+            if not found:
+                return False
+            for inst in found:
+                self._assert(inst)
+            self.instances += len(found)
+            self.extra_solves += 1
+        return True
 
 
 class GuardRelation(list):
@@ -615,16 +767,18 @@ def decide_filtered(
     """Validity of a filtered entailment via the configured backend."""
     if config.backend == "enum":
         return decide_by_enumeration(ent, aut)
-    assertions = to_fol_bv(ent, aut)
+    deadline = _deadline(config.timeout)
+    assertions = to_fol_bv(ent, aut, deadline)
     if config.backend == "internal":
         if config.dump_dir:
             config.dump(serialize_smtlib(assertions, comment=_provenance(ent)))
-        return not check_sat(assertions, config.timeout)
+        return not check_sat(assertions, deadline)
     if config.backend == "subprocess":
         text = serialize_smtlib(assertions, comment=_provenance(ent))
         config.dump(text)
         command = config.command or builtin_solver_command()
-        answer = solve_smtlib(text, command, config.timeout)
+        left = None if deadline is None else max(0.0, deadline - time.monotonic())
+        answer = solve_smtlib(text, command, left)
         if answer == "unknown":
             raise SolverFailure("solver returned unknown")
         return answer == "unsat"
@@ -664,10 +818,13 @@ def decide_entailment(
         and rel
         and (rel.t1, rel.t2) == (goal.t1, goal.t2)
     ):
+        deadline = _deadline(config.timeout)
         if config.dump_dir:
             ent = filtered()
-            config.dump(serialize_smtlib(to_fol_bv(ent, aut), comment=_provenance(ent)))
+            config.dump(
+                serialize_smtlib(to_fol_bv(ent, aut, deadline), comment=_provenance(ent))
+            )
         if rel.context is None:
             rel.context = GuardContext(aut, rel.t1, rel.t2)
-        return rel.context.entails(rel, conclusion, config.timeout)
+        return rel.context.entails(rel, conclusion, deadline)
     return decide_filtered(filtered(), aut, config)

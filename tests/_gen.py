@@ -207,6 +207,38 @@ def random_guard(rng):
     return total, t1, t2, lambda: random_formula(rng, sizes, buflens, varnames)
 
 
+def random_wide_guard(rng):
+    """``random_guard`` plus one premise quantifying a variable of 9 to 12
+    bits: the sum, the templates, that premise and the formula generator.
+    The premise is ``w = E | G`` or ``!(w[lo:hi] = e) | G``, with E and e
+    over the guard's buffers, headers and literals and G drawn by the
+    generator, so it means G. G is drawn again while it simplifies to
+    true. The slice lies at w's right end: enumeration tries w's last bits
+    first and falsifies the premise quickly where G is false."""
+    from parseq.confrel import LEFT, RIGHT, BConcat, BLit, BSlice, Eq, Not, Or, Top, Var, simplify
+
+    total, t1, t2, formula = random_guard(rng)
+    sizes = dict(total.headers)
+    buflens = {LEFT: t1.buflen, RIGHT: t2.buflen}
+    width = rng.randint(9, 12)
+    w = Var("w", width)
+    if rng.random() < 0.5:
+        head = rng.randint(1, 2)
+        e = BConcat(
+            random_bit_expr(rng, sizes, buflens, [], head),
+            BLit(random_bits(rng, width - head)),
+        )
+        wide = Eq(w, e)
+    else:
+        lo = rng.randrange(width - 2, width)
+        e = random_bit_expr(rng, sizes, buflens, [], width - lo)
+        wide = Not(Eq(BSlice(w, lo, width - 1), e))
+    g = formula()
+    while isinstance(simplify(g), Top):
+        g = formula()
+    return total, t1, t2, Or((wide, g)), formula
+
+
 def random_entailment(rng):
     """A filtered entailment over the disjoint sum of two small automata."""
     from parseq.confrel import Guarded

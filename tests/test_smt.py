@@ -2,7 +2,7 @@
 
 import pytest
 
-from _gen import random_entailment, random_guard
+from _gen import random_entailment, random_guard, random_wide_guard
 from parseq.core import Automaton, Extract, Goto, State
 from parseq.confrel import (
     BOT,
@@ -24,7 +24,6 @@ from parseq.confrel import (
     Var,
 )
 from parseq.smt import (
-    PREMISE_EXPANSION_LIMIT,
     Blaster,
     EnumTooLarge,
     FilteredEntailment,
@@ -121,15 +120,18 @@ class TestTranslation:
         assert decide_by_enumeration(wide, aut)
         assert enum_bits(wide, aut) == enum_bits(split, aut) == 3 + 3
 
-    def test_expansion_limit_counts_bits(self):
-        # two variables, but more bits than the limit: kept free, not expanded
-        aut = tiny_automaton()
-        half = PREMISE_EXPANSION_LIMIT // 2 + 1
-        premise = Eq(Var("x", half), Var("y", half))
-        out = to_fol_bv(FilteredEntailment(T0, T0, (premise,), BOT), aut)
-        assert out[0] == Eq(Var("v_x", half), Var("v_y", half))
-        assert len(out) == 2
-        assert f"(declare-const v_x (_ BitVec {half}))" in serialize_smtlib(out)
+    def test_wide_premise_entails_false_exactly(self, internal_config):
+        # forall x:16. buf>[0:15] = x  is false; keeping x free would make
+        # the premise satisfiable and the entailment fail
+        aut = Automaton(
+            (("h", 32),),
+            (("Q0", State((Extract("h"),), Goto("accept"))),),
+        )
+        t = Template("Q0", 16)
+        rel = GuardRelation(t, t)
+        rel.append(Guarded(t, t, Eq(BSlice(BufRef(RIGHT), 0, 15), Var("x", 16))))
+        assert decide_entailment(rel, Guarded(t, t, BOT), aut, internal_config)
+        assert rel.context.instances == 2
 
     def test_serialization_is_deterministic(self):
         aut = tiny_automaton()
@@ -346,3 +348,33 @@ class TestGuardContext:
         rel.append(g)
         with pytest.raises(SolverFailure):
             decide_entailment(rel, g, aut, config)
+
+    def test_timeout_stops_the_expansion_of_a_wide_premise(self):
+        # x meets no literal, so its expansion walks 4,096 branches
+        aut = tiny_automaton()
+        wide = Guarded(T0, T1, Eq(Var("x", 12), Var("y", 12)))
+        goal = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        for backend in ("internal", "subprocess"):
+            config = SolverConfig(backend=backend, timeout=1e-9)
+            with pytest.raises(SolverFailure):
+                decide_entailment([wide], goal, aut, config)
+        rel = GuardRelation(T0, T1)
+        rel.append(wide)
+        with pytest.raises(SolverFailure):
+            decide_entailment(rel, goal, aut, SolverConfig(backend="internal", timeout=1e-9))
+
+    def test_agrees_with_enumeration_above_eight_variable_bits(self, rng, internal_config):
+        instances = 0
+        for case in range(30):
+            aut, t1, t2, wide, formula = random_wide_guard(rng)
+            rel = GuardRelation(t1, t2)
+            rel.append(Guarded(t1, t2, wide))
+            for step in range(4):
+                goal = Guarded(t1, t2, formula())
+                fresh = FilteredEntailment(t1, t2, tuple(r.body for r in rel), goal.body)
+                want = decide_by_enumeration(fresh, aut)
+                assert decide_entailment(rel, goal, aut, internal_config) == want, (case, step)
+                if not want or rng.random() < 0.3:
+                    rel.append(goal)
+            instances += rel.context.instances
+        assert instances > 0
