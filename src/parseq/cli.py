@@ -176,14 +176,14 @@ def cmd_check_rel(args: argparse.Namespace) -> int:
     a1, a2 = _load(args.left), _load(args.right)
     _check_state(a1, args.left_state, args.left)
     _check_state(a2, args.right_state, args.right)
-    _, left, right = disjoint_sum(a1, a2)
+    total, left, right = disjoint_sum(a1, a2)
     try:
         with open(args.relation) as fh:
             rel_text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.relation}: {exc.strerror}") from exc
     phi_extra, i_extra = frontend.parse_relation(
-        rel_text, left.states, right.states, left.headers, right.headers
+        rel_text, left.states, right.states, left.headers, right.headers, total.sizes
     )
     result = engine.check_with_relation(
         a1,

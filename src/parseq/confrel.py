@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Union
+from operator import is_, is_not
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .core import ACCEPT, REJECT, RESULTS, Automaton, Configuration, slice_bits
+from .core import ACCEPT, REJECT, Automaton, Configuration, slice_bits
 
 LEFT = "<"
 RIGHT = ">"
-SIDES = (LEFT, RIGHT)
 
 
 class NotPure(Exception):
@@ -26,22 +26,26 @@ class NotPure(Exception):
 
 # ---------------------------------------------------------------------------
 # Bit expressions
-
-
-@dataclass(frozen=True)
-class BLit:
-    bits: str
+#
+# A bit expression is kept in the concatenation/extraction normal form of
+# Cyrluk, Möller & Rueß (CAV 1997): a flat tuple of segments, each either
+# a string of literal bits or bits lo..hi of a base (a buffer, a header or
+# a bit variable). A base carries its width, so every expression knows its
+# width when it is built. No segment is empty and no two literals are
+# adjacent; slices of slices and of concatenations never arise.
 
 
 @dataclass(frozen=True)
 class BufRef:
     side: str
+    width: int
 
 
 @dataclass(frozen=True)
 class BHdrRef:
     name: str
     side: str
+    width: int
 
 
 @dataclass(frozen=True)
@@ -50,20 +54,108 @@ class Var:
     width: int = 1
 
 
-@dataclass(frozen=True)
-class BSlice:
-    expr: "BitExpr"
+Base = Union[BufRef, BHdrRef, Var]
+
+
+class Seg(NamedTuple):  # bits lo..hi of a base, within its width
+    base: Base
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
-class BConcat:
-    left: "BitExpr"
-    right: "BitExpr"
+Segment = Union[str, Seg]
 
 
-BitExpr = Union[BLit, BufRef, BHdrRef, Var, BSlice, BConcat]
+def seg_width(s: Segment) -> int:
+    return len(s) if type(s) is str else s.hi - s.lo + 1
+
+
+def bit_segs(s: Seg) -> list[Seg]:
+    """One segment per bit of ``s``."""
+    return [Seg(s.base, i, i) for i in range(s.lo, s.hi + 1)]
+
+
+class Bits(NamedTuple):
+    """A bit expression: its segments and their total width."""
+
+    segs: tuple[Segment, ...]
+    width: int
+
+    def __add__(self, other: "Bits") -> "Bits":  # type: ignore[override]
+        """Concatenation (``++``)."""
+        a, b = self.segs, other.segs
+        if a and b and type(a[-1]) is str and type(b[0]) is str:
+            return Bits(a[:-1] + (a[-1] + b[0],) + b[1:], self.width + other.width)
+        return Bits(a + b, self.width + other.width)
+
+    def slice(self, lo: int, hi: int) -> "Bits":
+        """Bits lo..hi, both clamped to the last bit as ``core.slice_bits``
+        does; empty when lo > hi."""
+        w = self.width
+        lo, hi = min(lo, w - 1), min(hi, w - 1)
+        if lo > hi or not w:
+            return EMPTY
+        if lo == 0 and hi == w - 1:
+            return self
+        out: list[Segment] = []
+        pos = 0
+        for s in self.segs:
+            sw = seg_width(s)
+            a, b = max(lo - pos, 0), min(hi - pos, sw - 1)
+            if a == 0 and b == sw - 1:
+                out.append(s)
+            elif a <= b:
+                out.append(s[a : b + 1] if type(s) is str else Seg(s.base, s.lo + a, s.lo + b))
+            pos += sw
+            if pos > hi:
+                break
+        return Bits(tuple(out), hi - lo + 1)
+
+
+EMPTY = Bits((), 0)
+
+
+def lit(bits: str) -> Bits:
+    return Bits((bits,), len(bits)) if bits else EMPTY
+
+
+def ref(base: Base) -> Bits:
+    """All bits of a base."""
+    w = base.width
+    return Bits((Seg(base, 0, w - 1),), w) if w else EMPTY
+
+
+def buf(side: str, width: int) -> Bits:
+    return ref(BufRef(side, width))
+
+
+def hdr(name: str, side: str, width: int) -> Bits:
+    return ref(BHdrRef(name, side, width))
+
+
+def var(name: str, width: int = 1) -> Bits:
+    return ref(Var(name, width))
+
+
+def cat(parts: Iterable[Union[Bits, Segment]]) -> Bits:
+    """The concatenation of bit expressions and segments, in one pass."""
+    out: list[Segment] = []
+    width = 0
+    for p in parts:
+        for s in p.segs if type(p) is Bits else (p,):
+            width += seg_width(s)
+            if type(s) is str and out and type(out[-1]) is str:
+                out[-1] += s
+            elif s:
+                out.append(s)
+    return Bits(tuple(out), width)
+
+
+def map_segs(e: Bits, fn: Callable[[Seg], Optional[Bits]]) -> Bits:
+    """e with each base segment that ``fn`` maps to a bit expression (of
+    the segment's width) replaced by it."""
+    parts = [s if type(s) is str else fn(s) or s for s in e.segs]
+    return e if all(map(is_, parts, e.segs)) else cat(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +174,8 @@ class Top:
 
 @dataclass(frozen=True)
 class Eq:
-    left: BitExpr
-    right: BitExpr
+    left: Bits
+    right: Bits
 
 
 @dataclass(frozen=True)
@@ -146,48 +238,58 @@ def disj(parts: Iterable[Formula]) -> Formula:
 # ---------------------------------------------------------------------------
 # Traversal
 
-Node = Union[Formula, BitExpr]
-
-
 # Both walks test exact types rather than isinstance: they are the inner
 # loop of wp, and no node class is subclassed.
 
 
-def rewrite(node: Node, fn: Callable[[Node], Node]) -> Node:
-    """Rebuild a formula or bit expression bottom-up: each node's children
-    are rewritten first, then ``fn`` maps the rebuilt node. A leaf map
-    returns every node it does not replace unchanged."""
-    t = type(node)
-    if t is BConcat:
-        node = BConcat(rewrite(node.left, fn), rewrite(node.right, fn))
-    elif t is BSlice:
-        node = BSlice(rewrite(node.expr, fn), node.lo, node.hi)
-    elif t is Eq:
-        node = Eq(rewrite(node.left, fn), rewrite(node.right, fn))
-    elif t is Implies:
-        node = Implies(rewrite(node.hyp, fn), rewrite(node.concl, fn))
-    elif t is And:
-        node = And(tuple(rewrite(p, fn) for p in node.conjuncts))
-    elif t is Or:
-        node = Or(tuple(rewrite(p, fn) for p in node.disjuncts))
+def rewrite(phi: Formula, fn: Callable[[Formula], Formula]) -> Formula:
+    """Rebuild a formula bottom-up: each node's subformulas are rewritten
+    first, then ``fn`` maps the node, rebuilt if one of them changed.
+    Equations are leaves."""
+    t = type(phi)
+    if t is Implies:
+        hyp, concl = rewrite(phi.hyp, fn), rewrite(phi.concl, fn)
+        if hyp is not phi.hyp or concl is not phi.concl:
+            phi = Implies(hyp, concl)
+    elif t is And or t is Or:
+        old = phi.conjuncts if t is And else phi.disjuncts
+        parts = tuple(rewrite(p, fn) for p in old)
+        if any(map(is_not, parts, old)):
+            phi = t(parts)
     elif t is Not:
-        node = Not(rewrite(node.body, fn))
-    return fn(node)
+        body = rewrite(phi.body, fn)
+        if body is not phi.body:
+            phi = Not(body)
+    return fn(phi)
 
 
-def leaves(node: Node) -> Iterator[Node]:
-    """The childless nodes under ``node``, left to right: bit-expression
-    leaves and atomic formulas."""
-    stack = [node]
+def replace(phi: Formula, fn: Callable[[Seg], Optional[Bits]]) -> Formula:
+    """phi with each base segment that ``fn`` maps to a bit expression of
+    its width replaced by it (``map_segs`` on both sides of every
+    equation)."""
+
+    def eq(x: Formula) -> Formula:
+        if type(x) is Eq:
+            left, right = map_segs(x.left, fn), map_segs(x.right, fn)
+            if left is not x.left or right is not x.right:
+                return Eq(left, right)
+        return x
+
+    return rewrite(phi, eq)
+
+
+def leaves(phi: Formula) -> Iterator[Union[Formula, Base]]:
+    """The atomic formulas under ``phi`` other than equations, and the base
+    of every segment of an equation, left to right."""
+    stack = [phi]
     pop, push = stack.pop, stack.append
     while stack:
         n = pop()
         t = type(n)
-        if t is BConcat or t is Eq:
-            push(n.right)
-            push(n.left)
-        elif t is BSlice:
-            push(n.expr)
+        if t is Eq:
+            for s in n.left.segs + n.right.segs:
+                if type(s) is not str:
+                    yield s.base
         elif t is Implies:
             push(n.concl)
             push(n.hyp)
@@ -208,22 +310,22 @@ Valuation = dict[str, str]  # variable name -> its bits
 
 
 def eval_bit_expr(
-    be: BitExpr, cl: Configuration, cr: Configuration, v: Valuation
+    be: Bits, cl: Configuration, cr: Configuration, v: Valuation
 ) -> str:
-    if isinstance(be, BLit):
-        return be.bits
-    if isinstance(be, BufRef):
-        return cl.buffer if be.side == LEFT else cr.buffer
-    if isinstance(be, BHdrRef):
-        c = cl if be.side == LEFT else cr
-        return c.store.get(be.name)
-    if isinstance(be, Var):
-        return v[be.name]
-    if isinstance(be, BSlice):
-        return slice_bits(eval_bit_expr(be.expr, cl, cr, v), be.lo, be.hi)
-    if isinstance(be, BConcat):
-        return eval_bit_expr(be.left, cl, cr, v) + eval_bit_expr(be.right, cl, cr, v)
-    raise TypeError(f"not a bit expression: {be!r}")
+    out = []
+    for s in be.segs:
+        if type(s) is str:
+            out.append(s)
+            continue
+        b = s.base
+        if type(b) is Var:
+            bits = v[b.name]
+        elif type(b) is BufRef:
+            bits = cl.buffer if b.side == LEFT else cr.buffer
+        else:
+            bits = (cl if b.side == LEFT else cr).store.get(b.name)
+        out.append(slice_bits(bits, s.lo, s.hi))
+    return "".join(out)
 
 
 def holds(phi: Formula, cl: Configuration, cr: Configuration, v: Valuation) -> bool:
@@ -270,23 +372,23 @@ def valuations(phi: Formula) -> Iterator[Valuation]:
 
 
 def rename_vars(phi: Formula, mapping: dict[str, str]) -> Formula:
-    def ren(x: Node) -> Node:
-        if isinstance(x, Var) and x.name in mapping:
-            return Var(mapping[x.name], x.width)
-        return x
+    def ren(s: Seg) -> Optional[Bits]:
+        b = s.base
+        if type(b) is Var and b.name in mapping:
+            return ref(Var(mapping[b.name], b.width)).slice(s.lo, s.hi)
+        return None
 
-    return rewrite(phi, ren)
+    return replace(phi, ren)
 
 
 def instantiate_vars(phi: Formula, assignment: Valuation) -> Formula:
     """Replace variables by literal bits."""
-
-    def inst(x: Node) -> Node:
-        if isinstance(x, Var) and x.name in assignment:
-            return BLit(assignment[x.name])
-        return x
-
-    return rewrite(phi, inst)
+    return replace(
+        phi,
+        lambda s: lit(assignment[s.base.name][s.lo : s.hi + 1])
+        if type(s.base) is Var and s.base.name in assignment
+        else None,
+    )
 
 
 def canonical_vars(phi: Formula, prefix: str = "v") -> Formula:
@@ -344,10 +446,6 @@ def template_of(c: Configuration) -> Template:
     return Template(c.state, len(c.buffer))
 
 
-def template_formula(t: Template, side: str) -> Formula:
-    return And((StateIs(t.state, side), BufLenIs(t.buflen, side)))
-
-
 @dataclass(frozen=True)
 class Guarded:
     """A template-guarded formula: t1< ∧ t2> ⟹ body, with a pure body."""
@@ -355,12 +453,6 @@ class Guarded:
     t1: Template
     t2: Template
     body: Formula
-
-    def formula(self) -> Formula:
-        return Implies(
-            And((template_formula(self.t1, LEFT), template_formula(self.t2, RIGHT))),
-            self.body,
-        )
 
     def holds(self, cl: Configuration, cr: Configuration, v: Valuation) -> bool:
         if template_of(cl) != self.t1 or template_of(cr) != self.t2:
@@ -385,162 +477,61 @@ def guard(t1: Template, t2: Template, body: Formula) -> Guarded:
 
 def subst(
     phi: Formula,
-    buf: dict[str, BitExpr],
-    hdr: dict[tuple[str, str], BitExpr],
+    buf: dict[str, Bits],
+    hdr: dict[tuple[str, str], Bits],
 ) -> Formula:
     """Simultaneous substitution of buffer and header references.
 
     ``buf`` maps a side to a replacement for that side's buffer;
-    ``hdr`` maps (name, side) pairs to replacements.
+    ``hdr`` maps (name, side) pairs to replacements. A replacement has
+    the width of what it replaces.
     """
 
-    def sub(x: Node) -> Node:
-        t = type(x)
+    def sub(s: Seg) -> Optional[Bits]:
+        b = s.base
+        t = type(b)
         if t is BufRef:
-            return buf.get(x.side, x)
-        if t is BHdrRef:
-            return hdr.get((x.name, x.side), x)
-        return x
+            r = buf.get(b.side)
+        elif t is BHdrRef:
+            r = hdr.get((b.name, b.side))
+        else:
+            return None
+        return None if r is None else r.slice(s.lo, s.hi)
 
-    return rewrite(phi, sub)
+    return replace(phi, sub)
 
 
 # ---------------------------------------------------------------------------
-# Widths and simplification
+# Simplification
 
 
-class WidthContext:
-    """Static widths for bit expressions.
-
-    Header widths come from the automaton; buffer widths, when known,
-    from the enclosing guard's templates. Unknown widths are None.
-    """
-
-    def __init__(
-        self,
-        sizes: Optional[dict[str, int]] = None,
-        buflens: Optional[dict[str, int]] = None,
-    ):
-        self.sizes = sizes or {}
-        self.buflens = buflens or {}
-
-    @staticmethod
-    def for_guard(aut: Automaton, g: Guarded) -> "WidthContext":
-        def blen(t: Template) -> int:
-            return 0 if t.state in RESULTS else t.buflen
-
-        return WidthContext(aut.sizes, {LEFT: blen(g.t1), RIGHT: blen(g.t2)})
-
-    def width(self, be: BitExpr) -> Optional[int]:
-        if isinstance(be, BLit):
-            return len(be.bits)
-        if isinstance(be, Var):
-            return be.width
-        if isinstance(be, BufRef):
-            return self.buflens.get(be.side)
-        if isinstance(be, BHdrRef):
-            return self.sizes.get(be.name)
-        if isinstance(be, BSlice):
-            w = self.width(be.expr)
-            if w is None:
-                return None
-            if w == 0:
-                return 0
-            lo = min(be.lo, w - 1)
-            hi = min(be.hi, w - 1)
-            return 0 if lo > hi else hi - lo + 1
-        if isinstance(be, BConcat):
-            wl = self.width(be.left)
-            wr = self.width(be.right)
-            if wl is None or wr is None:
-                return None
-            return wl + wr
-        raise TypeError(f"not a bit expression: {be!r}")
-
-
-EMPTY_CTX = WidthContext()
-
-
-def simplify_bit_expr(be: BitExpr, ctx: WidthContext = EMPTY_CTX) -> BitExpr:
-    if isinstance(be, BufRef) and ctx.width(be) == 0:
-        return BLit("")
-    if isinstance(be, BConcat):
-        left = simplify_bit_expr(be.left, ctx)
-        right = simplify_bit_expr(be.right, ctx)
-        if isinstance(left, BLit) and not left.bits:
-            return right
-        if isinstance(right, BLit) and not right.bits:
-            return left
-        if isinstance(left, BLit) and isinstance(right, BLit):
-            return BLit(left.bits + right.bits)
-        return BConcat(left, right)
-    if isinstance(be, BSlice):
-        inner = simplify_bit_expr(be.expr, ctx)
-        lo, hi = be.lo, be.hi
-        w = ctx.width(inner)
-        if w is not None:
-            if w == 0:
-                return BLit("")
-            lo = min(lo, w - 1)
-            hi = min(hi, w - 1)
-            if lo == 0 and hi == w - 1:
-                return inner
-        if isinstance(inner, BLit):
-            return BLit(slice_bits(inner.bits, lo, hi))
-        # slice of concat: distribute when the split point is known
-        if isinstance(inner, BConcat):
-            wl = ctx.width(inner.left)
-            if wl is not None and w is not None:
-                if hi < wl:
-                    return simplify_bit_expr(BSlice(inner.left, lo, hi), ctx)
-                if lo >= wl:
-                    return simplify_bit_expr(BSlice(inner.right, lo - wl, hi - wl), ctx)
-                return simplify_bit_expr(
-                    BConcat(
-                        BSlice(inner.left, lo, wl - 1),
-                        BSlice(inner.right, 0, hi - wl),
-                    ),
-                    ctx,
-                )
-        # nested slices compose
-        if isinstance(inner, BSlice):
-            wi = ctx.width(inner.expr)
-            if wi is not None:
-                ilo = min(inner.lo, wi - 1) if wi else 0
-                return simplify_bit_expr(
-                    BSlice(inner.expr, ilo + lo, ilo + hi), ctx
-                )
-        return BSlice(inner, lo, hi)
-    return be
-
-
-def simplify(phi: Formula, ctx: WidthContext = EMPTY_CTX) -> Formula:
-    """Semantics-preserving local rewriting (smart constructors)."""
+def simplify(phi: Formula) -> Formula:
+    """Semantics-preserving local rewriting (smart constructors). Bit
+    expressions are normal already; an equation is decided when its sides
+    are equal, of unequal widths or both literal."""
     if isinstance(phi, Eq):
-        left = simplify_bit_expr(phi.left, ctx)
-        right = simplify_bit_expr(phi.right, ctx)
+        left, right = phi.left, phi.right
         if left == right:
             return TOP
-        if isinstance(left, BLit) and isinstance(right, BLit):
-            return TOP if left.bits == right.bits else BOT
-        wl, wr = ctx.width(left), ctx.width(right)
-        if wl is not None and wr is not None and wl != wr:
+        if left.width != right.width:
             return BOT
-        return Eq(left, right)
+        if all(type(s) is str for s in left.segs + right.segs):
+            return BOT
+        return phi
     if isinstance(phi, Implies):
-        hyp = simplify(phi.hyp, ctx)
-        concl = simplify(phi.concl, ctx)
+        hyp = simplify(phi.hyp)
+        concl = simplify(phi.concl)
         if isinstance(hyp, Bottom) or isinstance(concl, Top):
             return TOP
         if isinstance(hyp, Top):
             return concl
         if isinstance(concl, Bottom):
-            return simplify(Not(hyp), ctx) if not isinstance(hyp, Not) else hyp.body
+            return simplify(Not(hyp)) if not isinstance(hyp, Not) else hyp.body
         return Implies(hyp, concl)
     if isinstance(phi, And):
         parts: list[Formula] = []
         for p in phi.conjuncts:
-            p = simplify(p, ctx)
+            p = simplify(p)
             if isinstance(p, Bottom):
                 return BOT
             if isinstance(p, Top):
@@ -552,7 +543,7 @@ def simplify(phi: Formula, ctx: WidthContext = EMPTY_CTX) -> Formula:
     if isinstance(phi, Or):
         parts = []
         for p in phi.disjuncts:
-            p = simplify(p, ctx)
+            p = simplify(p)
             if isinstance(p, Top):
                 return TOP
             if isinstance(p, Bottom):
@@ -562,7 +553,7 @@ def simplify(phi: Formula, ctx: WidthContext = EMPTY_CTX) -> Formula:
                     parts.append(q)
         return disj(parts)
     if isinstance(phi, Not):
-        body = simplify(phi.body, ctx)
+        body = simplify(phi.body)
         if isinstance(body, Bottom):
             return TOP
         if isinstance(body, Top):
@@ -573,28 +564,29 @@ def simplify(phi: Formula, ctx: WidthContext = EMPTY_CTX) -> Formula:
     return phi
 
 
-def simplify_guarded(g: Guarded, aut: Automaton) -> Guarded:
-    return Guarded(g.t1, g.t2, simplify(g.body, WidthContext.for_guard(aut, g)))
-
-
 # ---------------------------------------------------------------------------
 # Rendering (deterministic, diffable)
 
 
-def render_bit_expr(be: BitExpr) -> str:
-    if isinstance(be, BLit):
-        return f'"{be.bits}"'
-    if isinstance(be, BufRef):
-        return f"buf{be.side}"
-    if isinstance(be, BHdrRef):
-        return f"{be.name}{be.side}"
-    if isinstance(be, Var):
-        return be.name
-    if isinstance(be, BSlice):
-        return f"{render_bit_expr(be.expr)}[{be.lo}:{be.hi}]"
-    if isinstance(be, BConcat):
-        return f"({render_bit_expr(be.left)} ++ {render_bit_expr(be.right)})"
-    raise TypeError(f"not a bit expression: {be!r}")
+def render_segment(s: Segment) -> str:
+    if type(s) is str:
+        return f'"{s}"'
+    b = s.base
+    if type(b) is Var:
+        name = b.name
+    elif type(b) is BufRef:
+        name = f"buf{b.side}"
+    else:
+        name = f"{b.name}{b.side}"
+    return name if s.lo == 0 and s.hi == b.width - 1 else f"{name}[{s.lo}:{s.hi}]"
+
+
+def render_bit_expr(be: Bits) -> str:
+    if len(be.segs) == 1:
+        return render_segment(be.segs[0])
+    if not be.segs:
+        return '""'
+    return "(" + " ++ ".join(render_segment(s) for s in be.segs) + ")"
 
 
 def render(phi: Formula) -> str:

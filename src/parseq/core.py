@@ -145,9 +145,6 @@ class Automaton:
     def opsize_of(self, name: str) -> int:
         return self._opsizes[name]
 
-    def targets_of(self, name: str) -> set[str]:
-        return select_targets(self.state(name).trans)
-
 
 def select_targets(tz: TransBlock) -> set[str]:
     """States reachable through a transition block.

@@ -33,6 +33,7 @@ from .confrel import (
     guard,
     render,
     render_guarded,
+    simplify,
 )
 from .reach import (
     ReachSet,
@@ -41,7 +42,7 @@ from .reach import (
     predecessors,
     reach_fixpoint,
 )
-from .smt import GuardRelation, SolverConfig, decide_entailment
+from .smt import GuardContext, GuardRelation, SolverConfig, decide_entailment
 from .wp import FreshVars, wp
 
 EQUIVALENT = "Equivalent"
@@ -60,15 +61,16 @@ class Stats:
     extends: int = 0
     solver_calls: int = 0
     wall_time: float = 0.0
-    instances: int = 0  # premise instances the guards' solvers asserted
+    contexts: int = 0  # incremental solvers (GuardContexts) the check built
+    instances: int = 0  # premise instances they asserted
     extra_solves: int = 0  # their solve() calls beyond one per query
 
     def summary(self) -> str:
         return (
             f"iterations={self.iterations} skips={self.skips} "
             f"extends={self.extends} solver_calls={self.solver_calls} "
-            f"instances={self.instances} extra_solves={self.extra_solves} "
-            f"wall_time={self.wall_time:.2f}s"
+            f"contexts={self.contexts} instances={self.instances} "
+            f"extra_solves={self.extra_solves} wall_time={self.wall_time:.2f}s"
         )
 
 
@@ -135,20 +137,20 @@ def init_relation(reach: ReachSet) -> list[Guarded]:
 
 
 def final_check(
-    phi_extra: Formula,
+    given: GuardRelation,
     rel: Iterable[Guarded],
-    t1: Template,
-    t2: Template,
     aut: Automaton,
     config: SolverConfig,
 ) -> Optional[Guarded]:
-    """The first conjunct of ``rel``, the relation's conjuncts guarded by
-    (t1, t2), that some initial configuration pair satisfying phi_extra
-    violates, or None. Conjuncts guarded elsewhere hold vacuously at the
-    initial templates, so one solver call per conjunct of ``rel`` suffices."""
-    premises = [] if isinstance(phi_extra, Top) else [Guarded(t1, t2, phi_extra)]
+    """The first conjunct of ``rel``, the relation's conjuncts at the
+    initial templates, that some initial configuration pair satisfying
+    ``given`` (phi_extra, if any) violates, or None. Conjuncts guarded
+    elsewhere hold vacuously there, so one entailment per conjunct of
+    ``rel`` suffices; the internal backend decides all in one context."""
+    if config.backend == "internal" and rel:
+        given.context = GuardContext(aut, given.t1, given.t2)
     for r in rel:
-        if not decide_entailment(premises, r, aut, config):
+        if not decide_entailment(given, r, aut, config):
             return r
     return None
 
@@ -190,6 +192,8 @@ def pre_bisimulation(
     witness = Witness()
     # R indexed by guard: an entailment only reads the goal's own guard
     by_guard: dict[tuple[Template, Template], GuardRelation] = {}
+    # phi_extra as the premise of the final check
+    given = GuardRelation(t_init1, t_init2)
     fresh = FreshVars()
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
@@ -203,16 +207,22 @@ def pre_bisimulation(
             enqueued.add(g)
             frontier.append((g, origin))
 
+    # wp simplifies the obligations it makes; these are simplified here,
+    # once, and no later stage simplifies an obligation again
     for g in init_relation(reach):
         push(g, "init")
     for g in i_extra:
-        push(g, "given")
+        push(Guarded(g.t1, g.t2, simplify(g.body)), "given")
+    phi_extra = simplify(phi_extra)
+    if not isinstance(phi_extra, Top):
+        given.append(Guarded(t_init1, t_init2, phi_extra))
     bound = (len(reach) + len(frontier) + 1) * (len(reach) + 1) * 20
 
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
-        for rel in by_guard.values():
+        for rel in [*by_guard.values(), given]:
             if rel.context is not None:
+                stats.contexts += 1
                 stats.instances += rel.context.instances
                 stats.extra_solves += rel.context.extra_solves
         result.stats = stats
@@ -245,7 +255,7 @@ def pre_bisimulation(
                 debug_check(witness.formulas(), [g for g, _ in frontier])
         initial = by_guard.get((t_init1, t_init2), [])
         stats.solver_calls += len(initial)
-        bad = final_check(phi_extra, initial, t_init1, t_init2, aut, config)
+        bad = final_check(given, initial, aut, config)
         if bad is None:
             return done(Result(EQUIVALENT))
         k = witness.formulas().index(bad)

@@ -46,11 +46,7 @@ from .core import (
     Wildcard,
 )
 from .confrel import (
-    BConcat,
-    BHdrRef,
-    BLit,
-    BSlice,
-    BitExpr,
+    Bits,
     BOT,
     TOP,
     Eq,
@@ -61,9 +57,12 @@ from .confrel import (
     Not,
     RIGHT,
     Template,
+    buf,
     conj,
     disj,
     guard,
+    hdr,
+    lit,
 )
 
 
@@ -498,16 +497,21 @@ def pretty_print(aut: Automaton) -> str:
 #                  pair <lstate> <lbuflen> <rstate> <rbuflen>: <formula>
 # Formulas are over left.<hdr>, right.<hdr>, left.buf, right.buf with
 # literals, slices, ++, =, !, &&, ||, => and parentheses; lowest to
-# highest precedence: => (right-assoc), ||, &&, !.
+# highest precedence: => (right-assoc), ||, &&, !. A buffer has the width
+# of its side's template: 0 in init, the stated length in a pair.
 
 
 class _RelParser(_Parser):
-    def __init__(self, text: str, lmap: dict[str, str], rmap: dict[str, str]):
+    def __init__(
+        self, text: str, lmap: dict[str, str], rmap: dict[str, str], sizes: dict[str, int]
+    ):
         super().__init__(text)
         self.lmap = lmap
         self.rmap = rmap
+        self.sizes = sizes
+        self.buflens = {LEFT: 0, RIGHT: 0}
 
-    def bit_atom(self) -> BitExpr:
+    def bit_atom(self) -> Bits:
         tok = self.peek()
         if tok.text == "(":
             save = self.pos
@@ -522,16 +526,14 @@ class _RelParser(_Parser):
         if tok.kind in ("hex", "bin") or (
             tok.kind == "num" and set(tok.text) <= {"0", "1"}
         ):
-            return BLit(literal_bits(self.next()))
+            return lit(literal_bits(self.next()))
         if tok.text in ("left", "right"):
             side_tok = self.next()
             self.expect(".")
             ref = self.name("a header name or 'buf'")
             side = LEFT if side_tok.text == "left" else RIGHT
             if ref.text == "buf":
-                from .confrel import BufRef
-
-                return BufRef(side)
+                return buf(side, self.buflens[side])
             hmap = self.lmap if side == LEFT else self.rmap
             if ref.text not in hmap:
                 raise Diagnostic(
@@ -539,12 +541,13 @@ class _RelParser(_Parser):
                     ref.line,
                     ref.col,
                 )
-            return BHdrRef(hmap[ref.text], side)
+            name = hmap[ref.text]
+            return hdr(name, side, self.sizes[name])
         raise Diagnostic(
             f"expected a bit expression, found {tok.text!r}", tok.line, tok.col
         )
 
-    def bit_postfix(self) -> BitExpr:
+    def bit_postfix(self) -> Bits:
         e = self.bit_atom()
         while self.peek().text == "[":
             self.next()
@@ -552,15 +555,15 @@ class _RelParser(_Parser):
             self.expect(":")
             hi = self.number()
             self.expect("]")
-            e = BSlice(e, lo, hi)
+            e = e.slice(lo, hi)
         return e
 
-    def bit_expr(self) -> BitExpr:
-        left = self.bit_postfix()
-        if self.peek().text == "++":
+    def bit_expr(self) -> Bits:
+        e = self.bit_postfix()
+        while self.peek().text == "++":
             self.next()
-            return BConcat(left, self.bit_expr())
-        return left
+            e += self.bit_postfix()
+        return e
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -614,14 +617,16 @@ def parse_relation(
     rstates: dict[str, str],
     lheaders: dict[str, str],
     rheaders: dict[str, str],
+    sizes: dict[str, int],
 ) -> tuple[Formula, list[Guarded]]:
-    """Parse a relation file against the summed automaton's renamings.
+    """Parse a relation file against the summed automaton's renamings and
+    header sizes.
 
     Returns the conjoined init formula and the guarded extra
     obligations, with state and header names mapped through the
     disjoint-sum renaming of each side.
     """
-    p = _RelParser(text, lheaders, rheaders)
+    p = _RelParser(text, lheaders, rheaders, sizes)
     init_parts: list[Formula] = []
     extra: list[Guarded] = []
     while p.peek().kind != "eof":
@@ -629,6 +634,7 @@ def parse_relation(
         if tok.text == "init":
             p.next()
             p.expect(":")
+            p.buflens = {LEFT: 0, RIGHT: 0}
             init_parts.append(p.formula())
         elif tok.text == "pair":
             p.next()
@@ -637,6 +643,7 @@ def parse_relation(
             rq = p.name("a right state name")
             rn = p.number()
             p.expect(":")
+            p.buflens = {LEFT: ln, RIGHT: rn}
             body = p.formula()
             if lq.text not in lstates:
                 raise Diagnostic(

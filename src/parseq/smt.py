@@ -25,15 +25,12 @@ from typing import Callable, Iterable, Iterator, Optional
 from .core import Automaton, Configuration, Store
 from .confrel import (
     BOT,
-    EMPTY_CTX,
     LEFT,
     RIGHT,
-    TOP,
     And,
-    BConcat,
+    Base,
     BHdrRef,
-    BLit,
-    BSlice,
+    Bits,
     Bottom,
     BufLenIs,
     BufRef,
@@ -41,21 +38,25 @@ from .confrel import (
     Formula,
     Guarded,
     Implies,
-    Node,
     Not,
     Or,
+    Seg,
+    Segment,
     StateIs,
     Template,
     Top,
     Valuation,
     Var,
-    WidthContext,
+    bit_segs,
+    cat,
     denotes,
-    instantiate_vars,
+    is_pure,
     leaves,
+    lit,
+    replace,
     rewrite,
     simplify,
-    subst,
+    var,
     var_widths,
 )
 from . import sat
@@ -63,8 +64,9 @@ from .sat import SolverFailure
 
 
 class InternalError(Exception):
-    """A formula reached the bitvector translation that should have been
-    eliminated earlier (state or buffer-length assertions)."""
+    """A formula reached the bitvector translation that does not fit its
+    guard: state or buffer-length assertions, an unknown header, or a
+    reference whose width is not the guard's."""
 
 
 class EnumTooLarge(Exception):
@@ -98,8 +100,14 @@ def template_filter(rel: Iterable[Guarded], goal: Guarded) -> FilteredEntailment
     return FilteredEntailment(goal.t1, goal.t2, premises, goal.body)
 
 
-def entailment_context(ent: FilteredEntailment, aut: Automaton) -> WidthContext:
-    return WidthContext.for_guard(aut, Guarded(ent.t1, ent.t2, ent.conclusion))
+def check_base(b: Base, aut: Automaton, buflens: dict[str, int]) -> None:
+    """Raise InternalError unless a buffer or header reference has the
+    width the guard (``buflens``) or the automaton gives it."""
+    want = buflens[b.side] if type(b) is BufRef else aut.sizes.get(b.name)
+    if want is None:
+        raise InternalError(f"unknown header {b.name!r}")
+    if want != b.width:
+        raise InternalError(f"{b} read at width {b.width}, not {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +119,7 @@ _SANE = re.compile(r"[^A-Za-z0-9_]")
 def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
     """Deterministic, collision-free SMT names for header references."""
     refs = {
-        (x.name, x.side) for f in formulas for x in leaves(f) if isinstance(x, BHdrRef)
+        (x.name, x.side) for f in formulas for x in leaves(f) if type(x) is BHdrRef
     }
     table: dict[tuple[str, str], str] = {}
     used: set[str] = {"bufL", "bufR"}
@@ -137,56 +145,52 @@ _KNOWN = str.maketrans("01?", "110")
 _VALUE = str.maketrans("01?", "010")
 
 
-def _pattern(be: Node, ctx: WidthContext) -> str:
+def _pattern(be: Bits) -> str:
     """A bit expression's bits: its literal ones, and "?" elsewhere."""
-    t = type(be)
-    if t is BLit:
-        return be.bits
-    if t is BConcat:
-        return _pattern(be.left, ctx) + _pattern(be.right, ctx)
-    return "?" * ctx.width(be)
+    return "".join(s if type(s) is str else "?" * (s.hi - s.lo + 1) for s in be.segs)
 
 
-def _clashes(eq: Eq, ctx: WidthContext) -> bool:
+def _clashes(eq: Eq) -> bool:
     """Do the sides hold different literal bits at an aligned position?"""
-    left, right = _pattern(eq.left, ctx), _pattern(eq.right, ctx)
+    left, right = _pattern(eq.left), _pattern(eq.right)
     if len(left) != len(right) or "?" not in left + right:
         return False  # simplify has decided these already
     known = int(left.translate(_KNOWN), 2) & int(right.translate(_KNOWN), 2)
     return bool(known & (int(left.translate(_VALUE), 2) ^ int(right.translate(_VALUE), 2)))
 
 
-def _fold_clashes(phi: Formula, ctx: WidthContext) -> Formula:
+def _fold_clashes(phi: Formula) -> Formula:
     """phi with each equation whose sides clash at a literal bit made
     false, simplified again if one was."""
     clashed = False
 
-    def clash(x: Node) -> Node:
+    def clash(x: Formula) -> Formula:
         nonlocal clashed
-        if type(x) is Eq and _clashes(x, ctx):
+        if type(x) is Eq and _clashes(x):
             clashed = True
             return BOT
         return x
 
     phi = rewrite(phi, clash)
-    return simplify(phi, ctx) if clashed else phi
+    return simplify(phi) if clashed else phi
 
 
-def _fix_bit(phi: Formula, name: str, bit: str, ctx: WidthContext) -> Formula:
+def _fix_bit(phi: Formula, name: str, bit: str) -> Formula:
     """phi with the leftmost bit of variable ``name`` fixed, simplified,
     clashes folded. ``Var(x, w)`` becomes ``bit ++ Var(x, w - 1)``, so no
     fresh name is needed."""
 
-    def fix(x: Node) -> Node:
-        if type(x) is Var and x.name == name:
-            return BLit(bit) if x.width == 1 else BConcat(BLit(bit), Var(name, x.width - 1))
-        return x
+    def fix(s: Seg) -> Optional[Bits]:
+        b = s.base
+        if type(b) is not Var or b.name != name:
+            return None
+        return (lit(bit) + var(name, b.width - 1)).slice(s.lo, s.hi)
 
-    return _fold_clashes(simplify(rewrite(phi, fix), ctx), ctx)
+    return _fold_clashes(simplify(replace(phi, fix)))
 
 
 def _cofactors(
-    p: Formula, ctx: WidthContext, deadline: Optional[float]
+    p: Formula, deadline: Optional[float]
 ) -> Iterator[tuple[Formula, Valuation]]:
     """The cofactor walk over a simplified formula's variable bits.
 
@@ -201,7 +205,7 @@ def _cofactors(
             raise SolverFailure("solver timeout")
         phi, fixed, name, bit = stack.pop()
         if name:
-            phi = _fix_bit(phi, name, bit, ctx)
+            phi = _fix_bit(phi, name, bit)
             if isinstance(phi, Top):
                 continue
             fixed = {**fixed, name: fixed.get(name, "") + bit}
@@ -214,65 +218,15 @@ def _cofactors(
         stack.append((phi, fixed, name, "0"))
 
 
-def _premise_instances(
-    p: Formula, ctx: WidthContext, deadline: Optional[float]
-) -> list[Formula]:
+def _premise_instances(p: Formula, deadline: Optional[float]) -> list[Formula]:
     """The instances of a simplified premise that are not true; just false
     when one is false."""
     out = []
-    for inst, _ in _cofactors(p, ctx, deadline):
+    for inst, _ in _cofactors(p, deadline):
         if isinstance(inst, Bottom):
             return [BOT]
         out.append(inst)
     return out
-
-
-def _bv_translation(
-    ctx: WidthContext,
-    hdr_name: Callable[[str, str], str],
-    var_name: Callable[[Var], str] = lambda x: f"v_{x.name}",
-) -> Callable[[Node], Node]:
-    """The ``rewrite`` function that turns a pure formula at a guard with
-    widths ``ctx`` into QF_BV: its only leaves become literals and
-    width-carrying variables (bufL/bufR, ``hdr_name(name, side)`` per
-    header, ``var_name(x)`` per bit variable). Slices are clamped,
-    zero-width concat parts dropped, an equation of unequal widths is false
-    and one of zero width is true."""
-    width = EMPTY_CTX.width
-
-    def bv(x: Node) -> Node:
-        if isinstance(x, BufRef):
-            w = ctx.width(x)
-            if w is None:
-                raise InternalError(f"unknown buffer width for side {x.side!r}")
-            return Var("bufL" if x.side == LEFT else "bufR", w) if w else BLit("")
-        if isinstance(x, BHdrRef):
-            w = ctx.width(x)
-            if w is None:
-                raise InternalError(f"unknown header {x.name!r}")
-            return Var(hdr_name(x.name, x.side), w)
-        if isinstance(x, Var):
-            return Var(var_name(x), x.width)
-        if isinstance(x, BSlice):
-            w = width(x.expr)
-            if w == 0:
-                return BLit("")
-            lo, hi = min(x.lo, w - 1), min(x.hi, w - 1)
-            return x.expr if lo == 0 and hi == w - 1 else BSlice(x.expr, lo, hi)
-        if isinstance(x, BConcat):
-            if width(x.left) == 0:
-                return x.right
-            return x.left if width(x.right) == 0 else x
-        if isinstance(x, Eq):
-            wl, wr = width(x.left), width(x.right)
-            if wl != wr:
-                return BOT
-            return TOP if wl == 0 else x
-        if isinstance(x, (StateIs, BufLenIs)):
-            raise InternalError(f"impure formula survived filtering: {x!r}")
-        return x
-
-    return bv
 
 
 def to_fol_bv(
@@ -280,18 +234,31 @@ def to_fol_bv(
 ) -> list[Formula]:
     """Assertions whose joint unsatisfiability is the entailment's validity:
     every premise (expanded over its variables) plus the negated conclusion,
-    in QF_BV as ``_bv_translation`` makes it. Header names are sanitized
-    for SMT-LIB (L_h/R_h per header) and collision-free. The expansion
-    raises SolverFailure once time.monotonic() passes ``deadline``."""
-    ctx = entailment_context(ent, aut)
+    in QF_BV: every base becomes a width-carrying variable (bufL/bufR,
+    L_h/R_h per header, sanitized for SMT-LIB and collision-free, v_x per
+    bit variable). The expansion raises SolverFailure once
+    time.monotonic() passes ``deadline``."""
+    buflens = {LEFT: ent.t1.buflen, RIGHT: ent.t2.buflen}
     names = _name_table(list(ent.premises) + [ent.conclusion])
-    bv = _bv_translation(ctx, lambda name, side: names[(name, side)])
+
+    def smt_name(s: Seg) -> Bits:
+        b = s.base
+        t = type(b)
+        if t is Var:
+            name = f"v_{b.name}"
+        else:
+            check_base(b, aut, buflens)
+            name = names[b.name, b.side] if t is BHdrRef else "bufL" if b.side == LEFT else "bufR"
+        return Bits((Seg(Var(name, b.width), s.lo, s.hi),), s.hi - s.lo + 1)
+
+    if not all(map(is_pure, [*ent.premises, ent.conclusion])):
+        raise InternalError("impure formula survived filtering")
     out = [
-        rewrite(inst, bv)
+        replace(inst, smt_name)
         for p in ent.premises
-        for inst in _premise_instances(p, ctx, deadline)
+        for inst in _premise_instances(p, deadline)
     ]
-    out.append(Not(rewrite(ent.conclusion, bv)))
+    out.append(Not(replace(ent.conclusion, smt_name)))
     return out
 
 
@@ -299,23 +266,32 @@ def to_fol_bv(
 # SMT-LIB serialization
 
 
-def _smt(f: Node) -> str:
-    if isinstance(f, Var):
-        return f.name
-    if isinstance(f, BLit):
-        return "#b" + f.bits
-    if isinstance(f, BSlice):
-        w = EMPTY_CTX.width(f.expr)
-        # our bit i is SMT bit (w - 1 - i)
-        return f"((_ extract {w - 1 - f.lo} {w - 1 - f.hi}) {_smt(f.expr)})"
-    if isinstance(f, BConcat):
-        return f"(concat {_smt(f.left)} {_smt(f.right)})"
+def _smt_bits(e: Bits) -> str:
+    parts = []
+    for s in e.segs:
+        if type(s) is str:
+            parts.append("#b" + s)
+            continue
+        w = s.base.width
+        if s.lo == 0 and s.hi == w - 1:
+            parts.append(s.base.name)
+        else:  # our bit i is SMT bit (w - 1 - i)
+            parts.append(f"((_ extract {w - 1 - s.lo} {w - 1 - s.hi}) {s.base.name})")
+    out = parts.pop()
+    while parts:
+        out = f"(concat {parts.pop()} {out})"
+    return out
+
+
+def _smt(f: Formula) -> str:
     if isinstance(f, Top):
         return "true"
     if isinstance(f, Bottom):
         return "false"
     if isinstance(f, Eq):
-        return f"(= {_smt(f.left)} {_smt(f.right)})"
+        if f.left.width != f.right.width:
+            return "false"
+        return f"(= {_smt_bits(f.left)} {_smt_bits(f.right)})" if f.left.width else "true"
     if isinstance(f, Not):
         return f"(not {_smt(f.body)})"
     if isinstance(f, And):
@@ -328,7 +304,7 @@ def _smt(f: Node) -> str:
         return "(or " + " ".join(_smt(p) for p in f.disjuncts) + ")"
     if isinstance(f, Implies):
         return f"(=> {_smt(f.hyp)} {_smt(f.concl)})"
-    raise TypeError(f"not a QF_BV formula or term: {f!r}")
+    raise TypeError(f"not a QF_BV formula: {f!r}")
 
 
 def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
@@ -336,7 +312,7 @@ def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
     decls: dict[str, int] = {}
     for f in assertions:
         for x in leaves(f):
-            if isinstance(x, Var) and decls.setdefault(x.name, x.width) != x.width:
+            if type(x) is Var and decls.setdefault(x.name, x.width) != x.width:
                 raise InternalError(
                     f"variable {x.name} used at widths {decls[x.name]} and {x.width}"
                 )
@@ -360,14 +336,17 @@ def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
 class Blaster:
     """Tseitin encoding of bitvector formulas into a SAT solver.
 
-    Gates fold against the constant and against equal or opposite
-    inputs, and are shared: one per input pair (iff) or input set (and).
+    Each base is a SAT variable per bit, found by the name ``name`` gives
+    it (by default its own). Gates fold against the constant and against
+    equal or opposite inputs, and are shared: one per input pair (iff) or
+    input set (and).
     """
 
-    def __init__(self):
+    def __init__(self, name: Callable[[Base], str] = lambda b: b.name):
         self.sat = sat.Solver()
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
+        self.name = name
         self.env: dict[str, list[int]] = {}
         self._iffs: dict[tuple[int, int], int] = {}
         self._ands: dict[tuple[int, ...], int] = {}
@@ -392,18 +371,15 @@ class Blaster:
             part = bits[lo : hi + 1]
         return part
 
-    def term(self, t: Node) -> list[int]:
-        if isinstance(t, Var):
-            return self.var_bits(t.name, t.width)
-        if isinstance(t, BLit):
-            return [self.true_lit if b == "1" else -self.true_lit for b in t.bits]
-        if isinstance(t, BSlice):
-            if isinstance(t.expr, Var):
-                return self.var_bits(t.expr.name, t.expr.width, t.lo, t.hi)
-            return self.term(t.expr)[t.lo : t.hi + 1]
-        if isinstance(t, BConcat):
-            return self.term(t.left) + self.term(t.right)
-        raise TypeError(f"not a term: {t!r}")
+    def term(self, e: Bits) -> list[int]:
+        t = self.true_lit
+        out: list[int] = []
+        for s in e.segs:
+            if type(s) is str:
+                out += [t if b == "1" else -t for b in s]
+            else:
+                out += self.var_bits(self.name(s.base), s.base.width, s.lo, s.hi)
+        return out
 
     def _iff(self, a: int, b: int) -> int:
         t = self.true_lit
@@ -465,6 +441,8 @@ class Blaster:
             return self._or([self.formula(p) for p in f.disjuncts])
         if isinstance(f, Implies):
             return self._or([-self.formula(f.hyp), self.formula(f.concl)])
+        if isinstance(f, (StateIs, BufLenIs)):
+            raise InternalError(f"impure formula survived filtering: {f!r}")
         raise TypeError(f"not a formula: {f!r}")
 
 
@@ -485,18 +463,20 @@ def check_sat(assertions: list[Formula], deadline: Optional[float] = None) -> bo
 class GuardContext:
     """One incremental solver for the entailments at one guard.
 
-    A premise without variables is simplified under the guard's widths,
-    translated and blasted once, as a permanent clause. A premise with
-    variables is simplified once and kept pending: its instances are
-    added lazily, by model-based instantiation (Ge & de Moura, *Complete
+    Premises and goals arrive simplified. A premise without variables is
+    blasted once, as a permanent clause (a goal that joins as a premise
+    reuses its literal). A premise with variables is kept pending and
+    instantiated lazily, from models (Ge & de Moura, *Complete
     Instantiation for Quantified Formulas in SMT*, CAV 2009). Each goal is
-    blasted into the same solver and solved under the assumption of its
-    negation. On sat, the model's configuration is substituted into each
-    pending premise and the cofactor walk looks for a valuation of its
-    variables that falsifies it; every instance found is asserted and the
-    goal solved again. Each instance is false under the model it came
-    from, so the loop ends: unsat means valid, and a model no pending
-    premise rejects means not entailed.
+    solved under the assumption of its negation. On sat, the model's
+    configuration is substituted into each pending premise and the
+    cofactor walk looks for a valuation of its variables that falsifies
+    it. Each bit of it becomes a configuration bit the premise aligns with
+    that variable bit and the model agrees with, or else a literal. The
+    instance is asserted and the goal solved again. Each instance is false
+    under the model it came from and there are finitely many, so the loop
+    ends: unsat means valid, and a model no pending premise rejects means
+    not entailed.
 
     An earlier goal's Tseitin definitions can be met by every assignment
     of its inputs, and instances follow from the premises, so both leave
@@ -504,83 +484,95 @@ class GuardContext:
     """
 
     def __init__(self, aut: Automaton, t1: Template, t2: Template):
-        self.widths = WidthContext.for_guard(aut, Guarded(t1, t2, TOP))
-        self.blaster = Blaster()
+        self.aut = aut
+        self.buflens = {LEFT: t1.buflen, RIGHT: t2.buflen}
+        self.blaster = Blaster(self._name)
         self.asserted = 0  # how many conjuncts of the relation are premises
-        self.pending: list[Formula] = []  # premises with variables
+        # premises with variables, each with its _aligned_bits
+        self.pending: list[tuple[Formula, dict[tuple[str, int], list[Seg]]]] = []
         self.instances = 0  # instances of pending premises asserted
         self.extra_solves = 0  # solve() calls beyond one per goal
-        # Names never leave the solver, so headers need no SMT-LIB
-        # sanitizing; prefixes keep the kinds apart. A variable's name
-        # carries its width: goals accumulate here, and one goal's v0 may
-        # be wider than another's.
-        self._bv = _bv_translation(
-            self.widths, self._hdr_name, lambda x: f"v{x.width}_{x.name}"
-        )
+        self._goal: tuple[Optional[Formula], int] = (None, 0)  # last goal, its literal
 
-    @staticmethod
-    def _hdr_name(name: str, side: str) -> str:
-        return ("L_" if side == LEFT else "R_") + name
+    def _name(self, b: Base) -> str:
+        """A base's SAT name. Names never leave the solver, so headers
+        need no SMT-LIB sanitizing; prefixes keep the kinds apart. A
+        variable's name carries its width: goals accumulate here, and one
+        goal's v0 may be wider than another's."""
+        t = type(b)
+        if t is Var:
+            return f"v{b.width}_{b.name}"
+        check_base(b, self.aut, self.buflens)
+        if t is BufRef:
+            return "bufL" if b.side == LEFT else "bufR"
+        return ("L_" if b.side == LEFT else "R_") + b.name
 
     def _assert(self, p: Formula) -> None:
-        self.blaster.sat.add_clause([self.blaster.formula(rewrite(p, self._bv))])
+        self.blaster.sat.add_clause([self.blaster.formula(p)])
 
-    def _model_bits(self, name: str, width: int) -> BLit:
-        """A configuration variable's bits in the last model. A bit the
+    def _model_bits(self, s: Seg) -> str:
+        """A configuration segment's bits in the last model. A bit the
         Blaster never allocated is unconstrained and reads as 0."""
         value = self.blaster.sat.value
-        lits = self.blaster.env.get(name, [0] * width)
-        return BLit("".join("1" if lit and value(lit) else "0" for lit in lits))
+        lits = self.blaster.env.get(self._name(s.base), [0] * s.base.width)
+        return "".join("1" if lit and value(lit) else "0" for lit in lits[s.lo : s.hi + 1])
 
     def _falsified_instance(
-        self, p: Formula, deadline: Optional[float]
+        self, p: Formula, aligned: dict[tuple[str, int], list[Seg]], deadline: Optional[float]
     ) -> Optional[Formula]:
         """An instance of pending premise ``p`` false under the last
         model, simplified, or None when the model satisfies ``p``."""
-        widths = self.widths
-        buf = {
-            side: self._model_bits("bufL" if side == LEFT else "bufR", widths.buflens[side])
-            for side in (LEFT, RIGHT)
-        }
-        hdr = {
-            (x.name, x.side): self._model_bits(
-                self._hdr_name(x.name, x.side), widths.sizes[x.name]
-            )
-            for x in leaves(p)
-            if type(x) is BHdrRef
-        }
-        at_model = _fold_clashes(simplify(subst(p, buf, hdr), widths), widths)
-        if isinstance(at_model, Top):
+
+        def at_model(s: Seg) -> Optional[Bits]:
+            return None if type(s.base) is Var else lit(self._model_bits(s))
+
+        phi = replace(p, at_model)  # p itself when it reads no configuration
+        phi = _fold_clashes(phi if phi is p else simplify(phi))
+        if isinstance(phi, Top):
             return None
-        falsified = next(_cofactors(at_model, widths, deadline), None)
+        falsified = next(_cofactors(phi, deadline), None)
         if falsified is None:
             return None
         fixed = falsified[1]  # bits the walk left open read as 0
         v = {name: fixed.get(name, "").ljust(w, "0") for name, w in var_widths(p).items()}
-        return simplify(instantiate_vars(p, v), widths)
+
+        def project(x: str, i: int) -> Segment:
+            same = (c for c in aligned.get((x, i), ()) if self._model_bits(c) == v[x][i])
+            return next(same, v[x][i])
+
+        return simplify(
+            replace(p, lambda s: cat(project(s.base.name, i) for i in range(s.lo, s.hi + 1))
+                    if type(s.base) is Var else None)
+        )
 
     def entails(
         self, rel: list[Guarded], conclusion: Formula, deadline: Optional[float]
     ) -> bool:
-        """Do the conjuncts of ``rel`` entail ``conclusion``, simplified
-        under this guard's widths? Conjuncts past ``asserted`` join
-        first. Raises SolverFailure once time.monotonic() passes
-        ``deadline``."""
+        """Do the conjuncts of ``rel`` entail ``conclusion``? Conjuncts
+        past ``asserted`` join first. Raises SolverFailure once
+        time.monotonic() passes ``deadline``."""
         for r in rel[self.asserted :]:
-            p = simplify(r.body, self.widths)
+            p = r.body
             if var_widths(p):
-                self.pending.append(p)
+                for b in leaves(p):
+                    if type(b) in (BufRef, BHdrRef):
+                        self._name(b)
+                self.pending.append((p, _aligned_bits(p)))
+            elif p is self._goal[0]:
+                self.blaster.sat.add_clause([self._goal[1]])
             else:
                 self._assert(p)
         self.asserted = len(rel)
+        goal = self.blaster.formula(conclusion)
+        self._goal = (conclusion, goal)
         solver = self.blaster.sat
-        solver.assumptions = [self.blaster.formula(Not(rewrite(conclusion, self._bv)))]
+        solver.assumptions = [-goal]
         solver.deadline = deadline
         while solver.solve():
             found = [
                 inst
-                for p in self.pending
-                if (inst := self._falsified_instance(p, deadline)) is not None
+                for p, aligned in self.pending
+                if (inst := self._falsified_instance(p, aligned, deadline)) is not None
             ]
             if not found:
                 return False
@@ -591,11 +583,32 @@ class GuardContext:
         return True
 
 
+def _aligned_bits(p: Formula) -> dict[tuple[str, int], list[Seg]]:
+    """For each bit i of each variable x of ``p``, the one-bit segments of
+    buffers and headers that an equation of ``p`` puts across from x's
+    bit i."""
+    out: dict[tuple[str, int], list[Seg]] = {}
+
+    def bitwise(e: Bits) -> list[Segment]:
+        return [b for s in e.segs for b in (s if type(s) is str else bit_segs(s))]
+
+    def align(x: Formula) -> Formula:
+        if type(x) is Eq and x.left.width == x.right.width:
+            left, right = bitwise(x.left), bitwise(x.right)
+            for a, b in zip(left + right, right + left):
+                if type(a) is Seg and type(a.base) is Var and type(b) is Seg and type(b.base) is not Var:
+                    out.setdefault((a.base.name, a.lo), []).append(b)
+        return x
+
+    rewrite(p, align)
+    return out
+
+
 class GuardRelation(list):
     """The conjuncts of R at the guard (t1, t2), in the order they joined.
 
     With the internal backend, ``decide_entailment`` keeps this guard's
-    GuardContext here once the guard has a premise."""
+    GuardContext here once the guard has a premise (or a caller sets it)."""
 
     __slots__ = ("t1", "t2", "context")
 
@@ -702,15 +715,18 @@ def solve_smtlib(text: str, command: tuple[str, ...], timeout: float = 60.0) -> 
 
 def _enum_domain(ent: FilteredEntailment, aut: Automaton):
     """Referenced configuration bits: headers per side plus buffers."""
+    buflens = {LEFT: ent.t1.buflen, RIGHT: ent.t2.buflen}
     refs = [x for f in list(ent.premises) + [ent.conclusion] for x in leaves(f)]
-    hdrs = {(x.name, x.side) for x in refs if isinstance(x, BHdrRef)}
-    bufs = {x.side for x in refs if isinstance(x, BufRef)}
-    ctx = entailment_context(ent, aut)
+    for x in refs:
+        if type(x) in (BufRef, BHdrRef):
+            check_base(x, aut, buflens)
+    hdrs = {(x.name, x.side) for x in refs if type(x) is BHdrRef}
+    bufs = {x.side for x in refs if type(x) is BufRef}
     slots: list[tuple[str, str, int]] = []  # (kind, key, width)
     for name, side in sorted(hdrs):
-        slots.append(("hdr", f"{side}{name}", ctx.sizes[name]))
+        slots.append(("hdr", f"{side}{name}", aut.sizes[name]))
     for side in sorted(bufs):
-        slots.append(("buf", side, ctx.buflens[side]))
+        slots.append(("buf", side, buflens[side]))
     return slots
 
 
@@ -797,34 +813,26 @@ def decide_entailment(
 ) -> bool:
     """Does the conjunction of ``rel`` entail the guarded formula ``goal``?
 
-    A non-empty GuardRelation at the goal's guard is decided in its
-    GuardContext with the internal backend; everything else builds one
-    filtered entailment for this query.
+    Formulas are used as the engine made them, simplified. With the
+    internal backend, a GuardRelation at the goal's guard that holds a
+    GuardContext or a premise is decided in its context; everything else
+    builds one filtered entailment for this query.
     """
-    widths = WidthContext.for_guard(aut, goal)
-    conclusion = simplify(goal.body, widths)
-    if isinstance(conclusion, Top):
+    if isinstance(goal.body, Top):
         return True
-
-    def filtered() -> FilteredEntailment:
-        premises = template_filter(rel, goal).premises
-        return FilteredEntailment(
-            goal.t1, goal.t2, tuple(simplify(p, widths) for p in premises), conclusion
-        )
-
     if (
         config.backend == "internal"
         and isinstance(rel, GuardRelation)
-        and rel
+        and (rel or rel.context is not None)
         and (rel.t1, rel.t2) == (goal.t1, goal.t2)
     ):
         deadline = _deadline(config.timeout)
         if config.dump_dir:
-            ent = filtered()
+            ent = template_filter(rel, goal)
             config.dump(
                 serialize_smtlib(to_fol_bv(ent, aut, deadline), comment=_provenance(ent))
             )
         if rel.context is None:
             rel.context = GuardContext(aut, rel.t1, rel.t2)
-        return rel.context.entails(rel, conclusion, deadline)
-    return decide_filtered(filtered(), aut, config)
+        return rel.context.entails(rel, goal.body, deadline)
+    return decide_filtered(template_filter(rel, goal), aut, config)

@@ -15,19 +15,17 @@ from typing import Union
 
 from .confrel import (
     BOT,
-    EMPTY_CTX,
     TOP,
     And,
-    BConcat,
-    BitExpr,
-    BLit,
-    BSlice,
+    Bits,
     Eq,
     Formula,
     Implies,
     Not,
     Or,
-    Var,
+    cat,
+    lit,
+    var,
 )
 from .smt import check_sat
 
@@ -88,12 +86,12 @@ def parse_sexps(tokens: list[str]) -> list[Sexp]:
     return out
 
 
-def _literal(tok: str) -> BLit:
+def _literal(tok: str) -> Bits:
     if tok.startswith("#b"):
-        return BLit(tok[2:])
+        return lit(tok[2:])
     if tok.startswith("#x"):
         bits = "".join(format(int(d, 16), "04b") for d in tok[2:])
-        return BLit(bits)
+        return lit(bits)
     raise ParseError(f"not a bitvector literal: {tok}")
 
 
@@ -113,12 +111,12 @@ class Script:
             return int(sort[2])
         raise ParseError(f"unsupported sort: {sort!r}")
 
-    def term(self, e: Sexp) -> BitExpr:
+    def term(self, e: Sexp) -> Bits:
         if isinstance(e, str):
             if e.startswith("#"):
                 return _literal(e)
             if e in self.widths:
-                return Var(e, self.widths[e])
+                return var(e, self.widths[e])
             raise ParseError(f"undeclared symbol: {e}")
         if not e:
             raise ParseError("empty term")
@@ -127,18 +125,15 @@ class Script:
             args = [self.term(a) for a in e[1:]]
             if len(args) < 2:
                 raise ParseError("concat needs two arguments")
-            t = args[0]
-            for a in args[1:]:
-                t = BConcat(t, a)
-            return t
+            return cat(args)
         if isinstance(head, list) and len(head) == 4 and head[0] == "_" and head[1] == "extract":
             i, j = int(head[2]), int(head[3])
             inner = self.term(e[1])
-            w = EMPTY_CTX.width(inner)
+            w = inner.width
             if not (w > i >= j >= 0):
                 raise ParseError(f"extract {i} {j} out of range for width {w}")
             # SMT bit k is our bit (w - 1 - k)
-            return BSlice(inner, w - 1 - i, w - 1 - j)
+            return inner.slice(w - 1 - i, w - 1 - j)
         raise ParseError(f"unsupported term: {e!r}")
 
     def formula(self, e: Sexp) -> Formula:

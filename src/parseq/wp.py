@@ -18,35 +18,33 @@ from .core import RESULTS, Automaton, Assign, Extract, Goto, Select
 from .confrel import (
     BOT,
     TOP,
-    BConcat,
-    BHdrRef,
-    BLit,
-    BSlice,
-    BitExpr,
-    BufRef,
+    Bits,
     Eq,
     Formula,
     Guarded,
     Implies,
     LEFT,
-    Node,
     Not,
     RIGHT,
+    Seg,
     T_REJECT,
     Template,
     Top,
     Var,
-    WidthContext,
+    buf,
     conj,
     disj,
-    rewrite,
+    hdr,
+    lit,
+    replace,
     simplify,
     subst,
+    var,
     variables,
 )
 from .reach import Predecessors, ReachSet, TemplatePair, leap_size, predecessors
 
-SymbolicStore = dict[str, BitExpr]
+SymbolicStore = dict[str, Bits]
 
 
 class WidthError(Exception):
@@ -71,26 +69,26 @@ class FreshVars:
 
 
 def identity_store(aut: Automaton, side: str) -> SymbolicStore:
-    return {h: BHdrRef(h, side) for h, _ in aut.headers}
+    return {h: hdr(h, side, size) for h, size in aut.headers}
 
 
-def expr_to_bit_expr(e: core.Expr, st: SymbolicStore) -> BitExpr:
+def expr_to_bit_expr(e: core.Expr, st: SymbolicStore) -> Bits:
     """Translate an automaton expression, reading headers from a symbolic store."""
     if isinstance(e, core.HdrRef):
         return st[e.name]
     if isinstance(e, core.Lit):
-        return BLit(e.bits)
+        return lit(e.bits)
     if isinstance(e, core.Slice):
-        return BSlice(expr_to_bit_expr(e.expr, st), e.lo, e.hi)
+        return expr_to_bit_expr(e.expr, st).slice(e.lo, e.hi)
     if isinstance(e, core.Concat):
-        return BConcat(expr_to_bit_expr(e.left, st), expr_to_bit_expr(e.right, st))
+        return expr_to_bit_expr(e.left, st) + expr_to_bit_expr(e.right, st)
     raise TypeError(f"not an expression: {e!r}")
 
 
 def symbolic_exec_op(
     op: tuple[core.Stmt, ...],
     pre: SymbolicStore,
-    buf: BitExpr,
+    buf: Bits,
     buf_width: int,
     aut: Automaton,
 ) -> SymbolicStore:
@@ -107,7 +105,7 @@ def symbolic_exec_op(
     for stmt in op:
         if isinstance(stmt, Extract):
             sz = sizes[stmt.header]
-            st[stmt.header] = BSlice(buf, offset, offset + sz - 1)
+            st[stmt.header] = buf.slice(offset, offset + sz - 1)
             offset += sz
         else:
             assert isinstance(stmt, Assign)
@@ -126,7 +124,7 @@ def symbolic_trans_cond(
 
     def full_match(case: core.Case) -> Formula:
         eqs = [
-            Eq(ex, BLit(pat.bits))
+            Eq(ex, lit(pat.bits))
             for ex, pat in zip(exprs, case.patterns)
             if isinstance(pat, core.ExactPat)
         ]
@@ -168,12 +166,12 @@ def wp_side(
     if t_src.state in RESULTS:
         if t_dst != T_REJECT:
             return TOP
-        return subst(phi, {side: BLit("")}, {})
+        return phi  # the side's buffer is empty at reject
     size = aut.opsize_of(t_src.state)
     remaining = size - t_src.buflen
     if k > remaining:
         raise ValueError(f"read of {k} bits overshoots template {t_src}")
-    full_buf = BConcat(BufRef(side), Var(x, k))
+    full_buf = buf(side, t_src.buflen) + var(x, k)
     if remaining > k:
         # buffering edge: the read bits are appended to this side's buffer
         if t_dst != Template(t_src.state, t_src.buflen + k):
@@ -187,47 +185,31 @@ def wp_side(
     st = aut.state(t_src.state)
     post = symbolic_exec_op(st.op, identity_store(aut, side), full_buf, size, aut)
     cond = symbolic_trans_cond(st.trans, post, t_dst.state)
-    phi2 = subst(
-        phi, {side: BLit("")}, {(h, side): post[h] for h, _ in aut.headers}
-    )
+    phi2 = subst(phi, {}, {(h, side): post[h] for h, _ in aut.headers})
     return Implies(cond, phi2)
 
 
 def split_read(phi: Formula, x: str, k: int, taken: set[str]) -> Formula:
     """Replace the k-bit variable x by one-bit variables x_<i> for only
-    the bits phi reads, joined by a balanced ++ so a wide read stays
-    shallow. phi must be simplified: x then occurs only bare or under one
-    slice clamped to its width, inside equations. A slice with lo > hi
-    reads nothing."""
+    the bits phi reads."""
+    bits: dict[int, Seg] = {}
 
-    def bits(lo: int, hi: int) -> BitExpr:
-        if lo > hi:
-            return BLit("")
-        if lo == hi:
-            name = f"{x}_{lo}"
+    def bit(i: int) -> Seg:
+        s = bits.get(i)
+        if s is None:
+            name = f"{x}_{i}"
             if name in taken:
                 raise FreshnessError(f"{name} is not fresh")
-            return Var(name)
-        mid = (lo + hi) // 2
-        return BConcat(bits(lo, mid), bits(mid + 1, hi))
+            s = bits[i] = Seg(Var(name), 0, 0)
+        return s
 
-    def read(be: BitExpr) -> BitExpr:
-        t = type(be)
-        if t is Var and be.name == x:
-            return bits(0, k - 1)
-        if t is BSlice:
-            inner = be.expr
-            if type(inner) is Var and inner.name == x:
-                return bits(be.lo, be.hi)
-            return BSlice(read(inner), be.lo, be.hi)
-        if t is BConcat:
-            return BConcat(read(be.left), read(be.right))
-        return be
+    def read(s: Seg) -> Optional[Bits]:
+        b = s.base
+        if type(b) is Var and b.name == x:
+            return Bits(tuple(bit(i) for i in range(s.lo, s.hi + 1)), s.hi - s.lo + 1)
+        return None
 
-    def split(n: Node) -> Node:
-        return Eq(read(n.left), read(n.right)) if type(n) is Eq else n
-
-    return rewrite(phi, split)
+    return replace(phi, read)
 
 
 def template_chain(
@@ -284,8 +266,7 @@ def wp(
             psig.body, RIGHT, pair.right, psig.t2, x, aut, check_fresh=False, k=k
         )
         phi = wp_side(phi, LEFT, pair.left, psig.t1, x, aut, check_fresh=False, k=k)
-        g = Guarded(pair.left, pair.right, phi)
-        phi = simplify(phi, WidthContext.for_guard(aut, g))
+        phi = simplify(phi)
         if isinstance(phi, Top):
             continue
         if k > 1:

@@ -120,8 +120,7 @@ def _width(e: Expr, sizes: dict[str, int]) -> int:
 
 def random_bit_expr(rng, sizes, buflens, varnames, width, depth=2):
     """A well-typed relation-level bit expression of exactly ``width`` bits."""
-    from parseq.confrel import BConcat, BHdrRef, BLit, BSlice, BufRef, Var
-    from parseq.confrel import LEFT, RIGHT
+    from parseq.confrel import LEFT, RIGHT, buf, hdr, lit, var
 
     pool = []
     for side in (LEFT, RIGHT):
@@ -140,20 +139,19 @@ def random_bit_expr(rng, sizes, buflens, varnames, width, depth=2):
     kind = rng.choice(choices)
     if kind == "ref":
         what, side, h, sz = rng.choice(pool)
-        base = BHdrRef(h, side) if what == "hdr" else BufRef(side)
+        base = hdr(h, side, sz) if what == "hdr" else buf(side, sz)
         if sz == width:
             return base
         lo = rng.randrange(sz - width + 1)
-        return BSlice(base, lo, lo + width - 1)
+        return base.slice(lo, lo + width - 1)
     if kind == "var":
-        return Var(rng.choice(varnames))
+        return var(rng.choice(varnames))
     if kind == "concat":
         split = rng.randint(1, width - 1)
-        return BConcat(
-            random_bit_expr(rng, sizes, buflens, varnames, split, depth - 1),
-            random_bit_expr(rng, sizes, buflens, varnames, width - split, depth - 1),
-        )
-    return BLit(random_bits(rng, width))
+        return random_bit_expr(
+            rng, sizes, buflens, varnames, split, depth - 1
+        ) + random_bit_expr(rng, sizes, buflens, varnames, width - split, depth - 1)
+    return lit(random_bits(rng, width))
 
 
 def random_formula(rng, sizes, buflens, varnames, depth=2):
@@ -215,24 +213,21 @@ def random_wide_guard(rng):
     generator, so it means G. G is drawn again while it simplifies to
     true. The slice lies at w's right end: enumeration tries w's last bits
     first and falsifies the premise quickly where G is false."""
-    from parseq.confrel import LEFT, RIGHT, BConcat, BLit, BSlice, Eq, Not, Or, Top, Var, simplify
+    from parseq.confrel import LEFT, RIGHT, Eq, Not, Or, Top, lit, simplify, var
 
     total, t1, t2, formula = random_guard(rng)
     sizes = dict(total.headers)
     buflens = {LEFT: t1.buflen, RIGHT: t2.buflen}
     width = rng.randint(9, 12)
-    w = Var("w", width)
+    w = var("w", width)
     if rng.random() < 0.5:
         head = rng.randint(1, 2)
-        e = BConcat(
-            random_bit_expr(rng, sizes, buflens, [], head),
-            BLit(random_bits(rng, width - head)),
-        )
+        e = random_bit_expr(rng, sizes, buflens, [], head) + lit(random_bits(rng, width - head))
         wide = Eq(w, e)
     else:
         lo = rng.randrange(width - 2, width)
         e = random_bit_expr(rng, sizes, buflens, [], width - lo)
-        wide = Not(Eq(BSlice(w, lo, width - 1), e))
+        wide = Not(Eq(w.slice(lo, width - 1), e))
     g = formula()
     while isinstance(simplify(g), Top):
         g = formula()

@@ -3,21 +3,18 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _gen import random_automaton, random_bits, random_formula
-from parseq.core import ACCEPT, Configuration, Store
+from _gen import random_automaton, random_bit_expr, random_bits, random_formula
+from parseq.core import ACCEPT, Configuration, Store, slice_bits
 from parseq.confrel import (
     BOT,
     LEFT,
     RIGHT,
     TOP,
     And,
-    BConcat,
-    BHdrRef,
-    BLit,
-    BSlice,
     BufLenIs,
-    BufRef,
     Eq,
     Guarded,
     Implies,
@@ -26,21 +23,24 @@ from parseq.confrel import (
     Or,
     StateIs,
     Template,
-    Var,
-    WidthContext,
+    buf,
     canonical_vars,
     denotes,
     eval_bit_expr,
     guard,
+    hdr,
     holds,
     instantiate_vars,
     is_pure,
+    lit,
     render,
+    render_bit_expr,
     render_guarded,
     rename_vars,
     simplify,
     template_of,
     templates_of,
+    var,
     variables,
 )
 
@@ -51,18 +51,18 @@ CR = Configuration("p", Store.of({"h": "0001"}), "1")
 
 class TestEval:
     def test_buf_refs_pick_sides(self):
-        assert eval_bit_expr(BufRef(LEFT), CL, CR, {}) == "011"
-        assert eval_bit_expr(BufRef(RIGHT), CL, CR, {}) == "1"
+        assert eval_bit_expr(buf(LEFT, 3), CL, CR, {}) == "011"
+        assert eval_bit_expr(buf(RIGHT, 1), CL, CR, {}) == "1"
 
     def test_header_slice_concat(self):
-        e = BConcat(BSlice(BHdrRef("h", LEFT), 1, 2), BHdrRef("h", RIGHT))
+        e = hdr("h", LEFT, 4).slice(1, 2) + hdr("h", RIGHT, 4)
         assert eval_bit_expr(e, CL, CR, {}) == "010001"
 
     def test_variable_lookup(self):
-        assert eval_bit_expr(Var("x"), CL, CR, {"x": "1"}) == "1"
+        assert eval_bit_expr(var("x"), CL, CR, {"x": "1"}) == "1"
 
     def test_holds_connectives(self):
-        eq = Eq(BufRef(RIGHT), BLit("1"))
+        eq = Eq(buf(RIGHT, 1), lit("1"))
         assert holds(eq, CL, CR, {})
         assert not holds(Not(eq), CL, CR, {})
         assert holds(Implies(BOT, BOT), CL, CR, {})
@@ -77,37 +77,37 @@ class TestEval:
 
     def test_denotes_quantifies_variables(self):
         # closed formula: denotes == holds under the empty valuation
-        eq = Eq(BufRef(RIGHT), BLit("1"))
+        eq = Eq(buf(RIGHT, 1), lit("1"))
         assert denotes(eq, CL, CR) == holds(eq, CL, CR, {})
         # x = 0 fails at the valuation x=1
-        assert not denotes(Eq(Var("x"), BLit("0")), CL, CR)
-        assert denotes(Eq(Var("x"), Var("x")), CL, CR)
+        assert not denotes(Eq(var("x"), lit("0")), CL, CR)
+        assert denotes(Eq(var("x"), var("x")), CL, CR)
 
 
 class TestVariables:
     def test_collection(self):
-        phi = Implies(Eq(Var("a"), BLit("0")), Eq(BConcat(Var("b"), Var("a")), BLit("01")))
+        phi = Implies(Eq(var("a"), lit("0")), Eq(var("b") + var("a"), lit("01")))
         assert variables(phi) == {"a", "b"}
 
     def test_rename_preserves_meaning(self):
-        phi = Eq(BConcat(Var("a"), Var("b")), BLit("10"))
+        phi = Eq(var("a") + var("b"), lit("10"))
         psi = rename_vars(phi, {"a": "u", "b": "w"})
         assert variables(psi) == {"u", "w"}
         assert denotes(phi, CL, CR) == denotes(psi, CL, CR)
 
     def test_canonical_vars_is_stable(self):
-        phi = Eq(BConcat(Var("x9"), Var("x3")), BConcat(Var("x3"), Var("x9")))
+        phi = Eq(var("x9") + var("x3"), var("x3") + var("x9"))
         canon = canonical_vars(phi)
         assert variables(canon) == {"v0", "v1"}
         assert canonical_vars(canon) == canon
 
     def test_canonical_vars_identifies_alpha_equivalent(self):
-        a = Eq(Var("x0"), BLit("1"))
-        b = Eq(Var("x7"), BLit("1"))
+        a = Eq(var("x0"), lit("1"))
+        b = Eq(var("x7"), lit("1"))
         assert canonical_vars(a) == canonical_vars(b)
 
     def test_instantiate_vars(self):
-        phi = Eq(BConcat(Var("a"), Var("b")), BLit("10"))
+        phi = Eq(var("a") + var("b"), lit("10"))
         inst = instantiate_vars(phi, {"a": "1", "b": "0"})
         assert variables(inst) == set()
         assert holds(inst, CL, CR, {})
@@ -132,15 +132,15 @@ class TestWideVariables:
     @staticmethod
     def shapes(x):
         return [
-            Eq(x, BSlice(BHdrRef("h", LEFT), 0, 2)),
-            Implies(Eq(x, BLit("011")), Eq(x, BufRef(LEFT))),
-            Or((Eq(BSlice(x, 0, 0), BLit("0")), Eq(BSlice(x, 0, 0), BLit("1")))),
-            Not(Eq(BConcat(BSlice(x, 1, 2), BufRef(RIGHT)), BLit("101"))),
+            Eq(x, hdr("h", LEFT, 4).slice(0, 2)),
+            Implies(Eq(x, lit("011")), Eq(x, buf(LEFT, 3))),
+            Or((Eq(x.slice(0, 0), lit("0")), Eq(x.slice(0, 0), lit("1")))),
+            Not(Eq(x.slice(1, 2) + buf(RIGHT, 1), lit("101"))),
         ]
 
     def wide_and_split(self):
-        split = BConcat(Var("a"), BConcat(Var("b"), Var("c")))
-        return self.shapes(Var("x", 3)), self.shapes(split)
+        split = var("a") + (var("b") + var("c"))
+        return self.shapes(var("x", 3)), self.shapes(split)
 
     def test_denotes(self):
         wide, split = self.wide_and_split()
@@ -155,13 +155,13 @@ class TestWideVariables:
                 s = instantiate_vars(split, dict(zip("abc", bits)))
                 assert variables(w) == set()
                 assert holds(w, CL, CR, {}) == holds(s, CL, CR, {})
-        phi = Eq(Var("x", 3), BufRef(LEFT))
-        assert instantiate_vars(phi, {"x": "011"}) == Eq(BLit("011"), BufRef(LEFT))
+        phi = Eq(var("x", 3), buf(LEFT, 3))
+        assert instantiate_vars(phi, {"x": "011"}) == Eq(lit("011"), buf(LEFT, 3))
 
     def test_renaming_keeps_widths(self):
-        phi = Eq(BConcat(Var("x7", 3), Var("x2")), BHdrRef("h", LEFT))
-        assert canonical_vars(phi) == Eq(BConcat(Var("v0", 3), Var("v1")), BHdrRef("h", LEFT))
-        assert WidthContext().width(Var("x", 3)) == 3
+        phi = Eq(var("x7", 3) + var("x2"), hdr("h", LEFT, 4))
+        assert canonical_vars(phi) == Eq(var("v0", 3) + var("v1"), hdr("h", LEFT, 4))
+        assert (var("x", 3) + var("y")).width == 4
 
 
 class TestGuards:
@@ -173,7 +173,7 @@ class TestGuards:
             guard(t, t, And((TOP, BufLenIs(0, RIGHT))))
 
     def test_is_pure(self):
-        assert is_pure(Implies(Eq(Var("x"), BLit("0")), TOP))
+        assert is_pure(Implies(Eq(var("x"), lit("0")), TOP))
         assert not is_pure(Not(StateIs("q", LEFT)))
 
     def test_guarded_vacuous_on_other_templates(self):
@@ -196,22 +196,20 @@ class TestGuards:
 
 class TestSimplify:
     def test_constant_folds(self):
-        ctx = WidthContext({}, {LEFT: 0, RIGHT: 0})
-        assert simplify(Eq(BLit("01"), BLit("01")), ctx) == TOP
-        assert simplify(Eq(BLit("01"), BLit("10")), ctx) == BOT
-        assert simplify(Implies(BOT, BOT), ctx) == TOP
-        assert simplify(Not(Not(TOP)), ctx) == TOP
-        assert simplify(And((TOP, TOP)), ctx) == TOP
-        assert simplify(Or((BOT, BOT)), ctx) == BOT
+        assert simplify(Eq(lit("01"), lit("01"))) == TOP
+        assert simplify(Eq(lit("01"), lit("10"))) == BOT
+        assert simplify(Implies(BOT, BOT)) == TOP
+        assert simplify(Not(Not(TOP))) == TOP
+        assert simplify(And((TOP, TOP))) == TOP
+        assert simplify(Or((BOT, BOT))) == BOT
 
     def test_static_width_mismatch_is_false(self):
-        ctx = WidthContext({"h": 2}, {LEFT: 0, RIGHT: 0})
-        assert simplify(Eq(BHdrRef("h", LEFT), BLit("1")), ctx) == BOT
+        assert simplify(Eq(hdr("h", LEFT, 2), lit("1"))) == BOT
 
     def test_zero_width_buffer_vanishes(self):
-        ctx = WidthContext({}, {LEFT: 0, RIGHT: 2})
-        phi = Eq(BConcat(BufRef(LEFT), BLit("10")), BufRef(RIGHT))
-        assert simplify(phi, ctx) == Eq(BLit("10"), BufRef(RIGHT))
+        phi = Eq(buf(LEFT, 0) + lit("10"), buf(RIGHT, 2))
+        assert phi == Eq(lit("10"), buf(RIGHT, 2))
+        assert simplify(phi) == phi
 
     def test_preserves_denotation(self, rng):
         for _ in range(200):
@@ -219,8 +217,7 @@ class TestSimplify:
             sizes = dict(aut.headers)
             buflens = {LEFT: rng.randrange(3), RIGHT: rng.randrange(3)}
             phi = random_formula(rng, sizes, buflens, ["x", "y"])
-            ctx = WidthContext(sizes, buflens)
-            psi = simplify(phi, ctx)
+            psi = simplify(phi)
             for _ in range(8):
                 cl = Configuration("A", _random_store(rng, sizes), random_bits(rng, buflens[LEFT]))
                 cr = Configuration("B", _random_store(rng, sizes), random_bits(rng, buflens[RIGHT]))
@@ -230,29 +227,23 @@ class TestSimplify:
 
 
 class TestSimplifyIdempotent:
-    A = Eq(BufRef(LEFT), BLit("1"))
-    B = Eq(BufRef(RIGHT), BLit("0"))
-    CTX = WidthContext({}, {LEFT: 1, RIGHT: 1})
+    A = Eq(buf(LEFT, 1), lit("1"))
+    B = Eq(buf(RIGHT, 1), lit("0"))
 
     def test_flattened_conjunction_drops_duplicates(self):
-        assert simplify(And((self.A, And((self.A, self.B)))), self.CTX) == And(
-            (self.A, self.B)
-        )
+        assert simplify(And((self.A, And((self.A, self.B))))) == And((self.A, self.B))
 
     def test_flattened_disjunction_drops_duplicates(self):
-        assert simplify(Or((self.A, Or((self.A, self.B)))), self.CTX) == Or(
-            (self.A, self.B)
-        )
+        assert simplify(Or((self.A, Or((self.A, self.B))))) == Or((self.A, self.B))
 
     def test_simplify_twice_is_simplify_once(self, rng):
         for _ in range(300):
             aut = random_automaton(rng, max_states=1, max_header_bits=3)
             sizes = dict(aut.headers)
             buflens = {LEFT: rng.randrange(3), RIGHT: rng.randrange(3)}
-            ctx = WidthContext(sizes, buflens)
             phi = random_formula(rng, sizes, buflens, ["x", "y"], depth=3)
-            once = simplify(phi, ctx)
-            assert simplify(once, ctx) == once, render(phi)
+            once = simplify(phi)
+            assert simplify(once) == once, render(phi)
 
 
 class TestRender:
@@ -260,12 +251,69 @@ class TestRender:
         g = Guarded(
             Template("q2", 0),
             Template("q5", 0),
-            Eq(BSlice(BufRef(LEFT), 0, 31), BufRef(RIGHT)),
+            Eq(buf(LEFT, 40).slice(0, 31), buf(RIGHT, 32)),
         )
         assert render_guarded(g) == "[<q2,0> <q5,0>] buf<[0:31] = buf>"
 
     def test_render_connectives(self):
-        phi = Implies(Not(Eq(Var("x"), BLit("1"))), BOT)
+        phi = Implies(Not(Eq(var("x"), lit("1"))), BOT)
         text = render(phi)
         assert "x" in text and "false" in text
         assert render(phi) == text  # stable
+
+
+def _random_setting(r):
+    """Header sizes, buffer widths, and a configuration pair and valuation
+    of the variables x and y that fit them."""
+    sizes = {"h0": r.randint(1, 3), "h1": r.randint(1, 3)}
+    buflens = {LEFT: r.randrange(4), RIGHT: r.randrange(4)}
+    cl = Configuration("A", _random_store(r, sizes), random_bits(r, buflens[LEFT]))
+    cr = Configuration("B", _random_store(r, sizes), random_bits(r, buflens[RIGHT]))
+    return sizes, buflens, cl, cr, {"x": random_bits(r, 1), "y": random_bits(r, 1)}
+
+
+class TestNormalForm:
+    """Bit expressions are flat segment tuples whose width is stored."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_stored_width_is_the_evaluated_width(self, r):
+        sizes, buflens, cl, cr, v = _random_setting(r)
+        e = random_bit_expr(r, sizes, buflens, ["x", "y"], r.randint(1, 4), depth=3)
+        for _ in range(3):  # slices (clamped as core clamps) and concatenations
+            lo, hi = r.randrange(6), r.randrange(6)
+            other = random_bit_expr(r, sizes, buflens, ["x"], r.randint(1, 3))
+            bits = eval_bit_expr(e, cl, cr, v)
+            assert eval_bit_expr(e.slice(lo, hi), cl, cr, v) == slice_bits(bits, lo, hi)
+            if r.random() < 0.5:
+                bits, e = slice_bits(bits, lo, hi), e.slice(lo, hi)
+            bits, e = bits + eval_bit_expr(other, cl, cr, v), e + other
+            assert eval_bit_expr(e, cl, cr, v) == bits
+            assert e.width == len(bits)
+            segs = e.segs
+            assert all(seg for seg in segs)
+            assert not any(type(a) is str and type(b) is str for a, b in zip(segs, segs[1:]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_simplify_preserves_holds_and_is_idempotent(self, r):
+        sizes, buflens, cl, cr, v = _random_setting(r)
+        phi = random_formula(r, sizes, buflens, ["x", "y"], depth=3)
+        once = simplify(phi)
+        assert holds(once, cl, cr, v) == holds(phi, cl, cr, v)
+        assert simplify(once) == once
+
+    def test_slice_of_a_concatenation_is_a_tuple_slice(self):
+        e = buf(LEFT, 4) + var("x", 4) + lit("01") + lit("1")
+        assert e.segs[-1] == "011" and e.width == 11
+        assert e.slice(2, 5) == buf(LEFT, 4).slice(2, 3) + var("x", 4).slice(0, 1)
+        assert e.slice(6, 99) == var("x", 4).slice(2, 3) + lit("011")
+        assert e.slice(5, 4) == lit("") and lit("").slice(0, 3) == lit("")
+
+    def test_long_concatenation_needs_no_recursion(self):
+        e = lit("")
+        for i in range(4096):
+            e = e + var(f"v{i}")
+        assert e.width == 4096 and len(e.segs) == 4096
+        assert render_bit_expr(e).count(" ++ ") == 4095
+        assert render(Eq(e, e.slice(0, 4095))) == render(Eq(e, e))

@@ -1,14 +1,30 @@
 """The saturation loop: verdicts, witnesses, failure handling."""
 
 import json
+import time
 
 import pytest
 
 from _gen import random_automaton
 from conftest import FIXTURE_PAIRS, load_fixture
 from parseq.core import Automaton, Extract, Goto, State, disjoint_sum
-from parseq.confrel import BOT, TOP, Guarded, Template, T_ACCEPT, T_REJECT
+from parseq.confrel import (
+    BOT,
+    LEFT,
+    RIGHT,
+    TOP,
+    Eq,
+    Guarded,
+    Not,
+    Or,
+    Template,
+    T_ACCEPT,
+    T_REJECT,
+    hdr,
+    var,
+)
 import parseq.engine
+import parseq.smt
 from parseq.engine import (
     EQUIVALENT,
     INCONCLUSIVE,
@@ -22,8 +38,9 @@ from parseq.engine import (
     mixed_acceptance,
     pre_bisimulation,
 )
+from parseq.frontend import parse_source
 from parseq.reach import ReachSet, TemplatePair
-from parseq.smt import SolverConfig
+from parseq.smt import GuardRelation, SolverConfig
 
 
 def chain_automaton():
@@ -243,6 +260,92 @@ class TestWithRelation:
             aut, "A", aut, "A", i_extra=[bad], config=internal_config
         )
         assert res.verdict == NOT_EQUIVALENT
+
+
+class TestQuantifiedFilter:
+    """A phi_extra with a 16-bit variable: for all x, l:h< = x implies
+    r:h> = x, which means l:h< = r:h>."""
+
+    SOURCE = (
+        "state s { extract(g, 1); select(h[0:0]) { (0b0) => accept (0b1) => t } } "
+        "state t { extract(h, 16); goto reject }"
+    )
+
+    def check(self, phi_extra):
+        aut = parse_source(self.SOURCE)
+        config = SolverConfig(backend="internal", timeout=60)
+        start = time.monotonic()
+        res = check_with_relation(aut, "s", aut, "s", phi_extra=phi_extra, config=config)
+        return res, time.monotonic() - start
+
+    @staticmethod
+    def quantified(left, right):
+        x = var("x", 16)
+        return Or((Not(Eq(hdr(left, LEFT, 16), x)), Eq(hdr(right, RIGHT, 16), x)))
+
+    def test_decided_in_one_context(self):
+        res, elapsed = self.check(self.quantified("l:h", "r:h"))
+        assert res.verdict == EQUIVALENT, res.reason
+        assert elapsed < 1.0
+        plain, _ = self.check(Eq(hdr("l:h", LEFT, 16), hdr("r:h", RIGHT, 16)))
+        assert plain.verdict == EQUIVALENT
+        # both decide their final check in a context; only one needs instances
+        assert res.stats.contexts == plain.stats.contexts
+        assert res.stats.instances > plain.stats.instances == 0
+
+    def test_unknown_header_is_named(self):
+        for phi in (self.quantified("h", "h"), Eq(hdr("h", LEFT, 16), hdr("h", RIGHT, 16))):
+            res, _ = self.check(phi)
+            assert res.verdict == INCONCLUSIVE
+            assert res.reason == "InternalError: unknown header 'h'"
+
+
+class TestCounters:
+    def test_contexts_are_the_guards_holding_one(self, monkeypatch, internal_config):
+        relations = []
+
+        class Recorded(GuardRelation):
+            __slots__ = ()
+
+            def __init__(self, t1, t2):
+                super().__init__(t1, t2)
+                relations.append(self)
+
+        monkeypatch.setattr(parseq.engine, "GuardRelation", Recorded)
+        a1, a2 = load_fixture("ipopt_generic"), load_fixture("ipopt_timestamp")
+        res = check_equivalence(
+            a1, "parse_0", a2, "parse_0", config=internal_config, leaps=False
+        )
+        assert res.verdict == EQUIVALENT
+        holding = sum(rel.context is not None for rel in relations)
+        assert res.stats.contexts == holding >= 1
+        assert f"contexts={holding} " in res.stats.summary()
+
+    def test_entailments_do_not_simplify_obligations(self, monkeypatch, internal_config):
+        # wp and push simplify each obligation once, where they make it
+        obligations, simplified = [], []
+        decide, simplify = parseq.engine.decide_entailment, parseq.smt.simplify
+
+        def recording_decide(rel, goal, aut, config):
+            obligations.append(goal.body)
+            obligations.extend(r.body for r in rel)
+            return decide(rel, goal, aut, config)
+
+        def counting_simplify(phi):
+            simplified.append(phi)
+            return simplify(phi)
+
+        monkeypatch.setattr(parseq.engine, "decide_entailment", recording_decide)
+        monkeypatch.setattr(parseq.smt, "simplify", counting_simplify)
+        a1, a2 = load_fixture("ipopt_generic"), load_fixture("ipopt_timestamp")
+        res = check_equivalence(
+            a1, "parse_0", a2, "parse_0", config=internal_config, leaps=False
+        )
+        assert res.verdict == EQUIVALENT and res.stats.instances > 0
+        # the premise instances are simplified, the obligations are not
+        assert simplified
+        made = {id(phi) for phi in obligations}
+        assert sum(id(phi) in made for phi in simplified) == 0
 
 
 class TestRepeatedChecks:

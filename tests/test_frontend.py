@@ -149,10 +149,10 @@ class TestRelationFiles:
         left = load_fixture("mpls_ref_small")
         right = load_fixture("mpls_vec_small")
         total, lmap, rmap = disjoint_sum(left, right)
-        return lmap, rmap
+        return lmap, rmap, total.sizes
 
     def test_init_and_pairs(self):
-        lmap, rmap = self._renamings()
+        lmap, rmap, sizes = self._renamings()
         phi, extras = parse_relation(
             "init: left.mpls = right.old\n"
             "pair q1 0 q3 0: left.buf = right.buf\n"
@@ -161,6 +161,7 @@ class TestRelationFiles:
             rmap.states,
             lmap.headers,
             rmap.headers,
+            sizes,
         )
         assert isinstance(phi, Eq)
         assert len(extras) == 2
@@ -169,18 +170,19 @@ class TestRelationFiles:
         assert extras[0].t2.state == rmap.states["q3"]
 
     def test_formula_syntax(self):
-        lmap, rmap = self._renamings()
+        lmap, rmap, sizes = self._renamings()
         phi, _ = parse_relation(
             "init: !(left.mpls = 0b1) => (right.old[0:0] = 0b0 && true)\n",
             lmap.states,
             rmap.states,
             lmap.headers,
             rmap.headers,
+            sizes,
         )
         assert isinstance(phi, Implies)
 
     def test_unknown_names_are_diagnosed(self):
-        lmap, rmap = self._renamings()
+        lmap, rmap, sizes = self._renamings()
         with pytest.raises(Diagnostic):
             parse_relation(
                 "pair nosuch 0 q3 0: true\n",
@@ -188,6 +190,7 @@ class TestRelationFiles:
                 rmap.states,
                 lmap.headers,
                 rmap.headers,
+                sizes,
             )
         with pytest.raises(Diagnostic):
             parse_relation(
@@ -196,4 +199,5 @@ class TestRelationFiles:
                 rmap.states,
                 lmap.headers,
                 rmap.headers,
+                sizes,
             )

@@ -10,18 +10,16 @@ from parseq.confrel import (
     RIGHT,
     TOP,
     And,
-    BConcat,
-    BHdrRef,
-    BLit,
-    BSlice,
     BufLenIs,
-    BufRef,
     Eq,
     Guarded,
     Not,
     StateIs,
     Template,
-    Var,
+    buf,
+    hdr,
+    lit,
+    var,
 )
 from parseq.smt import (
     Blaster,
@@ -60,7 +58,7 @@ class TestTemplateFilter:
     def test_keeps_matching_guards_only(self):
         g = Guarded(T0, T1, TOP)
         rel = [
-            Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("0"))),
+            Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("0"))),
             Guarded(T1, T0, BOT),
             Guarded(T0, T0, BOT),
         ]
@@ -84,7 +82,7 @@ class TestTranslation:
 
     def test_zero_width_buffer_never_declared(self):
         aut = tiny_automaton()
-        ent = FilteredEntailment(T0, T0, (), Eq(BufRef(LEFT), BufRef(RIGHT)))
+        ent = FilteredEntailment(T0, T0, (), Eq(buf(LEFT, 0), buf(RIGHT, 0)))
         text = serialize_smtlib(to_fol_bv(ent, aut))
         assert "buf" not in text
 
@@ -99,7 +97,7 @@ class TestTranslation:
         # forall x. buf> = x  is unsatisfiable as a premise, so anything follows
         aut = tiny_automaton()
         ent = FilteredEntailment(
-            T0, T1, (Eq(BufRef(RIGHT), Var("x")),), BOT
+            T0, T1, (Eq(buf(RIGHT, 1), var("x")),), BOT
         )
         assert not check_sat(to_fol_bv(ent, aut))  # unsat == entailment valid
         assert decide_by_enumeration(ent, aut)
@@ -111,9 +109,9 @@ class TestTranslation:
             (("Q0", State((Extract("h"),), Goto("accept"))),),
         )
         t = Template("Q0", 3)
-        wide = FilteredEntailment(t, t, (Eq(BufRef(RIGHT), Var("x", 3)),), BOT)
+        wide = FilteredEntailment(t, t, (Eq(buf(RIGHT, 3), var("x", 3)),), BOT)
         split = FilteredEntailment(
-            t, t, (Eq(BufRef(RIGHT), BConcat(Var("a"), BConcat(Var("b"), Var("c")))),), BOT
+            t, t, (Eq(buf(RIGHT, 3), var("a") + var("b") + var("c")),), BOT
         )
         assert len(to_fol_bv(wide, aut)) == len(to_fol_bv(split, aut)) == 2**3 + 1
         assert not check_sat(to_fol_bv(wide, aut))
@@ -129,7 +127,7 @@ class TestTranslation:
         )
         t = Template("Q0", 16)
         rel = GuardRelation(t, t)
-        rel.append(Guarded(t, t, Eq(BSlice(BufRef(RIGHT), 0, 15), Var("x", 16))))
+        rel.append(Guarded(t, t, Eq(buf(RIGHT, 16).slice(0, 15), var("x", 16))))
         assert decide_entailment(rel, Guarded(t, t, BOT), aut, internal_config)
         assert rel.context.instances == 2
 
@@ -138,8 +136,8 @@ class TestTranslation:
         ent = FilteredEntailment(
             T1,
             T1,
-            (Eq(BufRef(LEFT), BufRef(RIGHT)),),
-            Eq(BSlice(BufRef(LEFT), 0, 0), BSlice(BufRef(RIGHT), 0, 0)),
+            (Eq(buf(LEFT, 1), buf(RIGHT, 1)),),
+            Eq(buf(LEFT, 1).slice(0, 0), buf(RIGHT, 1).slice(0, 0)),
         )
         a = serialize_smtlib(to_fol_bv(ent, aut), comment="probe")
         b = serialize_smtlib(to_fol_bv(ent, aut), comment="probe")
@@ -151,8 +149,8 @@ class TestTranslation:
         ent = FilteredEntailment(
             T1,
             T1,
-            (Eq(BufRef(LEFT), BufRef(RIGHT)),),
-            Eq(BSlice(BufRef(LEFT), 0, 0), BSlice(BufRef(RIGHT), 0, 0)),
+            (Eq(buf(LEFT, 1), buf(RIGHT, 1)),),
+            Eq(buf(LEFT, 1).slice(0, 0), buf(RIGHT, 1).slice(0, 0)),
         )
         assert serialize_smtlib(to_fol_bv(ent, aut)) == (
             "(set-logic QF_BV)\n"
@@ -175,22 +173,22 @@ class TestEnumeration:
         ent = FilteredEntailment(
             t,
             t,
-            (Eq(BufRef(LEFT), BufRef(RIGHT)),),
-            Eq(BSlice(BufRef(LEFT), 0, 0), BSlice(BufRef(RIGHT), 0, 0)),
+            (Eq(buf(LEFT, 2), buf(RIGHT, 2)),),
+            Eq(buf(LEFT, 2).slice(0, 0), buf(RIGHT, 2).slice(0, 0)),
         )
         assert decide_by_enumeration(ent, aut)
         flipped = FilteredEntailment(
             t,
             t,
-            (Eq(BSlice(BufRef(LEFT), 0, 0), BSlice(BufRef(RIGHT), 0, 0)),),
-            Eq(BufRef(LEFT), BufRef(RIGHT)),
+            (Eq(buf(LEFT, 2).slice(0, 0), buf(RIGHT, 2).slice(0, 0)),),
+            Eq(buf(LEFT, 2), buf(RIGHT, 2)),
         )
         assert not decide_by_enumeration(flipped, aut)
 
     def test_budget_enforced(self):
         aut = tiny_automaton()
         ent = FilteredEntailment(
-            T1, T1, (), Eq(BufRef(LEFT), BufRef(RIGHT))
+            T1, T1, (), Eq(buf(LEFT, 1), buf(RIGHT, 1))
         )
         assert enum_bits(ent, aut) == 2
         with pytest.raises(EnumTooLarge):
@@ -255,12 +253,12 @@ class TestDecideEntailment:
     def test_bottom_premise_entails_anything(self, enum_config):
         aut = tiny_automaton()
         rel = [Guarded(T0, T1, BOT)]
-        goal = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        goal = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
         assert decide_entailment(rel, goal, aut, enum_config)
 
     def test_reflexive(self, internal_config):
         aut = tiny_automaton()
-        g = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        g = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
         assert decide_entailment([g], g, aut, internal_config)
 
     def test_top_goal_without_solver(self):
@@ -271,7 +269,7 @@ class TestDecideEntailment:
     def test_dump_dir_receives_queries(self, tmp_path, internal_config):
         aut = tiny_automaton()
         internal_config.dump_dir = str(tmp_path)
-        g = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        g = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
         decide_entailment([], g, aut, internal_config)
         files = list(tmp_path.glob("*_query.smt2"))
         assert len(files) == 1
@@ -281,24 +279,24 @@ class TestDecideEntailment:
 class TestBlaster:
     def test_comparing_with_a_literal_adds_no_iff_variables(self):
         bl = Blaster()
-        eq = Eq(Var("x", 4), BLit("0101"))
-        lit = bl.formula(eq)
+        eq = Eq(var("x", 4), lit("0101"))
+        gate = bl.formula(eq)
         assert bl.sat.nvars == 1 + 4 + 1  # the constant, x, one and gate
-        assert bl.formula(eq) == lit  # the gate is shared
+        assert bl.formula(eq) == gate  # the gate is shared
         assert bl.sat.nvars == 6
 
     def test_a_slice_allocates_only_the_bits_it_reads(self):
         bl = Blaster()
-        bl.formula(Eq(BSlice(Var("buf", 64), 3, 4), BLit("10")))
+        bl.formula(Eq(var("buf", 64).slice(3, 4), lit("10")))
         assert bl.sat.nvars == 1 + 2 + 1  # the constant, two bits, one and gate
-        assert len(bl.term(Var("buf", 64))) == 64
+        assert len(bl.term(var("buf", 64))) == 64
 
     def test_trivial_gates_fold(self):
         bl = Blaster()
         t = bl.true_lit
         a = bl.var_bits("a", 1)[0]
-        assert bl.formula(Eq(Var("a"), Var("a"))) == t
-        assert bl.formula(And((Eq(Var("a"), BLit("1")), Not(Eq(Var("a"), BLit("1")))))) == -t
+        assert bl.formula(Eq(var("a"), var("a"))) == t
+        assert bl.formula(And((Eq(var("a"), lit("1")), Not(Eq(var("a"), lit("1")))))) == -t
         assert bl._and([a, t, a]) == a
         assert bl.sat.nvars == 2
 
@@ -322,19 +320,34 @@ class TestGuardContext:
     def test_first_query_keeps_no_solver(self, internal_config):
         aut = tiny_automaton()
         rel = GuardRelation(T0, T1)
-        g = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        g = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
         assert not decide_entailment(rel, g, aut, internal_config)
         assert rel.context is None
         rel.append(g)
         assert decide_entailment(rel, g, aut, internal_config)
         assert rel.context is not None
 
+    def test_a_goal_joining_as_premise_is_not_blasted_again(self, internal_config):
+        aut = tiny_automaton()
+        rel = GuardRelation(T0, T1)
+        rel.append(Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1"))))
+        goal = Guarded(T0, T1, Eq(hdr("h", LEFT, 2), lit("01")))
+        assert not decide_entailment(rel, goal, aut, internal_config)
+        blaster = rel.context.blaster
+        blasted = []
+        formula = blaster.formula
+        blaster.formula = lambda f: blasted.append(f) or formula(f)
+        rel.append(goal)
+        weaker = Guarded(T0, T1, Eq(hdr("h", LEFT, 2).slice(0, 0), lit("0")))
+        assert decide_entailment(rel, weaker, aut, internal_config)
+        assert blasted == [weaker.body]
+
     def test_goal_variables_may_differ_in_width(self, internal_config):
         aut = tiny_automaton()
         rel = GuardRelation(T0, T1)
-        rel.append(Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1"))))
-        wide = Guarded(T0, T1, Eq(Var("v0", 2), BHdrRef("h", LEFT)))
-        narrow = Guarded(T0, T1, Eq(Var("v0"), BufRef(RIGHT)))
+        rel.append(Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1"))))
+        wide = Guarded(T0, T1, Eq(var("v0", 2), hdr("h", LEFT, 2)))
+        narrow = Guarded(T0, T1, Eq(var("v0"), buf(RIGHT, 1)))
         assert not decide_entailment(rel, wide, aut, internal_config)
         assert not decide_entailment(rel, narrow, aut, internal_config)
 
@@ -342,7 +355,7 @@ class TestGuardContext:
         aut = tiny_automaton()
         config = SolverConfig(backend="internal", timeout=1e-9)
         rel = GuardRelation(T0, T1)
-        g = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        g = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
         with pytest.raises(SolverFailure):
             decide_entailment(rel, g, aut, config)
         rel.append(g)
@@ -352,8 +365,8 @@ class TestGuardContext:
     def test_timeout_stops_the_expansion_of_a_wide_premise(self):
         # x meets no literal, so its expansion walks 4,096 branches
         aut = tiny_automaton()
-        wide = Guarded(T0, T1, Eq(Var("x", 12), Var("y", 12)))
-        goal = Guarded(T0, T1, Eq(BufRef(RIGHT), BLit("1")))
+        wide = Guarded(T0, T1, Eq(var("x", 12), var("y", 12)))
+        goal = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
         for backend in ("internal", "subprocess"):
             config = SolverConfig(backend=backend, timeout=1e-9)
             with pytest.raises(SolverFailure):

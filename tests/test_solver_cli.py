@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from _gen import random_entailment
-from parseq.confrel import BConcat, BLit, BSlice, Eq, Var
+from parseq.confrel import Eq, lit, var
 from parseq.smt import check_sat, serialize_smtlib, to_fol_bv
 from parseq.solver_cli import Script, parse_sexps, run_script, tokenize
 
@@ -50,10 +50,10 @@ class TestScripts:
         script = Script()
         for cmd in parse_sexps(tokenize(decl + fits + clash)):
             script.run_command(cmd, io.StringIO())
-        x = Var("x", 3)
+        x = var("x", 3)
         assert script.assertions == [
-            Eq(BConcat(BSlice(x, 0, 1), BLit("1")), BLit("101")),
-            Eq(x, BLit("011")),
+            Eq(x.slice(0, 1) + lit("1"), lit("101")),
+            Eq(x, lit("011")),
         ]
         assert check_sat(script.assertions[:1]) and not check_sat(script.assertions)
         assert run(decl + fits + "(check-sat)")[1] == "sat"

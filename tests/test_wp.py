@@ -29,11 +29,11 @@ from parseq.confrel import (
     TOP,
     T_ACCEPT,
     T_REJECT,
-    BLit,
     Eq,
     Guarded,
     Template,
-    Var,
+    lit,
+    var,
     denotes,
     template_of,
     templates_of,
@@ -82,7 +82,7 @@ class TestWpSideCases:
     def test_fresh_collision_raises(self, rng):
         aut = random_automaton(rng, max_states=1)
         q = aut.states[0][0]
-        phi = Eq(Var("x0"), BLit("1"))
+        phi = Eq(var("x0"), lit("1"))
         with pytest.raises(FreshnessError):
             wp_side(phi, LEFT, Template(q, 0), Template(q, 1), "x0", aut)
 
@@ -299,7 +299,7 @@ class TestWideLeaps:
     def test_split_bit_names_must_be_fresh(self):
         one, two = _wide_pair(8, "[0:0]", "0b0", "a[0:0]")
         total, _, _, reach = _summed(one, two)
-        body = Eq(Var("x0_0"), BLit("1"))
+        body = Eq(var("x0_0"), lit("1"))
         psig = Guarded(T_ACCEPT, T_REJECT, body)
         with pytest.raises(FreshnessError):
             wp(psig, reach, total, FreshVars())

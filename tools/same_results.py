@@ -1,0 +1,186 @@
+"""Record what one parseq source tree decides, and compare two records.
+
+A performance change should leave every result of the engine as it was.
+This script records, for one source tree, every check of the benchmark's
+inputs: the 7 fixture pairs with leaps and single-bit (single-bit
+``vlan/vlan`` and ``sloppy/strict`` included) and the 300 ``random-small``
+pairs. Per check it writes the verdict, the reason, the counts in
+``Result.stats`` and a SHA-256 of the witness text. With ``--dump-smt``
+it also decides the fixture pairs with leaps again under ``--dump-smt``
+and records a SHA-256 of each query file.
+
+Texts are hashed in a normal form that ignores how ``++`` and SMT-LIB
+``concat`` chains nest and whether adjacent literals are joined, so two
+trees that differ only in the shape of their bit expressions record the
+same hashes.
+
+  python3 tools/same_results.py record TREE OUT.json [--dump-smt]
+  python3 tools/same_results.py compare A.json B.json
+
+``record`` imports ``parseq`` from TREE/src and the inputs from
+TREE/parseqbench/inputs.py, and runs one check at a time in this process.
+``compare`` prints every difference and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import sys
+import tempfile
+
+RANDOM_SEED, RANDOM_COUNT = 2022, 300  # the random-small population
+STATS = ("iterations", "skips", "extends", "solver_calls", "instances")
+
+_CONCAT_GROUP = re.compile(r"\(([^()=&|!]* \+\+ [^()=&|!]*)\)")
+_LITERALS = re.compile(r'"([01]*)" \+\+ "([01]*)"')
+
+
+def flat_text(text: str) -> str:
+    """Rendered formulas with every ``++`` chain unparenthesized and
+    adjacent literals joined."""
+    while True:
+        out = _LITERALS.sub(r'"\1\2"', _CONCAT_GROUP.sub(r"\1", text))
+        if out == text:
+            return out
+        text = out
+
+
+def _sexps(text: str) -> list:
+    out: list = []
+    stack: list[list] = []
+    for tok in re.findall(r"\(|\)|[^\s()]+", text):
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            done = stack.pop()
+            (stack[-1] if stack else out).append(done)
+        else:
+            (stack[-1] if stack else out).append(tok)
+    return out
+
+
+def _flat_sexp(e):
+    if not isinstance(e, list):
+        return e
+    e = [_flat_sexp(x) for x in e]
+    if e and e[0] == "concat":
+        parts: list = []
+        for x in e[1:]:
+            parts += x[1:] if isinstance(x, list) and x and x[0] == "concat" else [x]
+        joined: list = []
+        for x in parts:
+            if joined and isinstance(x, str) and x.startswith("#b") and str(joined[-1]).startswith("#b"):
+                joined[-1] += x[2:]
+            else:
+                joined.append(x)
+        return joined[0] if len(joined) == 1 else ["concat"] + joined
+    return e
+
+
+def _show(e) -> str:
+    return e if not isinstance(e, list) else "(" + " ".join(_show(x) for x in e) + ")"
+
+
+def flat_smt(text: str) -> str:
+    """An SMT-LIB script without comments, with every ``concat`` chain
+    made one n-ary ``concat`` and adjacent literals joined."""
+    body = "\n".join(ln for ln in text.splitlines() if not ln.startswith(";"))
+    return "\n".join(_show(_flat_sexp(e)) for e in _sexps(body))
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _record(res) -> dict:
+    out = {"verdict": res.verdict, "reason": flat_text(res.reason)}
+    out.update({k: getattr(res.stats, k) for k in STATS})
+    out["witness"] = sha(flat_text(res.witness.to_text())) if res.witness else None
+    return out
+
+
+def record(tree: str, dump_smt: bool) -> dict:
+    sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "parseqbench")]
+    import parseq
+    from inputs import FIXTURE_PAIRS, pair_name, random_pairs
+    from parseq.engine import check_equivalence
+    from parseq.frontend import parse_source
+    from parseq.smt import SolverConfig
+
+    def load(name: str):
+        return parseq.load(parseq.fixture_path(name))
+
+    checks: dict[str, dict] = {}
+    for leaps in (True, False):
+        for lf, lq, rf, rq, _ in FIXTURE_PAIRS:
+            res = check_equivalence(
+                load(lf), lq, load(rf), rq, config=SolverConfig(), leaps=leaps
+            )
+            name = f"{'leaps' if leaps else 'single-bit'} {pair_name((lf, lq, rf, rq))}"
+            checks[name] = _record(res)
+            print(name, checks[name]["verdict"], file=sys.stderr)
+    for i, (a, qa, b, qb) in enumerate(random_pairs(RANDOM_SEED, RANDOM_COUNT)):
+        res = check_equivalence(parse_source(a), qa, parse_source(b), qb, config=SolverConfig())
+        checks[f"random {i}"] = _record(res)
+    dumps: dict[str, list[str]] = {}
+    if dump_smt:
+        for lf, lq, rf, rq, _ in FIXTURE_PAIRS:
+            with tempfile.TemporaryDirectory() as tmp:
+                config = SolverConfig(dump_dir=tmp)
+                check_equivalence(load(lf), lq, load(rf), rq, config=config)
+                files = sorted(os.listdir(tmp))
+                hashes = []
+                for f in files:
+                    with open(os.path.join(tmp, f)) as fh:
+                        hashes.append(sha(flat_smt(fh.read())))
+                dumps[pair_name((lf, lq, rf, rq))] = hashes
+    return {"tree": os.path.abspath(tree), "checks": checks, "dump_smt": dumps}
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    diffs = []
+    for section in ("checks", "dump_smt"):
+        for name in sorted(set(a[section]) | set(b[section])):
+            x, y = a[section].get(name), b[section].get(name)
+            if x == y:
+                continue
+            if isinstance(x, dict) and isinstance(y, dict):
+                keys = [k for k in x if x[k] != y.get(k)]
+                diffs.append(f"{name}: " + ", ".join(f"{k} {x[k]!r} -> {y.get(k)!r}" for k in keys))
+            elif isinstance(x, list) and isinstance(y, list):
+                changed = sum(p != q for p, q in zip(x, y)) + abs(len(x) - len(y))
+                diffs.append(f"{section} {name}: {changed} of {max(len(x), len(y))} files differ")
+            else:
+                diffs.append(f"{section} {name}: {x!r} -> {y!r}")
+    return diffs
+
+
+def main(argv: list[str]) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    rec = sub.add_parser("record", help="record the results of one source tree")
+    rec.add_argument("tree")
+    rec.add_argument("out")
+    rec.add_argument("--dump-smt", action="store_true", help="also hash --dump-smt files")
+    cmp_ = sub.add_parser("compare", help="compare two records")
+    cmp_.add_argument("a")
+    cmp_.add_argument("b")
+    args = ap.parse_args(argv)
+    if args.cmd == "record":
+        with open(args.out, "w") as fh:
+            json.dump(record(args.tree, args.dump_smt), fh, indent=1, sort_keys=True)
+        return 0
+    with open(args.a) as fa, open(args.b) as fb:
+        diffs = compare(json.load(fa), json.load(fb))
+    for d in diffs:
+        print(d)
+    print(f"{len(diffs)} difference(s)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
