@@ -9,7 +9,7 @@ concrete interpreter and a brute-force oracle referee the result on
 small instances.
 """
 
-from importlib import resources
+import os
 
 from .core import (
     Automaton,
@@ -69,4 +69,4 @@ def fixture_path(name: str) -> str:
     """Filesystem path of a bundled example parser (.p4a)."""
     if not name.endswith(".p4a"):
         name += ".p4a"
-    return str(resources.files(__name__).joinpath("fixtures", name))
+    return os.path.join(os.path.dirname(__file__), "fixtures", name)

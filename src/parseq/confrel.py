@@ -10,11 +10,10 @@ and variables as leaves, is what the QF_BV translation in ``smt`` emits.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import is_, is_not
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .core import ACCEPT, REJECT, Automaton, Configuration, slice_bits
+from .core import ACCEPT, REJECT, Automaton, Configuration, Record, slice_bits
 
 LEFT = "<"
 RIGHT = ">"
@@ -35,23 +34,36 @@ class NotPure(Exception):
 # adjacent; slices of slices and of concatenations never arise.
 
 
-@dataclass(frozen=True)
-class BufRef:
-    side: str
-    width: int
+class BufRef(Record):
+    __slots__ = ("side", "width")
+
+    def __init__(self, side: str, width: int):
+        self.side, self.width = side, width
+
+    def __eq__(self, o): return type(o) is BufRef and (self.side, self.width) == (o.side, o.width)
+    def __hash__(self): return hash((self.side, self.width))
 
 
-@dataclass(frozen=True)
-class BHdrRef:
-    name: str
-    side: str
-    width: int
+class BHdrRef(Record):
+    __slots__ = ("name", "side", "width")
+
+    def __init__(self, name: str, side: str, width: int):
+        self.name, self.side, self.width = name, side, width
+
+    def __eq__(self, o):
+        return type(o) is BHdrRef and (self.name, self.side, self.width) == (o.name, o.side, o.width)
+
+    def __hash__(self): return hash((self.name, self.side, self.width))
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    width: int = 1
+class Var(Record):
+    __slots__ = ("name", "width")
+
+    def __init__(self, name: str, width: int = 1):
+        self.name, self.width = name, width
+
+    def __eq__(self, o): return type(o) is Var and (self.name, self.width) == (o.name, o.width)
+    def __hash__(self): return hash((self.name, self.width))
 
 
 Base = Union[BufRef, BHdrRef, Var]
@@ -162,53 +174,90 @@ def map_segs(e: Bits, fn: Callable[[Seg], Optional[Bits]]) -> Bits:
 # Formulas
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+class Bottom(Record):
+    __slots__ = ()
+
+    def __eq__(self, o): return type(o) is Bottom
+    def __hash__(self): return hash(())
 
 
-@dataclass(frozen=True)
-class Top:
-    pass
+class Top(Record):
+    __slots__ = ()
+
+    def __eq__(self, o): return type(o) is Top
+    def __hash__(self): return hash(())
 
 
-@dataclass(frozen=True)
-class Eq:
-    left: Bits
-    right: Bits
+class Eq(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Bits, right: Bits):
+        self.left, self.right = left, right
+
+    def __eq__(self, o): return type(o) is Eq and (self.left, self.right) == (o.left, o.right)
+    def __hash__(self): return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class StateIs:
-    state: str
-    side: str
+class StateIs(Record):
+    __slots__ = ("state", "side")
+
+    def __init__(self, state: str, side: str):
+        self.state, self.side = state, side
+
+    def __eq__(self, o): return type(o) is StateIs and (self.state, self.side) == (o.state, o.side)
+    def __hash__(self): return hash((self.state, self.side))
 
 
-@dataclass(frozen=True)
-class BufLenIs:
-    length: int
-    side: str
+class BufLenIs(Record):
+    __slots__ = ("length", "side")
+
+    def __init__(self, length: int, side: str):
+        self.length, self.side = length, side
+
+    def __eq__(self, o):
+        return type(o) is BufLenIs and (self.length, self.side) == (o.length, o.side)
+
+    def __hash__(self): return hash((self.length, self.side))
 
 
-@dataclass(frozen=True)
-class Implies:
-    hyp: "Formula"
-    concl: "Formula"
+class Implies(Record):
+    __slots__ = ("hyp", "concl")
+
+    def __init__(self, hyp: "Formula", concl: "Formula"):
+        self.hyp, self.concl = hyp, concl
+
+    def __eq__(self, o): return type(o) is Implies and (self.hyp, self.concl) == (o.hyp, o.concl)
+    def __hash__(self): return hash((self.hyp, self.concl))
 
 
-@dataclass(frozen=True)
-class And:
-    conjuncts: tuple["Formula", ...]
+class And(Record):
+    __slots__ = ("conjuncts",)
+
+    def __init__(self, conjuncts: tuple["Formula", ...]):
+        self.conjuncts = conjuncts
+
+    def __eq__(self, o): return type(o) is And and self.conjuncts == o.conjuncts
+    def __hash__(self): return hash((self.conjuncts,))
 
 
-@dataclass(frozen=True)
-class Or:
-    disjuncts: tuple["Formula", ...]
+class Or(Record):
+    __slots__ = ("disjuncts",)
+
+    def __init__(self, disjuncts: tuple["Formula", ...]):
+        self.disjuncts = disjuncts
+
+    def __eq__(self, o): return type(o) is Or and self.disjuncts == o.disjuncts
+    def __hash__(self): return hash((self.disjuncts,))
 
 
-@dataclass(frozen=True)
-class Not:
-    body: "Formula"
+class Not(Record):
+    __slots__ = ("body",)
+
+    def __init__(self, body: "Formula"):
+        self.body = body
+
+    def __eq__(self, o): return type(o) is Not and (self.body,) == (o.body,)
+    def __hash__(self): return hash((self.body,))
 
 
 Formula = Union[Bottom, Top, Eq, StateIs, BufLenIs, Implies, And, Or, Not]
@@ -415,10 +464,16 @@ def is_pure(phi: Formula) -> bool:
 # Templates and guarded formulas
 
 
-@dataclass(frozen=True)
-class Template:
-    state: str
-    buflen: int
+class Template(Record):
+    __slots__ = ("state", "buflen")
+
+    def __init__(self, state: str, buflen: int):
+        self.state, self.buflen = state, buflen
+
+    def __eq__(self, o):
+        return type(o) is Template and (self.state, self.buflen) == (o.state, o.buflen)
+
+    def __hash__(self): return hash((self.state, self.buflen))
 
     def __str__(self) -> str:
         return f"<{self.state},{self.buflen}>"
@@ -446,13 +501,18 @@ def template_of(c: Configuration) -> Template:
     return Template(c.state, len(c.buffer))
 
 
-@dataclass(frozen=True)
-class Guarded:
+class Guarded(Record):
     """A template-guarded formula: t1< ∧ t2> ⟹ body, with a pure body."""
 
-    t1: Template
-    t2: Template
-    body: Formula
+    __slots__ = ("t1", "t2", "body")
+
+    def __init__(self, t1: Template, t2: Template, body: Formula):
+        self.t1, self.t2, self.body = t1, t2, body
+
+    def __eq__(self, o):
+        return type(o) is Guarded and (self.t1, self.t2, self.body) == (o.t1, o.t2, o.body)
+
+    def __hash__(self): return hash((self.t1, self.t2, self.body))
 
     def holds(self, cl: Configuration, cr: Configuration, v: Valuation) -> bool:
         if template_of(cl) != self.t1 or template_of(cr) != self.t2:
@@ -505,11 +565,13 @@ def subst(
 # Simplification
 
 
-def simplify(phi: Formula) -> Formula:
-    """Semantics-preserving local rewriting (smart constructors). Bit
-    expressions are normal already; an equation is decided when its sides
-    are equal, of unequal widths or both literal."""
-    if isinstance(phi, Eq):
+def simplify_node(phi: Formula) -> Formula:
+    """One step of local rewriting (smart constructors) at a node whose
+    subformulas are simplified already. Bit expressions are normal
+    already; an equation is decided when its sides are equal, of unequal
+    widths or both literal."""
+    t = type(phi)
+    if t is Eq:
         left, right = phi.left, phi.right
         if left == right:
             return TOP
@@ -518,50 +580,51 @@ def simplify(phi: Formula) -> Formula:
         if all(type(s) is str for s in left.segs + right.segs):
             return BOT
         return phi
-    if isinstance(phi, Implies):
-        hyp = simplify(phi.hyp)
-        concl = simplify(phi.concl)
-        if isinstance(hyp, Bottom) or isinstance(concl, Top):
+    if t is Implies:
+        hyp, concl = phi.hyp, phi.concl
+        if type(hyp) is Bottom or type(concl) is Top:
             return TOP
-        if isinstance(hyp, Top):
+        if type(hyp) is Top:
             return concl
-        if isinstance(concl, Bottom):
-            return simplify(Not(hyp)) if not isinstance(hyp, Not) else hyp.body
-        return Implies(hyp, concl)
-    if isinstance(phi, And):
+        if type(concl) is Bottom:
+            return hyp.body if type(hyp) is Not else Not(hyp)
+        return phi
+    if t is And:
         parts: list[Formula] = []
         for p in phi.conjuncts:
-            p = simplify(p)
-            if isinstance(p, Bottom):
+            if type(p) is Bottom:
                 return BOT
-            if isinstance(p, Top):
+            if type(p) is Top:
                 continue
-            for q in p.conjuncts if isinstance(p, And) else (p,):
+            for q in p.conjuncts if type(p) is And else (p,):
                 if q not in parts:
                     parts.append(q)
         return conj(parts)
-    if isinstance(phi, Or):
+    if t is Or:
         parts = []
         for p in phi.disjuncts:
-            p = simplify(p)
-            if isinstance(p, Top):
+            if type(p) is Top:
                 return TOP
-            if isinstance(p, Bottom):
+            if type(p) is Bottom:
                 continue
-            for q in p.disjuncts if isinstance(p, Or) else (p,):
+            for q in p.disjuncts if type(p) is Or else (p,):
                 if q not in parts:
                     parts.append(q)
         return disj(parts)
-    if isinstance(phi, Not):
-        body = simplify(phi.body)
-        if isinstance(body, Bottom):
+    if t is Not:
+        body = phi.body
+        if type(body) is Bottom:
             return TOP
-        if isinstance(body, Top):
+        if type(body) is Top:
             return BOT
-        if isinstance(body, Not):
+        if type(body) is Not:
             return body.body
-        return Not(body)
     return phi
+
+
+def simplify(phi: Formula) -> Formula:
+    """Semantics-preserving local rewriting, bottom-up."""
+    return rewrite(phi, simplify_node)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ extracted from the packet (leftmost character).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -26,35 +25,68 @@ def is_bits(w: str) -> bool:
     return all(ch in "01" for ch in w)
 
 
+class Record:
+    """Base of parseq's plain classes. Its repr names the public fields in
+    ``__slots__``, as in ``Var(name='x', width=1)``.
+
+    Each class writes its own ``__init__``, and its own ``__eq__`` and
+    ``__hash__`` when its instances are compared or hashed: per-class
+    methods cost the least, and checking the class first keeps instances
+    of two classes with equal fields apart (``Top() != Bottom()``)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = (f"{n}={getattr(self, n)!r}" for n in self.__slots__ if n[0] != "_")
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+
 # ---------------------------------------------------------------------------
 # Expressions
 
 
-@dataclass(frozen=True)
-class HdrRef:
-    name: str
+class HdrRef(Record):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, o): return type(o) is HdrRef and self.name == o.name
+    def __hash__(self): return hash((self.name,))
 
 
-@dataclass(frozen=True)
-class Lit:
-    bits: str
+class Lit(Record):
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if not is_bits(self.bits):
-            raise ValueError(f"not a bitstring: {self.bits!r}")
+    def __init__(self, bits: str):
+        if not is_bits(bits):
+            raise ValueError(f"not a bitstring: {bits!r}")
+        self.bits = bits
 
-
-@dataclass(frozen=True)
-class Slice:
-    expr: "Expr"
-    lo: int
-    hi: int
+    def __eq__(self, o): return type(o) is Lit and self.bits == o.bits
+    def __hash__(self): return hash((self.bits,))
 
 
-@dataclass(frozen=True)
-class Concat:
-    left: "Expr"
-    right: "Expr"
+class Slice(Record):
+    __slots__ = ("expr", "lo", "hi")
+
+    def __init__(self, expr: "Expr", lo: int, hi: int):
+        self.expr, self.lo, self.hi = expr, lo, hi
+
+    def __eq__(self, o):
+        return type(o) is Slice and (self.expr, self.lo, self.hi) == (o.expr, o.lo, o.hi)
+
+    def __hash__(self): return hash((self.expr, self.lo, self.hi))
+
+
+class Concat(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Expr", right: "Expr"):
+        self.left, self.right = left, right
+
+    def __eq__(self, o): return type(o) is Concat and (self.left, self.right) == (o.left, o.right)
+    def __hash__(self): return hash((self.left, self.right))
 
 
 Expr = Union[HdrRef, Lit, Slice, Concat]
@@ -64,80 +96,123 @@ Expr = Union[HdrRef, Lit, Slice, Concat]
 # Patterns, operations, transitions
 
 
-@dataclass(frozen=True)
-class ExactPat:
-    bits: str
+class ExactPat(Record):
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: str):
+        self.bits = bits
+
+    def __eq__(self, o): return type(o) is ExactPat and self.bits == o.bits
+    def __hash__(self): return hash((self.bits,))
 
 
-@dataclass(frozen=True)
-class Wildcard:
-    pass
+class Wildcard(Record):
+    __slots__ = ()
+
+    def __eq__(self, o): return type(o) is Wildcard
+    def __hash__(self): return hash(())
 
 
 Pattern = Union[ExactPat, Wildcard]
 
 
-@dataclass(frozen=True)
-class Extract:
-    header: str
+class Extract(Record):
+    __slots__ = ("header",)
+
+    def __init__(self, header: str):
+        self.header = header
+
+    def __eq__(self, o): return type(o) is Extract and self.header == o.header
+    def __hash__(self): return hash((self.header,))
 
 
-@dataclass(frozen=True)
-class Assign:
-    header: str
-    expr: Expr
+class Assign(Record):
+    __slots__ = ("header", "expr")
+
+    def __init__(self, header: str, expr: Expr):
+        self.header, self.expr = header, expr
+
+    def __eq__(self, o): return type(o) is Assign and (self.header, self.expr) == (o.header, o.expr)
+    def __hash__(self): return hash((self.header, self.expr))
 
 
 Stmt = Union[Extract, Assign]
 
 
-@dataclass(frozen=True)
-class Goto:
-    target: str
+class Goto(Record):
+    __slots__ = ("target",)
+
+    def __init__(self, target: str):
+        self.target = target
+
+    def __eq__(self, o): return type(o) is Goto and self.target == o.target
+    def __hash__(self): return hash((self.target,))
 
 
-@dataclass(frozen=True)
-class Case:
-    patterns: tuple[Pattern, ...]
-    target: str
+class Case(Record):
+    __slots__ = ("patterns", "target")
+
+    def __init__(self, patterns: tuple[Pattern, ...], target: str):
+        self.patterns, self.target = patterns, target
+
+    def __eq__(self, o):
+        return type(o) is Case and (self.patterns, self.target) == (o.patterns, o.target)
+
+    def __hash__(self): return hash((self.patterns, self.target))
 
 
-@dataclass(frozen=True)
-class Select:
-    exprs: tuple[Expr, ...]
-    cases: tuple[Case, ...]
+class Select(Record):
+    __slots__ = ("exprs", "cases")
+
+    def __init__(self, exprs: tuple[Expr, ...], cases: tuple[Case, ...]):
+        self.exprs, self.cases = exprs, cases
+
+    def __eq__(self, o): return type(o) is Select and (self.exprs, self.cases) == (o.exprs, o.cases)
+    def __hash__(self): return hash((self.exprs, self.cases))
 
 
 TransBlock = Union[Goto, Select]
 
 
-@dataclass(frozen=True)
-class State:
-    op: tuple[Stmt, ...]
-    trans: TransBlock
+class State(Record):
+    __slots__ = ("op", "trans")
+
+    def __init__(self, op: tuple[Stmt, ...], trans: TransBlock):
+        self.op, self.trans = op, trans
+
+    def __eq__(self, o): return type(o) is State and (self.op, self.trans) == (o.op, o.trans)
+    def __hash__(self): return hash((self.op, self.trans))
 
 
-@dataclass(frozen=True)
-class Automaton:
-    headers: tuple[tuple[str, int], ...]  # (name, size), sizes >= 1
-    states: tuple[tuple[str, State], ...]
-    # Lookup tables built once from the two fields above. An ill-typed
-    # state (one that extracts an unknown header) gets no opsize entry, so
-    # that construction succeeds and typecheck can report it.
-    sizes: dict[str, int] = field(init=False, repr=False, compare=False)
-    state_map: dict[str, State] = field(init=False, repr=False, compare=False)
-    _opsizes: dict[str, int] = field(init=False, repr=False, compare=False)
+class Automaton(Record):
+    # Lookup tables built once from headers and states; they take no part
+    # in equality. An ill-typed state (one that extracts an unknown header)
+    # gets no opsize entry, so that construction succeeds and typecheck can
+    # report it.
+    __slots__ = ("headers", "states", "sizes", "state_map", "_opsizes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", dict(self.headers))
-        object.__setattr__(self, "state_map", dict(self.states))
-        opsizes = {}
-        for q, st in self.states:
+    def __init__(
+        self,
+        headers: tuple[tuple[str, int], ...],  # (name, size), sizes >= 1
+        states: tuple[tuple[str, State], ...],
+    ):
+        self.headers, self.states = headers, states
+        self.sizes: dict[str, int] = dict(headers)
+        self.state_map: dict[str, State] = dict(states)
+        self._opsizes: dict[str, int] = {}
+        for q, st in states:
             try:
-                opsizes[q] = opsize(st.op, self)
+                self._opsizes[q] = opsize(st.op, self)
             except KeyError:
                 pass
-        object.__setattr__(self, "_opsizes", opsizes)
+
+    def __eq__(self, o):
+        return type(o) is Automaton and (self.headers, self.states) == (o.headers, o.states)
+
+    def __hash__(self): return hash((self.headers, self.states))
+
+    def __repr__(self) -> str:
+        return f"Automaton(headers={self.headers!r}, states={self.states!r})"
 
     def state(self, name: str) -> State:
         return self.state_map[name]
@@ -163,11 +238,16 @@ def select_targets(tz: TransBlock) -> set[str]:
 # Store and configurations
 
 
-@dataclass(frozen=True)
-class Store:
+class Store(Record):
     """Total map from header name to a bitvector of exactly its size."""
 
-    items: tuple[tuple[str, str], ...]
+    __slots__ = ("items",)
+
+    def __init__(self, items: tuple[tuple[str, str], ...]):
+        self.items = items
+
+    def __eq__(self, o): return type(o) is Store and self.items == o.items
+    def __hash__(self): return hash((self.items,))
 
     @staticmethod
     def of(mapping: dict[str, str]) -> "Store":
@@ -190,11 +270,18 @@ class Store:
         return dict(self.items)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    state: str  # user state name, or "accept"/"reject"
-    store: Store
-    buffer: str
+class Configuration(Record):
+    __slots__ = ("state", "store", "buffer")
+
+    def __init__(self, state: str, store: Store, buffer: str):
+        self.state = state  # user state name, or "accept"/"reject"
+        self.store, self.buffer = store, buffer
+
+    def __eq__(self, o):
+        return type(o) is Configuration and (self.state, self.store, self.buffer) == (
+            o.state, o.store, o.buffer)
+
+    def __hash__(self): return hash((self.state, self.store, self.buffer))
 
     @property
     def is_accepting(self) -> bool:
@@ -413,10 +500,14 @@ def accepts(q: str, s: Store, w: str, aut: Automaton) -> bool:
 # Disjoint sum
 
 
-@dataclass(frozen=True)
-class Renaming:
-    states: dict[str, str] = field(default_factory=dict)
-    headers: dict[str, str] = field(default_factory=dict)
+class Renaming(Record):
+    __slots__ = ("states", "headers")
+
+    def __init__(
+        self, states: Optional[dict[str, str]] = None, headers: Optional[dict[str, str]] = None
+    ):
+        self.states = {} if states is None else states
+        self.headers = {} if headers is None else headers
 
 
 def _rename_expr(e: Expr, hmap: dict[str, str]) -> Expr:

@@ -14,13 +14,11 @@ reason names the exception.
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .core import Automaton, disjoint_sum
+from .core import Automaton, Record, disjoint_sum
 from .confrel import (
     BOT,
     TOP,
@@ -54,16 +52,26 @@ class EngineError(Exception):
     """The saturation loop exceeded its iteration safety bound."""
 
 
-@dataclass
-class Stats:
-    iterations: int = 0
-    skips: int = 0
-    extends: int = 0
-    solver_calls: int = 0
-    wall_time: float = 0.0
-    contexts: int = 0  # incremental solvers (GuardContexts) the check built
-    instances: int = 0  # premise instances they asserted
-    extra_solves: int = 0  # their solve() calls beyond one per query
+class Stats(Record):
+    __slots__ = (
+        "iterations", "skips", "extends", "solver_calls", "wall_time",
+        "contexts", "instances", "extra_solves",
+    )
+
+    def __init__(
+        self,
+        iterations: int = 0,
+        skips: int = 0,
+        extends: int = 0,
+        solver_calls: int = 0,
+        wall_time: float = 0.0,
+        contexts: int = 0,  # incremental solvers (GuardContexts) the check built
+        instances: int = 0,  # premise instances they asserted
+        extra_solves: int = 0,  # their solve() calls beyond one per query
+    ):
+        self.iterations, self.skips, self.extends = iterations, skips, extends
+        self.solver_calls, self.wall_time = solver_calls, wall_time
+        self.contexts, self.instances, self.extra_solves = contexts, instances, extra_solves
 
     def summary(self) -> str:
         return (
@@ -74,17 +82,21 @@ class Stats:
         )
 
 
-@dataclass(frozen=True)
-class Entry:
-    guarded: Guarded
-    origin: str  # "init", "given", or "wp of #<k>"
+class Entry(Record):
+    __slots__ = ("guarded", "origin")
+
+    def __init__(self, guarded: Guarded, origin: str):
+        self.guarded = guarded
+        self.origin = origin  # "init", "given", or "wp of #<k>"
 
 
-@dataclass
-class Witness:
+class Witness(Record):
     """The accumulated relation, with per-conjunct provenance."""
 
-    entries: list[Entry] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Optional[list[Entry]] = None):
+        self.entries = [] if entries is None else entries
 
     def formulas(self) -> list[Guarded]:
         return [e.guarded for e in self.entries]
@@ -96,6 +108,8 @@ class Witness:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_json(self, meta: Optional[dict] = None) -> str:
+        import json  # here, so that only a check writing a JSON witness loads it
+
         return json.dumps(
             {
                 "meta": meta or {},
@@ -114,13 +128,20 @@ class Witness:
         )
 
 
-@dataclass
-class Result:
-    verdict: str
-    reason: str = ""
-    witness: Optional[Witness] = None
-    stats: Stats = field(default_factory=Stats)
-    reach: Optional[ReachSet] = None
+class Result(Record):
+    __slots__ = ("verdict", "reason", "witness", "stats", "reach")
+
+    def __init__(
+        self,
+        verdict: str,
+        reason: str = "",
+        witness: Optional[Witness] = None,
+        stats: Optional[Stats] = None,
+        reach: Optional[ReachSet] = None,
+    ):
+        self.verdict, self.reason, self.witness = verdict, reason, witness
+        self.stats = Stats() if stats is None else stats
+        self.reach = reach
 
 
 def mixed_acceptance(p: TemplatePair) -> bool:

@@ -23,7 +23,6 @@ parse_relation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from . import core
@@ -40,6 +39,7 @@ from .core import (
     Lit,
     Pattern,
     RESULTS,
+    Record,
     Select,
     Slice,
     State,
@@ -93,12 +93,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind, self.text, self.line, self.col = kind, text, line, col
 
 
 def tokenize(text: str) -> list[Token]:

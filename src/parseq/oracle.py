@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import Automaton, Configuration, RESULTS, Store, accepts, step
+from .core import Automaton, Configuration, RESULTS, Record, Store, accepts, step
 
 DEFAULT_CAP = 16
 
@@ -76,14 +75,14 @@ def enumerate_configs(
                     yield Configuration(q, s, "".join(bits))
 
 
-@dataclass(frozen=True)
-class Distinguisher:
+class Distinguisher(Record):
     """A concrete refutation: initial stores and a word on which exactly
     one side accepts."""
 
-    s1: Store
-    s2: Store
-    word: str
+    __slots__ = ("s1", "s2", "word")
+
+    def __init__(self, s1: Store, s2: Store, word: str):
+        self.s1, self.s2, self.word = s1, s2, word
 
 
 def distinguishing_word(

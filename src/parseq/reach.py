@@ -9,17 +9,22 @@ predecessors inverts the chosen step relation over a closed set.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import RESULTS, Automaton, select_targets
+from .core import RESULTS, Automaton, Record, select_targets
 from .confrel import T_REJECT, Template, templates_of
 
 
-@dataclass(frozen=True)
-class TemplatePair:
-    left: Template
-    right: Template
+class TemplatePair(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Template, right: Template):
+        self.left, self.right = left, right
+
+    def __eq__(self, o):
+        return type(o) is TemplatePair and (self.left, self.right) == (o.left, o.right)
+
+    def __hash__(self): return hash((self.left, self.right))
 
 
 def sigma(t: Template, aut: Automaton) -> set[Template]:
@@ -77,10 +82,11 @@ def sigma_leap(p: TemplatePair, aut: Automaton) -> set[TemplatePair]:
     }
 
 
-@dataclass(frozen=True)
-class ReachSet:
-    pairs: frozenset[TemplatePair]
-    seeds: frozenset[TemplatePair]
+class ReachSet(Record):
+    __slots__ = ("pairs", "seeds")
+
+    def __init__(self, pairs: frozenset[TemplatePair], seeds: frozenset[TemplatePair]):
+        self.pairs, self.seeds = pairs, seeds
 
     def __contains__(self, p: TemplatePair) -> bool:
         return p in self.pairs

@@ -15,14 +15,14 @@ from __future__ import annotations
 import itertools
 import os
 import re
-import shutil
-import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import Automaton, Configuration, Store
+# shutil and subprocess are imported where the subprocess backend uses them,
+# so that a check with the internal backend starts without loading them.
+
+from .core import Automaton, Configuration, Record, Store
 from .confrel import (
     BOT,
     LEFT,
@@ -77,14 +77,15 @@ class EnumTooLarge(Exception):
 # Filtered entailments
 
 
-@dataclass(frozen=True)
-class FilteredEntailment:
+class FilteredEntailment(Record):
     """premises |= conclusion at a fixed template pair."""
 
-    t1: Template
-    t2: Template
-    premises: tuple[Formula, ...]
-    conclusion: Formula
+    __slots__ = ("t1", "t2", "premises", "conclusion")
+
+    def __init__(
+        self, t1: Template, t2: Template, premises: tuple[Formula, ...], conclusion: Formula
+    ):
+        self.t1, self.t2, self.premises, self.conclusion = t1, t2, premises, conclusion
 
 
 def template_filter(rel: Iterable[Guarded], goal: Guarded) -> FilteredEntailment:
@@ -635,6 +636,8 @@ _KNOWN_SOLVERS = {
 
 def find_solver(name: str = "auto", path: Optional[str] = None) -> tuple[str, ...]:
     """Command line for an SMT-LIB solver reading from stdin."""
+    import shutil
+
     if name == "auto":
         for cand, cmd in _KNOWN_SOLVERS.items():
             exe = shutil.which(cmd[0])
@@ -652,8 +655,7 @@ def find_solver(name: str = "auto", path: Optional[str] = None) -> tuple[str, ..
     raise SolverFailure(f"unknown solver {name!r}")
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(Record):
     """How entailments get discharged.
 
     backend is one of "enum" (exhaustive valuation enumeration),
@@ -661,11 +663,18 @@ class SolverConfig:
     a pipe to ``command``).
     """
 
-    backend: str = "internal"
-    command: Optional[tuple[str, ...]] = None
-    timeout: float = 60.0
-    dump_dir: Optional[str] = None
-    _dump_count: int = field(default=0, repr=False)
+    __slots__ = ("backend", "command", "timeout", "dump_dir", "_dump_count")
+
+    def __init__(
+        self,
+        backend: str = "internal",
+        command: Optional[tuple[str, ...]] = None,
+        timeout: float = 60.0,
+        dump_dir: Optional[str] = None,
+    ):
+        self.backend, self.command = backend, command
+        self.timeout, self.dump_dir = timeout, dump_dir
+        self._dump_count = 0
 
     def dump(self, text: str) -> None:
         if not self.dump_dir:
@@ -684,6 +693,8 @@ def solve_smtlib(text: str, command: tuple[str, ...], timeout: float = 60.0) -> 
     crash, garbage output, a timeout — raises SolverFailure. Leniency
     here would turn solver noise into verdicts.
     """
+    import subprocess
+
     try:
         proc = subprocess.run(
             list(command),
