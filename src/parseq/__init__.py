@@ -32,8 +32,10 @@ from .engine import (
     check_with_relation,
 )
 from .frontend import Diagnostic, load, parse_source, pretty_print
-from .oracle import distinguishing_word, oracle_equivalent
 from .smt import SolverConfig
+
+# The oracle is a referee that no check uses, so it loads on first use.
+_ORACLE_NAMES = ("distinguishing_word", "oracle_equivalent")
 
 __all__ = [
     "Automaton",
@@ -70,3 +72,11 @@ def fixture_path(name: str) -> str:
     if not name.endswith(".p4a"):
         name += ".p4a"
     return os.path.join(os.path.dirname(__file__), "fixtures", name)
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,7 +40,7 @@ from .reach import (
     predecessors,
     reach_fixpoint,
 )
-from .smt import GuardContext, GuardRelation, SolverConfig, decide_entailment
+from .smt import GuardRelation, SolverConfig, decide_entailment
 from .wp import FreshVars, wp
 
 EQUIVALENT = "Equivalent"
@@ -55,7 +55,7 @@ class EngineError(Exception):
 class Stats(Record):
     __slots__ = (
         "iterations", "skips", "extends", "solver_calls", "wall_time",
-        "contexts", "instances", "extra_solves",
+        "refuted", "contexts", "instances", "extra_solves",
     )
 
     def __init__(
@@ -65,19 +65,21 @@ class Stats(Record):
         extends: int = 0,
         solver_calls: int = 0,
         wall_time: float = 0.0,
+        refuted: int = 0,  # queries answered by random simulation
         contexts: int = 0,  # incremental solvers (GuardContexts) the check built
         instances: int = 0,  # premise instances they asserted
         extra_solves: int = 0,  # their solve() calls beyond one per query
     ):
         self.iterations, self.skips, self.extends = iterations, skips, extends
         self.solver_calls, self.wall_time = solver_calls, wall_time
+        self.refuted = refuted
         self.contexts, self.instances, self.extra_solves = contexts, instances, extra_solves
 
     def summary(self) -> str:
         return (
             f"iterations={self.iterations} skips={self.skips} "
             f"extends={self.extends} solver_calls={self.solver_calls} "
-            f"contexts={self.contexts} instances={self.instances} "
+            f"refuted={self.refuted} contexts={self.contexts} instances={self.instances} "
             f"extra_solves={self.extra_solves} wall_time={self.wall_time:.2f}s"
         )
 
@@ -167,9 +169,7 @@ def final_check(
     initial templates, that some initial configuration pair satisfying
     ``given`` (phi_extra, if any) violates, or None. Conjuncts guarded
     elsewhere hold vacuously there, so one entailment per conjunct of
-    ``rel`` suffices; the internal backend decides all in one context."""
-    if config.backend == "internal" and rel:
-        given.context = GuardContext(aut, given.t1, given.t2)
+    ``rel`` suffices, each against ``given``."""
     for r in rel:
         if not decide_entailment(given, r, aut, config):
             return r
@@ -242,6 +242,7 @@ def pre_bisimulation(
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
         for rel in [*by_guard.values(), given]:
+            stats.refuted += rel.refuted
             if rel.context is not None:
                 stats.contexts += 1
                 stats.instances += rel.context.instances

@@ -3,11 +3,12 @@
 An entailment "R entails g" between guarded formulas reduces, after
 filtering R down to the conjuncts sharing g's guard, to validity of a
 pure implication in which buffer widths are fixed by the guard. That
-implication is translated to quantifier-free bitvector logic and
-discharged either by exhaustive enumeration (small instances), by an
-in-process bit-blasting SAT backend, or by an external SMT-LIB solver
-run as a subprocess. A solver answer other than sat/unsat is never
-interpreted; it surfaces as SolverFailure.
+implication is discharged either by exhaustive enumeration (small
+instances), in process (random simulation first, then one incremental
+bit-blasting SAT solver per guard), or by an external SMT-LIB solver run
+as a subprocess on its translation to quantifier-free bitvector logic. A
+solver answer other than sat/unsat is never interpreted; it surfaces as
+SolverFailure.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from .confrel import (
     replace,
     rewrite,
     simplify,
+    valuations,
     var,
     var_widths,
 )
@@ -64,9 +66,10 @@ from .sat import SolverFailure
 
 
 class InternalError(Exception):
-    """A formula reached the bitvector translation that does not fit its
-    guard: state or buffer-length assertions, an unknown header, or a
-    reference whose width is not the guard's."""
+    """A formula reached the simulation, the solver or the bitvector
+    translation that does not fit its guard: state or buffer-length
+    assertions, an unknown header, or a reference whose width is not the
+    guard's."""
 
 
 class EnumTooLarge(Exception):
@@ -109,6 +112,21 @@ def check_base(b: Base, aut: Automaton, buflens: dict[str, int]) -> None:
         raise InternalError(f"unknown header {b.name!r}")
     if want != b.width:
         raise InternalError(f"{b} read at width {b.width}, not {want}")
+
+
+def sat_name(b: Base, aut: Automaton, buflens: dict[str, int]) -> str:
+    """A base's name in the internal backend, after ``check_base``. Names
+    never leave the process, so headers need no SMT-LIB sanitizing;
+    prefixes keep the kinds apart. A variable's name carries its width:
+    goals accumulate at a guard, and one goal's v0 may be wider than
+    another's."""
+    t = type(b)
+    if t is Var:
+        return f"v{b.width}_{b.name}"
+    check_base(b, aut, buflens)
+    if t is BufRef:
+        return "bufL" if b.side == LEFT else "bufR"
+    return ("L_" if b.side == LEFT else "R_") + b.name
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +480,8 @@ def check_sat(assertions: list[Formula], deadline: Optional[float] = None) -> bo
 
 
 class GuardContext:
-    """One incremental solver for the entailments at one guard.
+    """One incremental solver for the entailments at one guard, built by
+    its GuardRelation for the first goal that simulation cannot refute.
 
     Premises and goals arrive simplified. A premise without variables is
     blasted once, as a permanent clause (a goal that joins as a premise
@@ -496,17 +515,7 @@ class GuardContext:
         self._goal: tuple[Optional[Formula], int] = (None, 0)  # last goal, its literal
 
     def _name(self, b: Base) -> str:
-        """A base's SAT name. Names never leave the solver, so headers
-        need no SMT-LIB sanitizing; prefixes keep the kinds apart. A
-        variable's name carries its width: goals accumulate here, and one
-        goal's v0 may be wider than another's."""
-        t = type(b)
-        if t is Var:
-            return f"v{b.width}_{b.name}"
-        check_base(b, self.aut, self.buflens)
-        if t is BufRef:
-            return "bufL" if b.side == LEFT else "bufR"
-        return ("L_" if b.side == LEFT else "R_") + b.name
+        return sat_name(b, self.aut, self.buflens)
 
     def _assert(self, p: Formula) -> None:
         self.blaster.sat.add_clause([self.blaster.formula(p)])
@@ -605,18 +614,158 @@ def _aligned_bits(p: Formula) -> dict[tuple[str, int], list[Seg]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Random simulation
+#
+# Bit-parallel random simulation, as equivalence checkers of circuits use
+# it to disprove candidate equivalences before any SAT call (Mishchenko et
+# al., *Improvements to Combinational Equivalence Checking*, ICCAD 2006).
+# A lane is one configuration pair; each configuration bit is a Python int
+# holding its value on every lane, and a formula evaluates to the int of
+# the lanes on which it holds.
+
+LANES = 256  # configuration pairs simulated at each guard
+SIM_VAR_BITS = 4  # a premise with more variable bits holds on no lane
+_ALL = (1 << LANES) - 1
+_M64 = (1 << 64) - 1
+# SAT name -> lane values of its bits 0, 1, ...: the memo of ``lane_bits``.
+# The values are fixed, so checks sharing it in one process answer alike.
+_LANE_BITS: dict[str, list[int]] = {}
+
+
+def lane_bits(name: str, width: int) -> list[int]:
+    """The lanes of bits 0..width-1 of the base called ``name``. The value
+    of a bit on a lane is a fixed pseudo-random function of the name, the
+    bit and the lane: FNV-1a of "name/bit", stretched by splitmix64."""
+    bits = _LANE_BITS.setdefault(name, [])
+    for i in range(len(bits), width):
+        h = 0xCBF29CE484222325
+        for byte in f"{name}/{i}".encode():
+            h = ((h ^ byte) * 0x100000001B3) & _M64
+        lanes = 0
+        for _ in range(LANES // 64):
+            h = (h + 0x9E3779B97F4A7C15) & _M64
+            z = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+            lanes = (lanes << 64) | z ^ (z >> 31)
+        bits.append(lanes)
+    return bits
+
+
+def _bit_lanes(e: Bits, lanes: Callable[[Seg], list[int]]) -> list[int]:
+    out: list[int] = []
+    for s in e.segs:
+        if type(s) is str:
+            out += [_ALL if b == "1" else 0 for b in s]
+        else:
+            out += lanes(s)
+    return out
+
+
+def simulate(phi: Formula, lanes: Callable[[Seg], list[int]]) -> int:
+    """The lanes on which ``phi`` holds, each base segment's bits read
+    through ``lanes``. Every segment is read, so ``lanes`` sees (and may
+    reject) every base of ``phi``."""
+    t = type(phi)
+    if t is Eq:
+        left, right = _bit_lanes(phi.left, lanes), _bit_lanes(phi.right, lanes)
+        if len(left) != len(right):
+            return 0
+        out = _ALL
+        for a, b in zip(left, right):
+            out &= ~(a ^ b)
+        return out
+    if t is Not:
+        return _ALL ^ simulate(phi.body, lanes)
+    if t is And:
+        out = _ALL
+        for p in phi.conjuncts:
+            out &= simulate(p, lanes)
+        return out
+    if t is Or:
+        out = 0
+        for p in phi.disjuncts:
+            out |= simulate(p, lanes)
+        return out
+    if t is Implies:
+        return (_ALL ^ simulate(phi.hyp, lanes)) | simulate(phi.concl, lanes)
+    if t is Top:
+        return _ALL
+    if t is Bottom:
+        return 0
+    if t is StateIs or t is BufLenIs:
+        raise InternalError(f"impure formula survived filtering: {phi!r}")
+    raise TypeError(f"not a formula: {phi!r}")
+
+
 class GuardRelation(list):
-    """The conjuncts of R at the guard (t1, t2), in the order they joined.
+    """The conjuncts of R at the guard (t1, t2), in the order they joined,
+    and the internal backend's entailment checks against them.
 
-    With the internal backend, ``decide_entailment`` keeps this guard's
-    GuardContext here once the guard has a premise (or a caller sets it)."""
+    A query is simulated first, on ``LANES`` random configuration pairs.
+    ``alive`` holds the lanes that satisfy every conjunct: a premise with
+    variables holds on a lane when it holds for each valuation of them,
+    enumerated when it has at most ``SIM_VAR_BITS`` variable bits and taken
+    to hold on no lane otherwise. A goal that is false on a live lane,
+    under random values for its own variables, is not entailed: that lane
+    is a counter-model. Only a goal the simulation cannot refute builds the
+    guard's GuardContext, which then decides it and every later one."""
 
-    __slots__ = ("t1", "t2", "context")
+    __slots__ = ("t1", "t2", "context", "alive", "simulated", "refuted", "_lanes")
 
-    def __init__(self, t1: Template, t2: Template):
-        super().__init__()
+    def __init__(self, t1: Template, t2: Template, conjuncts: Iterable[Guarded] = ()):
+        super().__init__(conjuncts)
         self.t1, self.t2 = t1, t2
         self.context: Optional[GuardContext] = None
+        self.alive = _ALL
+        self.simulated = 0  # how many conjuncts ``alive`` has met
+        self.refuted = 0  # queries answered by simulation
+        self._lanes: dict[Base, list[int]] = {}  # each base read, checked
+
+    def entails(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
+        """Do the conjuncts entail ``goal``? Raises SolverFailure once
+        time.monotonic() passes ``deadline``, and InternalError for an
+        impure goal or a base that does not fit the guard."""
+        if self.alive:
+            buflens = {LEFT: self.t1.buflen, RIGHT: self.t2.buflen}
+            cache = self._lanes
+
+            def lanes(s: Seg) -> list[int]:
+                b = s.base
+                bits = cache.get(b)
+                if bits is None:
+                    bits = cache[b] = lane_bits(sat_name(b, aut, buflens), b.width)
+                return bits[s.lo : s.hi + 1]
+
+            for r in self[self.simulated :]:
+                self.alive &= _premise_lanes(r.body, lanes)
+            self.simulated = len(self)
+            if self.alive & ~simulate(goal, lanes):
+                if deadline is not None and time.monotonic() > deadline:
+                    raise SolverFailure("solver timeout")
+                self.refuted += 1
+                return False
+        if self.context is None:
+            self.context = GuardContext(aut, self.t1, self.t2)
+        return self.context.entails(self, goal, deadline)
+
+
+def _premise_lanes(p: Formula, lanes: Callable[[Seg], list[int]]) -> int:
+    """The lanes on which premise ``p`` holds for every valuation of its
+    variables; none when it has more than ``SIM_VAR_BITS`` of them."""
+    if sum(var_widths(p).values()) > SIM_VAR_BITS:
+        return 0
+    out = _ALL
+    for v in valuations(p):
+
+        def at(s: Seg) -> list[int]:
+            b = s.base
+            if type(b) is not Var:
+                return lanes(s)
+            return [_ALL if c == "1" else 0 for c in v[b.name][s.lo : s.hi + 1]]
+
+        out &= simulate(p, at)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -825,25 +974,21 @@ def decide_entailment(
     """Does the conjunction of ``rel`` entail the guarded formula ``goal``?
 
     Formulas are used as the engine made them, simplified. With the
-    internal backend, a GuardRelation at the goal's guard that holds a
-    GuardContext or a premise is decided in its context; everything else
-    builds one filtered entailment for this query.
+    internal backend the query goes through a GuardRelation at the goal's
+    guard: ``rel`` itself when it is one, else one holding the conjuncts of
+    ``rel`` at that guard. The other backends decide one filtered
+    entailment per query.
     """
     if isinstance(goal.body, Top):
         return True
-    if (
-        config.backend == "internal"
-        and isinstance(rel, GuardRelation)
-        and (rel or rel.context is not None)
-        and (rel.t1, rel.t2) == (goal.t1, goal.t2)
-    ):
-        deadline = _deadline(config.timeout)
-        if config.dump_dir:
-            ent = template_filter(rel, goal)
-            config.dump(
-                serialize_smtlib(to_fol_bv(ent, aut, deadline), comment=_provenance(ent))
-            )
-        if rel.context is None:
-            rel.context = GuardContext(aut, rel.t1, rel.t2)
-        return rel.context.entails(rel, goal.body, deadline)
-    return decide_filtered(template_filter(rel, goal), aut, config)
+    if config.backend != "internal":
+        return decide_filtered(template_filter(rel, goal), aut, config)
+    if not (isinstance(rel, GuardRelation) and (rel.t1, rel.t2) == (goal.t1, goal.t2)):
+        rel = GuardRelation(
+            goal.t1, goal.t2, (r for r in rel if r.t1 == goal.t1 and r.t2 == goal.t2)
+        )
+    deadline = _deadline(config.timeout)
+    if config.dump_dir:
+        ent = template_filter(rel, goal)
+        config.dump(serialize_smtlib(to_fol_bv(ent, aut, deadline), comment=_provenance(ent)))
+    return rel.entails(goal.body, aut, deadline)

@@ -321,6 +321,20 @@ class TestCounters:
         assert res.stats.contexts == holding >= 1
         assert f"contexts={holding} " in res.stats.summary()
 
+    def test_simulation_refutes_without_translating(self, monkeypatch, internal_config):
+        # to_fol_bv and check_sat serve --dump-smt, the other backends and
+        # tests; the internal backend simulates, then blasts in contexts
+        calls = []
+        for name in ("to_fol_bv", "check_sat"):
+            monkeypatch.setattr(parseq.smt, name, lambda *a, name=name, **k: calls.append(name))
+        res = check_equivalence(
+            load_fixture("mpls_ref"), "q1", load_fixture("mpls_vec"), "q3",
+            config=internal_config, leaps=False,
+        )
+        assert res.verdict == EQUIVALENT and calls == []
+        assert 0 < res.stats.refuted <= res.stats.extends
+        assert f"refuted={res.stats.refuted} " in res.stats.summary()
+
     def test_entailments_do_not_simplify_obligations(self, monkeypatch, internal_config):
         # wp and push simplify each obligation once, where they make it
         obligations, simplified = [], []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from _gen import random_entailment, random_guard, random_wide_guard
+from _gen import random_entailment, random_formula, random_guard, random_wide_guard
 from parseq.core import Automaton, Extract, Goto, State
 from parseq.confrel import (
     BOT,
@@ -14,6 +14,7 @@ from parseq.confrel import (
     Eq,
     Guarded,
     Not,
+    Or,
     StateIs,
     Template,
     buf,
@@ -301,6 +302,51 @@ class TestBlaster:
         assert bl.sat.nvars == 2
 
 
+class TestSimulation:
+    def test_refutations_agree_with_enumeration(self, rng, internal_config):
+        """No goal the simulation refutes is entailed, over premises within
+        and above SIM_VAR_BITS and premises that read no configuration bit."""
+        refuted = 0
+        for case in range(500):
+            if case % 10 == 9:
+                aut, t1, t2, wide, formula = random_wide_guard(rng)
+                premises = [wide]
+            else:
+                aut, t1, t2, formula = random_guard(rng)
+                premises = []
+                if case % 10 >= 6:
+                    premises.append(random_formula(rng, {}, {LEFT: 0, RIGHT: 0}, ["y0", "y1"]))
+            rel = GuardRelation(t1, t2, (Guarded(t1, t2, p) for p in premises))
+            for step in range(5):
+                goal = Guarded(t1, t2, formula())
+                fresh = FilteredEntailment(t1, t2, tuple(r.body for r in rel), goal.body)
+                before = rel.refuted
+                entailed = decide_entailment(rel, goal, aut, internal_config)
+                if rel.refuted > before:
+                    assert not decide_by_enumeration(fresh, aut), (case, step)
+                    refuted += 1
+                if not entailed or rng.random() < 0.3:
+                    rel.append(goal)
+        assert refuted > 400
+
+    def test_strict_as_the_solver(self, internal_config):
+        # at an empty guard every lane is alive, and the simulation would
+        # refute each of these goals if its bases fitted the guard
+        aut = tiny_automaton()
+        rel = GuardRelation(T0, T1)
+        assert not decide_entailment(rel, Guarded(T0, T1, Eq(hdr("h", LEFT, 2), lit("01"))), aut, internal_config)
+        assert rel.refuted == 1
+        bad = [
+            (Eq(hdr("nope", LEFT, 2), lit("01")), "unknown header 'nope'"),
+            (Eq(hdr("h", LEFT, 3), lit("011")), "read at width 3, not 2"),
+            (And((Eq(buf(RIGHT, 1), lit("1")), StateIs("Q0", LEFT))), "impure formula"),
+        ]
+        for body, message in bad:
+            with pytest.raises(InternalError, match=message):
+                decide_entailment(rel, Guarded(T0, T1, body), aut, internal_config)
+        assert rel.refuted == 1 and rel.context is None
+
+
 class TestGuardContext:
     def test_agrees_with_a_fresh_query_at_every_step(self, rng, internal_config):
         contexts = 0
@@ -327,20 +373,32 @@ class TestGuardContext:
         assert decide_entailment(rel, g, aut, internal_config)
         assert rel.context is not None
 
-    def test_a_goal_joining_as_premise_is_not_blasted_again(self, internal_config):
+    def test_a_goal_joining_as_premise_is_not_blasted_again(self, monkeypatch, internal_config):
+        """No formula is blasted twice in a context."""
+        blasted = []
+        formula = Blaster.formula
+        monkeypatch.setattr(Blaster, "formula", lambda bl, f: blasted.append(f) or formula(bl, f))
         aut = tiny_automaton()
         rel = GuardRelation(T0, T1)
         rel.append(Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1"))))
-        goal = Guarded(T0, T1, Eq(hdr("h", LEFT, 2), lit("01")))
-        assert not decide_entailment(rel, goal, aut, internal_config)
-        blaster = rel.context.blaster
-        blasted = []
-        formula = blaster.formula
-        blaster.formula = lambda f: blasted.append(f) or formula(f)
-        rel.append(goal)
+        early = Guarded(T0, T1, Eq(hdr("h", LEFT, 2), lit("01")))
+        assert not decide_entailment(rel, early, aut, internal_config)
+        assert rel.refuted == 1 and rel.context is None and blasted == []
+        rel.append(early)
+        # means h<[1:1] = 1; its 5 variable bits leave no lane alive, so
+        # every later goal reaches the context
+        x = var("x", 5)
+        rel.append(Guarded(T0, T1, Or((Not(Eq(x, lit("00000"))), Eq(hdr("h", LEFT, 2).slice(1, 1), lit("1"))))))
+        joining = Guarded(T0, T1, Eq(hdr("h", LEFT, 2), lit("00")))
+        assert not decide_entailment(rel, joining, aut, internal_config)
+        rel.append(joining)
         weaker = Guarded(T0, T1, Eq(hdr("h", LEFT, 2).slice(0, 0), lit("0")))
         assert decide_entailment(rel, weaker, aut, internal_config)
-        assert blasted == [weaker.body]
+        # the premises that joined before the context are blasted when it
+        # is built, a goal that joins as a premise reuses its literal, and
+        # the pending premise needed no instance
+        assert blasted == [rel[0].body, early.body, joining.body, weaker.body]
+        assert rel.refuted == 1 and rel.context.instances == 0
 
     def test_goal_variables_may_differ_in_width(self, internal_config):
         aut = tiny_automaton()

@@ -187,7 +187,10 @@ class TestValueSemantics:
 class TestImportFootprint:
     def test_a_check_loads_no_module_it_does_not_use(self):
         """``-S`` skips ``site``, whose ``.pth`` files may import any of these."""
-        unused = ["dataclasses", "inspect", "subprocess", "shutil", "json", "importlib.resources"]
+        unused = [
+            "dataclasses", "inspect", "subprocess", "shutil", "json", "importlib.resources",
+            "parseq.oracle",
+        ]
         code = (
             f"import sys; sys.path.insert(0, {SRC!r}); "
             "import parseq, parseq.engine, parseq.frontend; "
@@ -197,3 +200,17 @@ class TestImportFootprint:
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
         ).stdout
         assert out.strip() == "[]"
+
+    def test_oracle_names_load_on_first_use(self):
+        code = (
+            f"import sys; sys.path.insert(0, {SRC!r}); "
+            "import parseq; before = 'parseq.oracle' in sys.modules; "
+            "from parseq import oracle_equivalent, distinguishing_word; "
+            "from parseq import *; "
+            "print(before, oracle_equivalent.__module__, "
+            "all(name in globals() for name in parseq.__all__))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out.split() == ["False", "parseq.oracle", "True"]
