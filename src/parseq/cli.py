@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=["auto", "z3", "cvc4", "boolector", "builtin", "internal", "enum"],
             help="entailment backend (auto probes external solvers, then falls back to the in-process one)",
         )
-        # after --solver, whose default "auto" must be the one argparse applies
-        p.add_argument("--enum-fallback", dest="solver", action="store_const", const="enum", help="the same as --solver enum")
         p.add_argument("--solver-path", metavar="EXE", help="explicit solver executable")
 
     p = sub.add_parser("check", help="decide equivalence of two parsers")

@@ -420,37 +420,6 @@ def valuations(phi: Formula) -> Iterator[Valuation]:
         yield v
 
 
-def rename_vars(phi: Formula, mapping: dict[str, str]) -> Formula:
-    def ren(s: Seg) -> Optional[Bits]:
-        b = s.base
-        if type(b) is Var and b.name in mapping:
-            return ref(Var(mapping[b.name], b.width)).slice(s.lo, s.hi)
-        return None
-
-    return replace(phi, ren)
-
-
-def instantiate_vars(phi: Formula, assignment: Valuation) -> Formula:
-    """Replace variables by literal bits."""
-    return replace(
-        phi,
-        lambda s: lit(assignment[s.base.name][s.lo : s.hi + 1])
-        if type(s.base) is Var and s.base.name in assignment
-        else None,
-    )
-
-
-def canonical_vars(phi: Formula, prefix: str = "v") -> Formula:
-    """Rename variables to v0, v1, … in first-occurrence order.
-
-    Variables are scoped to one formula (the engine's fresh-variable
-    discipline never shares them across relation entries), so renaming
-    preserves meaning while making alpha-equivalent formulas equal.
-    """
-    order = dict.fromkeys(x.name for x in leaves(phi) if isinstance(x, Var))
-    return rename_vars(phi, {name: f"{prefix}{i}" for i, name in enumerate(order)})
-
-
 def denotes(phi: Formula, cl: Configuration, cr: Configuration) -> bool:
     """True iff phi holds under every valuation of its variables."""
     return all(holds(phi, cl, cr, v) for v in valuations(phi))
@@ -514,11 +483,6 @@ class Guarded(Record):
 
     def __hash__(self): return hash((self.t1, self.t2, self.body))
 
-    def holds(self, cl: Configuration, cr: Configuration, v: Valuation) -> bool:
-        if template_of(cl) != self.t1 or template_of(cr) != self.t2:
-            return True
-        return holds(self.body, cl, cr, v)
-
     def denotes(self, cl: Configuration, cr: Configuration) -> bool:
         if template_of(cl) != self.t1 or template_of(cr) != self.t2:
             return True
@@ -540,7 +504,9 @@ def subst(
     buf: dict[str, Bits],
     hdr: dict[tuple[str, str], Bits],
 ) -> Formula:
-    """Simultaneous substitution of buffer and header references.
+    """Simultaneous substitution of buffer and header references,
+    simplified: each node is rebuilt with its substituted subformulas and
+    then simplified (``simplify_node``), in one walk.
 
     ``buf`` maps a side to a replacement for that side's buffer;
     ``hdr`` maps (name, side) pairs to replacements. A replacement has
@@ -558,7 +524,14 @@ def subst(
             return None
         return None if r is None else r.slice(s.lo, s.hi)
 
-    return replace(phi, sub)
+    def node(x: Formula) -> Formula:
+        if type(x) is Eq:
+            left, right = map_segs(x.left, sub), map_segs(x.right, sub)
+            if left is not x.left or right is not x.right:
+                x = Eq(left, right)
+        return simplify_node(x)
+
+    return rewrite(phi, node)
 
 
 # ---------------------------------------------------------------------------

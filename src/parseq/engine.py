@@ -27,7 +27,6 @@ from .confrel import (
     T_ACCEPT,
     Template,
     Top,
-    canonical_vars,
     guard,
     render,
     render_guarded,
@@ -41,7 +40,7 @@ from .reach import (
     reach_fixpoint,
 )
 from .smt import GuardRelation, SolverConfig, decide_entailment
-from .wp import FreshVars, wp
+from .wp import canonical_vars, wp
 
 EQUIVALENT = "Equivalent"
 NOT_EQUIVALENT = "NotEquivalent"
@@ -63,7 +62,7 @@ class Stats(Record):
         iterations: int = 0,
         skips: int = 0,
         extends: int = 0,
-        solver_calls: int = 0,
+        solver_calls: int = 0,  # queries a solver answered: a context, enum or subprocess
         wall_time: float = 0.0,
         refuted: int = 0,  # queries answered by random simulation
         contexts: int = 0,  # incremental solvers (GuardContexts) the check built
@@ -78,8 +77,8 @@ class Stats(Record):
     def summary(self) -> str:
         return (
             f"iterations={self.iterations} skips={self.skips} "
-            f"extends={self.extends} solver_calls={self.solver_calls} "
-            f"refuted={self.refuted} contexts={self.contexts} instances={self.instances} "
+            f"extends={self.extends} refuted={self.refuted} "
+            f"solver_calls={self.solver_calls} contexts={self.contexts} instances={self.instances} "
             f"extra_solves={self.extra_solves} wall_time={self.wall_time:.2f}s"
         )
 
@@ -215,25 +214,23 @@ def pre_bisimulation(
     by_guard: dict[tuple[Template, Template], GuardRelation] = {}
     # phi_extra as the premise of the final check
     given = GuardRelation(t_init1, t_init2)
-    fresh = FreshVars()
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
 
     def push(g: Guarded, origin: str) -> None:
-        # Fresh variables are formula-local, so renaming them canonically
-        # makes alpha-equivalent obligations syntactically equal: repeated
-        # preconditions of a loop dedup here instead of growing R forever.
-        g = Guarded(g.t1, g.t2, canonical_vars(g.body))
+        # Obligations arrive simplified, with canonical variable names, so
+        # alpha-equivalent ones are equal: repeated preconditions of a loop
+        # dedup here instead of growing R forever.
         if g not in enqueued:
             enqueued.add(g)
             frontier.append((g, origin))
 
-    # wp simplifies the obligations it makes; these are simplified here,
-    # once, and no later stage simplifies an obligation again
+    # wp makes its obligations canonical; these are made so here, once,
+    # and no later stage simplifies or renames an obligation again
     for g in init_relation(reach):
         push(g, "init")
     for g in i_extra:
-        push(Guarded(g.t1, g.t2, simplify(g.body)), "given")
+        push(Guarded(g.t1, g.t2, canonical_vars(simplify(g.body))), "given")
     phi_extra = simplify(phi_extra)
     if not isinstance(phi_extra, Top):
         given.append(Guarded(t_init1, t_init2, phi_extra))
@@ -242,6 +239,7 @@ def pre_bisimulation(
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
         for rel in [*by_guard.values(), given]:
+            stats.solver_calls += rel.solver_calls
             stats.refuted += rel.refuted
             if rel.context is not None:
                 stats.contexts += 1
@@ -260,7 +258,6 @@ def pre_bisimulation(
                     f"no saturation after {stats.iterations} iterations"
                 )
             phi, origin = frontier.popleft()
-            stats.solver_calls += 1
             same_guard = by_guard.get((phi.t1, phi.t2))
             if same_guard is None:
                 same_guard = by_guard[phi.t1, phi.t2] = GuardRelation(phi.t1, phi.t2)
@@ -271,12 +268,11 @@ def pre_bisimulation(
                 witness.entries.append(Entry(phi, origin))
                 same_guard.append(phi)
                 stats.extends += 1
-                for g in wp(phi, reach, aut, fresh, leaps=leaps, preds=preds):
+                for g in wp(phi, preds, aut, leaps):
                     push(g, f"wp of #{index}")
             if debug_check is not None:
                 debug_check(witness.formulas(), [g for g, _ in frontier])
         initial = by_guard.get((t_init1, t_init2), [])
-        stats.solver_calls += len(initial)
         bad = final_check(given, initial, aut, config)
         if bad is None:
             return done(Result(EQUIVALENT))

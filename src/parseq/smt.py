@@ -72,10 +72,6 @@ class InternalError(Exception):
     guard's."""
 
 
-class EnumTooLarge(Exception):
-    """The enumeration backend was asked for more bits than its budget."""
-
-
 # ---------------------------------------------------------------------------
 # Filtered entailments
 
@@ -711,7 +707,9 @@ class GuardRelation(list):
     is a counter-model. Only a goal the simulation cannot refute builds the
     guard's GuardContext, which then decides it and every later one."""
 
-    __slots__ = ("t1", "t2", "context", "alive", "simulated", "refuted", "_lanes")
+    __slots__ = (
+        "t1", "t2", "context", "alive", "simulated", "refuted", "solver_calls", "_lanes"
+    )
 
     def __init__(self, t1: Template, t2: Template, conjuncts: Iterable[Guarded] = ()):
         super().__init__(conjuncts)
@@ -720,6 +718,7 @@ class GuardRelation(list):
         self.alive = _ALL
         self.simulated = 0  # how many conjuncts ``alive`` has met
         self.refuted = 0  # queries answered by simulation
+        self.solver_calls = 0  # queries answered by a solver
         self._lanes: dict[Base, list[int]] = {}  # each base read, checked
 
     def entails(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
@@ -747,6 +746,7 @@ class GuardRelation(list):
                 return False
         if self.context is None:
             self.context = GuardContext(aut, self.t1, self.t2)
+        self.solver_calls += 1
         return self.context.entails(self, goal, deadline)
 
 
@@ -890,28 +890,12 @@ def _enum_domain(ent: FilteredEntailment, aut: Automaton):
     return slots
 
 
-def enum_bits(ent: FilteredEntailment, aut: Automaton) -> int:
-    """Exponent of the enumeration cost: configuration bits plus the
-    largest per-formula count of variable bits (variables quantify per
-    formula, so only the widest inner enumeration compounds the outer one)."""
-    slots = _enum_domain(ent, aut)
-    formulas = list(ent.premises) + [ent.conclusion]
-    widest = max((sum(var_widths(f).values()) for f in formulas), default=0)
-    return sum(w for _, _, w in slots) + widest
-
-
-def decide_by_enumeration(
-    ent: FilteredEntailment, aut: Automaton, threshold: Optional[int] = None
-) -> bool:
+def decide_by_enumeration(ent: FilteredEntailment, aut: Automaton) -> bool:
     """Entailment validity by brute force: every assignment of the
     referenced configuration bits, with each formula's own bit variables
     universally quantified inside (via denotes)."""
     slots = _enum_domain(ent, aut)
     total = sum(w for _, _, w in slots)
-    if threshold is not None and enum_bits(ent, aut) > threshold:
-        raise EnumTooLarge(
-            f"{enum_bits(ent, aut)} bits exceeds enumeration budget {threshold}"
-        )
     for bits in itertools.product("01", repeat=total):
         w = "".join(bits)
         pos = 0
@@ -973,20 +957,22 @@ def decide_entailment(
 ) -> bool:
     """Does the conjunction of ``rel`` entail the guarded formula ``goal``?
 
-    Formulas are used as the engine made them, simplified. With the
-    internal backend the query goes through a GuardRelation at the goal's
-    guard: ``rel`` itself when it is one, else one holding the conjuncts of
-    ``rel`` at that guard. The other backends decide one filtered
-    entailment per query.
+    Formulas are used as the engine made them, simplified. The query goes
+    through a GuardRelation at the goal's guard: ``rel`` itself when it is
+    one, else one holding the conjuncts of ``rel`` at that guard. With the
+    internal backend the GuardRelation decides it; the other backends
+    decide one filtered entailment per query, counted in its
+    ``solver_calls``.
     """
     if isinstance(goal.body, Top):
         return True
-    if config.backend != "internal":
-        return decide_filtered(template_filter(rel, goal), aut, config)
     if not (isinstance(rel, GuardRelation) and (rel.t1, rel.t2) == (goal.t1, goal.t2)):
         rel = GuardRelation(
             goal.t1, goal.t2, (r for r in rel if r.t1 == goal.t1 and r.t2 == goal.t2)
         )
+    if config.backend != "internal":
+        rel.solver_calls += 1
+        return decide_filtered(template_filter(rel, goal), aut, config)
     deadline = _deadline(config.timeout)
     if config.dump_dir:
         ent = template_filter(rel, goal)

@@ -3,10 +3,10 @@
 The per-side transformer rewinds k steps of one side of a configuration
 pair as one k-bit read: the side's buffer grows by a k-bit variable, or
 the variable completes the buffer and the state's operation runs on it.
-The paired transformer composes the right and left sides over one shared
-read, of one bit, or with leaps of every bit up to the next state
-transition on either side. Each precondition then splits the read into
-one-bit variables for just the bits it still depends on.
+The paired transformer rewinds both sides over one shared read, of one
+bit, or with leaps of every bit up to the next state transition on either
+side. Every precondition leaves it with canonical one-bit variable names:
+this module alone names variables.
 """
 
 from __future__ import annotations
@@ -38,13 +38,16 @@ from .confrel import (
     lit,
     replace,
     simplify,
+    simplify_node,
     subst,
     var,
     variables,
 )
-from .reach import Predecessors, ReachSet, TemplatePair, leap_size, predecessors
+from .reach import Predecessors, TemplatePair, leap_size
 
 SymbolicStore = dict[str, Bits]
+
+READ = "x"  # the bits a step of ``wp`` reads, until canonical renaming
 
 
 class WidthError(Exception):
@@ -53,19 +56,6 @@ class WidthError(Exception):
 
 class FreshnessError(Exception):
     pass
-
-
-class FreshVars:
-    """Monotonic fresh-variable source, scoped to one engine run."""
-
-    def __init__(self, prefix: str = "x"):
-        self.prefix = prefix
-        self.count = 0
-
-    def __call__(self) -> str:
-        name = f"{self.prefix}{self.count}"
-        self.count += 1
-        return name
 
 
 def identity_store(aut: Automaton, side: str) -> SymbolicStore:
@@ -142,31 +132,20 @@ def symbolic_trans_cond(
     return disj(arms)
 
 
-def wp_side(
-    phi: Formula,
-    side: str,
-    t_src: Template,
-    t_dst: Template,
-    x: str,
-    aut: Automaton,
-    check_fresh: bool = True,
-    k: int = 1,
-) -> Formula:
-    """Rewind k single-bit steps of one side as one read of k bits.
+Rewind = tuple[dict[str, Bits], dict[tuple[str, str], Bits], Formula]
 
-    Returns a pure formula psi such that, for configurations c on the
-    given side matching t_src, c satisfies psi (for all values of the
-    k-bit variable x, the bits read) exactly when every k-bit successor
-    of c matching t_dst satisfies phi. k may not exceed the bits the side
-    has left before its state transition. The paired transformer shares
-    x between both sides and checks its freshness itself.
-    """
-    if check_fresh and x in variables(phi):
-        raise FreshnessError(f"{x} is not fresh")
+
+def rewind(
+    side: str, t_src: Template, t_dst: Template, x: str, k: int, aut: Automaton
+) -> Optional[Rewind]:
+    """How a k-bit read, the k-bit variable x, carries one side from
+    t_src to t_dst: the replacements of that side's buffer (by side) and
+    headers (by (name, side)) that rewind a formula at t_dst to t_src, and
+    the simplified condition under which the read ends at t_dst. None when
+    no such read ends at t_dst, so the precondition is vacuous. k may not
+    exceed the bits the side has left before its state transition."""
     if t_src.state in RESULTS:
-        if t_dst != T_REJECT:
-            return TOP
-        return phi  # the side's buffer is empty at reject
+        return ({}, {}, TOP) if t_dst == T_REJECT else None  # steps to reject only
     size = aut.opsize_of(t_src.state)
     remaining = size - t_src.buflen
     if k > remaining:
@@ -175,41 +154,41 @@ def wp_side(
     if remaining > k:
         # buffering edge: the read bits are appended to this side's buffer
         if t_dst != Template(t_src.state, t_src.buflen + k):
-            return TOP
-        return subst(phi, {side: full_buf}, {})
+            return None
+        return {side: full_buf}, {}, TOP
     # transition edge: the read bits complete the buffer
-    if t_dst.buflen != 0 or t_dst.state not in core.select_targets(
-        aut.state(t_src.state).trans
-    ):
-        return TOP
     st = aut.state(t_src.state)
-    post = symbolic_exec_op(st.op, identity_store(aut, side), full_buf, size, aut)
-    cond = symbolic_trans_cond(st.trans, post, t_dst.state)
-    phi2 = subst(phi, {}, {(h, side): post[h] for h, _ in aut.headers})
-    return Implies(cond, phi2)
-
-
-def split_read(phi: Formula, x: str, k: int, taken: set[str]) -> Formula:
-    """Replace the k-bit variable x by one-bit variables x_<i> for only
-    the bits phi reads."""
-    bits: dict[int, Seg] = {}
-
-    def bit(i: int) -> Seg:
-        s = bits.get(i)
-        if s is None:
-            name = f"{x}_{i}"
-            if name in taken:
-                raise FreshnessError(f"{name} is not fresh")
-            s = bits[i] = Seg(Var(name), 0, 0)
-        return s
-
-    def read(s: Seg) -> Optional[Bits]:
-        b = s.base
-        if type(b) is Var and b.name == x:
-            return Bits(tuple(bit(i) for i in range(s.lo, s.hi + 1)), s.hi - s.lo + 1)
+    if t_dst.buflen != 0 or t_dst.state not in core.select_targets(st.trans):
         return None
+    post = symbolic_exec_op(st.op, identity_store(aut, side), full_buf, size, aut)
+    cond = simplify(symbolic_trans_cond(st.trans, post, t_dst.state))
+    return {}, {(h, side): e for h, e in post.items()}, cond
 
-    return replace(phi, read)
+
+def wp_side(
+    phi: Formula,
+    side: str,
+    t_src: Template,
+    t_dst: Template,
+    x: str,
+    aut: Automaton,
+    k: int = 1,
+) -> Formula:
+    """Rewind k single-bit steps of one side as one read of k bits.
+
+    Returns a simplified pure formula psi such that, for configurations c
+    on the given side matching t_src, c satisfies psi (for all values of
+    the k-bit variable x, the bits read) exactly when every k-bit
+    successor of c matching t_dst satisfies phi. The one-side reference
+    for ``wp``, which rewinds both sides at once.
+    """
+    if x in variables(phi):
+        raise FreshnessError(f"{x} is not fresh")
+    r = rewind(side, t_src, t_dst, x, k, aut)
+    if r is None:
+        return TOP
+    bufs, hdrs, cond = r
+    return simplify_node(Implies(cond, subst(phi, bufs, hdrs)))
 
 
 def template_chain(
@@ -238,38 +217,56 @@ def template_chain(
     return prefix + [t_end]
 
 
+def canonical_vars(phi: Formula) -> Formula:
+    """phi with each variable bit renamed to a one-bit variable v0, v1, …
+    in the order the bits first occur (``leaves`` order, low bit first).
+
+    Variables are scoped to one formula (no variable is shared across
+    relation entries), so renaming preserves meaning while making
+    alpha-equivalent formulas equal.
+    """
+    names: dict[tuple[str, int], Seg] = {}
+
+    def rename(s: Seg) -> Optional[Bits]:
+        b = s.base
+        if type(b) is not Var:
+            return None
+        segs = []
+        for i in range(s.lo, s.hi + 1):
+            seg = names.get((b.name, i))
+            if seg is None:
+                seg = names[b.name, i] = Seg(Var(f"v{len(names)}"), 0, 0)
+            segs.append(seg)
+        return Bits(tuple(segs), len(segs))
+
+    return replace(phi, rename)
+
+
 def wp(
-    psig: Guarded,
-    reach_set: ReachSet,
-    aut: Automaton,
-    fresh: FreshVars,
-    leaps: bool = True,
-    preds: Optional[Predecessors] = None,
+    psig: Guarded, preds: Predecessors, aut: Automaton, leaps: bool = True
 ) -> list[Guarded]:
     """Template-guarded weakest preconditions of a guarded formula, one
-    per reachable predecessor pair that can actually step into psig's
-    guard; vacuous entries simplify to true and are dropped.
+    per predecessor pair in ``preds`` (``predecessors(reach_set, aut,
+    leaps)``) that can actually step into psig's guard; vacuous entries
+    simplify to true and are dropped.
 
-    ``preds`` is ``predecessors(reach_set, aut, leaps)``; a caller that
-    asks for many preconditions over one reach set builds it once.
+    Both sides share one read, the variable READ of the leap's width, so
+    their replacements apply in one simplifying ``subst``; the transition
+    conditions wrap the result, and ``canonical_vars`` splits the read
+    into one-bit variables for just the bits the precondition reads.
     """
-    if preds is None:
-        preds = predecessors(reach_set, aut, leaps)
-    taken = variables(psig.body)
+    if READ in variables(psig.body):
+        raise FreshnessError(f"{READ} is not fresh")
     out: list[Guarded] = []
     for pair in preds.get(TemplatePair(psig.t1, psig.t2), ()):
         k = leap_size(pair.left, pair.right, aut) if leaps else 1
-        x = fresh()
-        if x in taken:
-            raise FreshnessError("fresh-variable counter collided with formula")
-        phi = wp_side(
-            psig.body, RIGHT, pair.right, psig.t2, x, aut, check_fresh=False, k=k
-        )
-        phi = wp_side(phi, LEFT, pair.left, psig.t1, x, aut, check_fresh=False, k=k)
-        phi = simplify(phi)
-        if isinstance(phi, Top):
+        left = rewind(LEFT, pair.left, psig.t1, READ, k, aut)
+        right = rewind(RIGHT, pair.right, psig.t2, READ, k, aut)
+        if left is None or right is None:
             continue
-        if k > 1:
-            phi = split_read(phi, x, k, taken)
-        out.append(Guarded(pair.left, pair.right, phi))
+        (lbufs, lhdrs, lcond), (rbufs, rhdrs, rcond) = left, right
+        phi = subst(psig.body, {**lbufs, **rbufs}, {**lhdrs, **rhdrs})
+        phi = simplify_node(Implies(lcond, simplify_node(Implies(rcond, phi))))
+        if type(phi) is not Top:
+            out.append(Guarded(pair.left, pair.right, canonical_vars(phi)))
     return out

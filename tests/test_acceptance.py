@@ -15,9 +15,9 @@ from parseq.core import Configuration, Store, accepts, multi_step, step
 from parseq.confrel import LEFT, Guarded, denotes, template_of
 from parseq.engine import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, check_equivalence
 from parseq.oracle import distinguishing_word, enumerate_configs, oracle_equivalent
-from parseq.reach import TemplatePair, all_template_pairs, leap_size, sigma, sigma_leap
+from parseq.reach import TemplatePair, all_template_pairs, leap_size, predecessors, sigma, sigma_leap
 from parseq.smt import SolverConfig, decide_by_enumeration, decide_filtered
-from parseq.wp import FreshVars, wp, wp_side
+from parseq.wp import wp, wp_side
 from test_wp import all_configs
 
 
@@ -127,7 +127,7 @@ def test_criterion_4_wp_lemmas():
             psig = Guarded(
                 t1, t2, random_formula(rng, sizes, {LEFT: t1.buflen, ">": t2.buflen}, ["y0"])
             )
-            wps = wp(psig, reach, aut, FreshVars(), leaps=leaps)
+            wps = wp(psig, predecessors(reach, aut, leaps), aut, leaps)
             sample = rng.sample(configs, min(16, len(configs)))
             for c1 in sample:
                 for c2 in sample:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import parseq.engine
+import parseq.smt
 from parseq import fixture_path
 from parseq.cli import main
 
@@ -39,15 +40,23 @@ class TestCheck:
         assert code == 1
         assert out.startswith("NotEquivalent")
 
-    def test_enum_fallback_flag(self, capsys):
+    def test_solver_enum_flag(self, capsys, monkeypatch):
+        real, calls = parseq.smt.decide_by_enumeration, []
+
+        def counting(ent, aut):
+            calls.append(ent)
+            return real(ent, aut)
+
+        monkeypatch.setattr(parseq.smt, "decide_by_enumeration", counting)
         code, out, _ = run(
             capsys,
             "check",
             fixture_path("mpls_ref_small"), "q1",
             fixture_path("mpls_vec_small"), "q3",
-            "--enum-fallback",
+            "--solver", "enum",
         )
         assert code == 0
+        assert calls and f"solver_calls={len(calls)} " in out
 
     def test_unknown_state_is_usage_error(self, capsys):
         code, _, err = run(

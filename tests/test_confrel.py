@@ -24,25 +24,23 @@ from parseq.confrel import (
     StateIs,
     Template,
     buf,
-    canonical_vars,
     denotes,
     eval_bit_expr,
     guard,
     hdr,
     holds,
-    instantiate_vars,
     is_pure,
     lit,
     render,
     render_bit_expr,
     render_guarded,
-    rename_vars,
     simplify,
     template_of,
     templates_of,
     var,
     variables,
 )
+from parseq.wp import canonical_vars
 
 
 CL = Configuration("q", Store.of({"h": "1010"}), "011")
@@ -91,8 +89,8 @@ class TestVariables:
 
     def test_rename_preserves_meaning(self):
         phi = Eq(var("a") + var("b"), lit("10"))
-        psi = rename_vars(phi, {"a": "u", "b": "w"})
-        assert variables(psi) == {"u", "w"}
+        psi = canonical_vars(phi)
+        assert variables(psi) == {"v0", "v1"}
         assert denotes(phi, CL, CR) == denotes(psi, CL, CR)
 
     def test_canonical_vars_is_stable(self):
@@ -108,9 +106,8 @@ class TestVariables:
 
     def test_instantiate_vars(self):
         phi = Eq(var("a") + var("b"), lit("10"))
-        inst = instantiate_vars(phi, {"a": "1", "b": "0"})
-        assert variables(inst) == set()
-        assert holds(inst, CL, CR, {})
+        assert holds(phi, CL, CR, {"a": "1", "b": "0"})
+        assert not holds(phi, CL, CR, {"a": "0", "b": "1"})
 
     def test_canonical_preserves_denotation_on_random_formulas(self, rng):
         for _ in range(50):
@@ -151,16 +148,17 @@ class TestWideVariables:
     def test_instantiate_vars(self):
         for wide, split in zip(*self.wide_and_split()):
             for bits in itertools.product("01", repeat=3):
-                w = instantiate_vars(wide, {"x": "".join(bits)})
-                s = instantiate_vars(split, dict(zip("abc", bits)))
-                assert variables(w) == set()
-                assert holds(w, CL, CR, {}) == holds(s, CL, CR, {})
-        phi = Eq(var("x", 3), buf(LEFT, 3))
-        assert instantiate_vars(phi, {"x": "011"}) == Eq(lit("011"), buf(LEFT, 3))
+                w = holds(wide, CL, CR, {"x": "".join(bits)})
+                assert w == holds(split, CL, CR, dict(zip("abc", bits)))
 
     def test_renaming_keeps_widths(self):
+        # canonical names are one bit wide: a 3-bit variable becomes three
         phi = Eq(var("x7", 3) + var("x2"), hdr("h", LEFT, 4))
-        assert canonical_vars(phi) == Eq(var("v0", 3) + var("v1"), hdr("h", LEFT, 4))
+        v = [var(f"v{i}") for i in range(4)]
+        assert canonical_vars(phi) == Eq(v[0] + v[1] + v[2] + v[3], hdr("h", LEFT, 4))
+        x = var("x", 3)
+        phi = Eq(x.slice(1, 2), var("y") + x.slice(2, 2))
+        assert canonical_vars(phi) == Eq(v[0] + v[1], v[2] + v[1])
         assert (var("x", 3) + var("y")).width == 4
 
 

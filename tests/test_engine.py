@@ -172,7 +172,8 @@ class TestFailureHandling:
         )
         s = res.stats
         assert s.iterations == s.skips + s.extends
-        assert s.solver_calls >= s.iterations
+        # each query is refuted by simulation or answered by a solver
+        assert s.solver_calls + s.refuted >= s.iterations
         assert "iterations=" in s.summary()
 
 
@@ -222,7 +223,13 @@ class TestLoopInvariants:
         a1, a2 = load_fixture("mpls_ref_small"), load_fixture("mpls_vec_small")
         res = check_equivalence(a1, "q1", a2, "q3", config=internal_config)
         assert res.verdict == "Equivalent"
-        assert len(seen) == res.stats.solver_calls and max(seen) > 0
+        # every saturation query, and one final query per conjunct at the
+        # initial guard
+        (init,) = res.reach.seeds
+        finals = [
+            g for g in res.witness.formulas() if (g.t1, g.t2) == (init.left, init.right)
+        ]
+        assert len(seen) == res.stats.iterations + len(finals) and max(seen) > 0
 
     def test_premises_are_instantiated_from_models(self, internal_config):
         # expanding every valuation asserted 310 instances on this check
@@ -335,8 +342,25 @@ class TestCounters:
         assert 0 < res.stats.refuted <= res.stats.extends
         assert f"refuted={res.stats.refuted} " in res.stats.summary()
 
+    def test_solver_calls_are_the_contexts_queries(self, monkeypatch, internal_config):
+        calls = []
+        real = parseq.smt.GuardContext.entails
+
+        def counting(self, rel, conclusion, deadline):
+            calls.append(conclusion)
+            return real(self, rel, conclusion, deadline)
+
+        monkeypatch.setattr(parseq.smt.GuardContext, "entails", counting)
+        res = check_equivalence(
+            load_fixture("mpls_ref"), "q1", load_fixture("mpls_vec"), "q3",
+            config=internal_config, leaps=False,
+        )
+        assert res.verdict == EQUIVALENT and res.stats.refuted > 0
+        assert res.stats.solver_calls == len(calls) > 0
+        assert f"solver_calls={len(calls)} " in res.stats.summary()
+
     def test_entailments_do_not_simplify_obligations(self, monkeypatch, internal_config):
-        # wp and push simplify each obligation once, where they make it
+        # wp simplifies each obligation once, where it makes it
         obligations, simplified = [], []
         decide, simplify = parseq.engine.decide_entailment, parseq.smt.simplify
 

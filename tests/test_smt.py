@@ -24,7 +24,6 @@ from parseq.confrel import (
 )
 from parseq.smt import (
     Blaster,
-    EnumTooLarge,
     FilteredEntailment,
     GuardRelation,
     InternalError,
@@ -35,7 +34,6 @@ from parseq.smt import (
     decide_by_enumeration,
     decide_entailment,
     decide_filtered,
-    enum_bits,
     find_solver,
     serialize_smtlib,
     solve_smtlib,
@@ -117,7 +115,6 @@ class TestTranslation:
         assert len(to_fol_bv(wide, aut)) == len(to_fol_bv(split, aut)) == 2**3 + 1
         assert not check_sat(to_fol_bv(wide, aut))
         assert decide_by_enumeration(wide, aut)
-        assert enum_bits(wide, aut) == enum_bits(split, aut) == 3 + 3
 
     def test_wide_premise_entails_false_exactly(self, internal_config):
         # forall x:16. buf>[0:15] = x  is false; keeping x free would make
@@ -185,15 +182,6 @@ class TestEnumeration:
             Eq(buf(LEFT, 2), buf(RIGHT, 2)),
         )
         assert not decide_by_enumeration(flipped, aut)
-
-    def test_budget_enforced(self):
-        aut = tiny_automaton()
-        ent = FilteredEntailment(
-            T1, T1, (), Eq(buf(LEFT, 1), buf(RIGHT, 1))
-        )
-        assert enum_bits(ent, aut) == 2
-        with pytest.raises(EnumTooLarge):
-            decide_by_enumeration(ent, aut, threshold=1)
 
 
 class TestDualPath:

@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from _gen import random_automaton, random_formula
+from _gen import random_automaton, random_formula, random_guard, random_wide_guard
 from parseq import parse_source
 from parseq.core import (
     ACCEPT,
@@ -32,7 +32,11 @@ from parseq.confrel import (
     Eq,
     Guarded,
     Template,
+    Top,
+    Var,
     lit,
+    replace,
+    simplify,
     var,
     denotes,
     template_of,
@@ -49,7 +53,7 @@ from parseq.reach import (
     reach_fixpoint,
 )
 from parseq.smt import SolverConfig
-from parseq.wp import FreshVars, FreshnessError, template_chain, wp, wp_side
+from parseq.wp import READ, FreshnessError, canonical_vars, template_chain, wp, wp_side
 
 
 def all_configs(aut):
@@ -69,13 +73,6 @@ def all_configs(aut):
                 for bb in itertools.product("01", repeat=bl):
                     out.append(Configuration(q, Store.of(store), "".join(bb)))
     return out
-
-
-class TestFreshVars:
-    def test_monotone_and_distinct(self):
-        f = FreshVars()
-        names = [f() for _ in range(5)]
-        assert len(set(names)) == 5
 
 
 class TestWpSideCases:
@@ -176,7 +173,7 @@ class TestPairedLemma:
                 t2,
                 random_formula(rng, sizes, {LEFT: t1.buflen, RIGHT: t2.buflen}, ["y0"]),
             )
-            wps = wp(psig, reach, aut, FreshVars(), leaps=leaps)
+            wps = wp(psig, predecessors(reach, aut, leaps), aut, leaps)
             sample = rng.sample(configs, min(20, len(configs)))
             for c1 in sample:
                 for c2 in sample:
@@ -197,7 +194,7 @@ class TestPairedLemma:
         reach = all_template_pairs(aut, names, names)
         t1 = Template(names[0], 0)
         psig = Guarded(t1, t1, BOT)
-        for g in wp(psig, reach, aut, FreshVars()):
+        for g in wp(psig, predecessors(reach, aut), aut):
             assert any(p.left == g.t1 and p.right == g.t2 for p in reach.pairs)
 
 
@@ -251,7 +248,7 @@ class TestWideRead:
             p = rng.choice(reach.sorted())
             buflens = {LEFT: p.left.buflen, RIGHT: p.right.buflen}
             body = random_formula(rng, sizes, buflens, ["y0"])
-            for g in wp(Guarded(p.left, p.right, body), reach, aut, FreshVars()):
+            for g in wp(Guarded(p.left, p.right, body), predecessors(reach, aut), aut):
                 assert set(var_widths(g.body).values()) <= {1}
 
 
@@ -292,28 +289,85 @@ class TestWideLeaps:
         # selected bits of the shared 2048-bit leap, one variable per bit
         total, _, _, reach = _summed(one, two)
         psig = Guarded(T_ACCEPT, T_REJECT, BOT)
-        (g,) = wp(psig, reach, total, FreshVars())
+        (g,) = wp(psig, predecessors(reach, total), total)
         widths = var_widths(g.body)
         assert len(widths) == 1024 and set(widths.values()) == {1}
 
     def test_split_bit_names_must_be_fresh(self):
         one, two = _wide_pair(8, "[0:0]", "0b0", "a[0:0]")
         total, _, _, reach = _summed(one, two)
-        body = Eq(var("x0_0"), lit("1"))
+        body = Eq(var(READ), lit("1"))
         psig = Guarded(T_ACCEPT, T_REJECT, body)
         with pytest.raises(FreshnessError):
-            wp(psig, reach, total, FreshVars())
+            wp(psig, predecessors(reach, total), total)
 
     def test_leap_draws_one_fresh_name_per_predecessor(self):
         one, _ = _wide_pair(4096, "[0:0]", "0b0", "a[0:0]")
         total, t1, t2, reach = _summed(one, one)
         assert leap_size(t1, t2, total) == 4096
         psig = Guarded(T_ACCEPT, T_REJECT, BOT)
-        preds = predecessors(reach, total)[TemplatePair(psig.t1, psig.t2)]
-        fresh = FreshVars()
-        (g,) = wp(psig, reach, total, fresh)
-        assert fresh.count == len(preds) == 1
-        assert variables(g.body) == {"x0_0"}
+        preds = predecessors(reach, total)
+        (g,) = wp(psig, preds, total)
+        assert len(preds[TemplatePair(psig.t1, psig.t2)]) == 1
+        assert variables(g.body) == {"v0"}
+
+
+def reference_wp(psig, preds, aut, leaps=True):
+    """``wp`` by the one-side transformer: the right side rewound, then
+    the left, simplified and renamed canonically, with vacuous pairs
+    dropped. ``wp_side`` wants a fresh read, so the left side reads "l",
+    which then becomes the right side's read "r"."""
+    out = []
+    for pair in preds.get(TemplatePair(psig.t1, psig.t2), ()):
+        k = leap_size(pair.left, pair.right, aut) if leaps else 1
+        phi = wp_side(psig.body, RIGHT, pair.right, psig.t2, "r", aut, k=k)
+        phi = wp_side(phi, LEFT, pair.left, psig.t1, "l", aut, k=k)
+        phi = replace(
+            phi, lambda s: var("r", k).slice(s.lo, s.hi) if s.base == Var("l", k) else None
+        )
+        phi = simplify(phi)
+        if not isinstance(phi, Top):
+            out.append(Guarded(pair.left, pair.right, canonical_vars(phi)))
+    return out
+
+
+class TestOneWalk:
+    """``wp`` rewinds both sides in one simplifying substitution and one
+    renaming; it equals the one-side reference exactly."""
+
+    @pytest.mark.parametrize("leaps", [True, False])
+    def test_matches_the_one_side_reference(self, rng, leaps):
+        compared = 0
+        for i in range(300):
+            if i % 3:
+                total, t1, t2, formula = random_guard(rng)
+                body = formula()
+            else:  # a body with a 9- to 12-bit variable
+                total, t1, t2, body, _ = random_wide_guard(rng)
+            names = [q for q, _ in total.states]
+            preds = predecessors(all_template_pairs(total, names, names), total, leaps)
+            psig = Guarded(t1, t2, body)
+            got = wp(psig, preds, total, leaps)
+            assert got == reference_wp(psig, preds, total, leaps), (leaps, psig)
+            compared += len(got)
+        assert compared > 50
+
+    def test_matches_the_one_side_reference_on_a_4096_bit_leap(self):
+        one, two = _wide_pair(4096, "[0:0]", "0b0", "a[0:0]")
+        total, _, _, reach = _summed(one, two)
+        preds = predecessors(reach, total)
+        for t1, t2 in [(T_ACCEPT, T_REJECT), (T_REJECT, T_ACCEPT)]:
+            psig = Guarded(t1, t2, BOT)
+            got = wp(psig, preds, total)
+            assert got and got == reference_wp(psig, preds, total)
+
+    def test_names_are_canonical_one_bit_variables(self, rng):
+        total, t1, t2, body, _ = random_wide_guard(rng)
+        names = [q for q, _ in total.states]
+        preds = predecessors(all_template_pairs(total, names, names), total)
+        for g in wp(Guarded(t1, t2, body), preds, total):
+            assert canonical_vars(g.body) == g.body
+            assert set(var_widths(g.body).values()) <= {1}
 
 
 class TestPredecessorIndex:

@@ -4,10 +4,10 @@ A performance change should leave every result of the engine as it was.
 This script records, for one source tree, every check of the benchmark's
 inputs: the 7 fixture pairs with leaps and single-bit (single-bit
 ``vlan/vlan`` and ``sloppy/strict`` included) and the 300 ``random-small``
-pairs. Per check it writes the verdict, the reason, the counts in
-``Result.stats`` and a SHA-256 of the witness text. With ``--dump-smt``
-it also decides the fixture pairs with leaps again under ``--dump-smt``
-and records a SHA-256 of each query file.
+pairs. Per check it writes the verdict, the reason, every counter of
+``Result.stats`` (all its fields but ``wall_time``) and a SHA-256 of the
+witness text. With ``--dump-smt`` it also decides the fixture pairs with
+leaps again under ``--dump-smt`` and records a SHA-256 of each query file.
 
 Texts are hashed in a normal form that ignores how ``++`` and SMT-LIB
 ``concat`` chains nest and whether adjacent literals are joined, so two
@@ -33,7 +33,6 @@ import sys
 import tempfile
 
 RANDOM_SEED, RANDOM_COUNT = 2022, 300  # the random-small population
-STATS = ("iterations", "skips", "extends", "solver_calls", "instances")
 
 _CONCAT_GROUP = re.compile(r"\(([^()=&|!]* \+\+ [^()=&|!]*)\)")
 _LITERALS = re.compile(r'"([01]*)" \+\+ "([01]*)"')
@@ -98,7 +97,7 @@ def sha(text: str) -> str:
 
 def _record(res) -> dict:
     out = {"verdict": res.verdict, "reason": flat_text(res.reason)}
-    out.update({k: getattr(res.stats, k) for k in STATS})
+    out.update({k: getattr(res.stats, k) for k in res.stats.__slots__ if k != "wall_time"})
     out["witness"] = sha(flat_text(res.witness.to_text())) if res.witness else None
     return out
 
