@@ -220,9 +220,11 @@ def pre_bisimulation(
     def push(g: Guarded, origin: str) -> None:
         # Obligations arrive simplified, with canonical variable names, so
         # alpha-equivalent ones are equal: repeated preconditions of a loop
-        # dedup here instead of growing R forever.
-        if g not in enqueued:
-            enqueued.add(g)
+        # dedup here instead of growing R forever. A formula's hash is not
+        # cached, so the set is probed once, by its size.
+        n = len(enqueued)
+        enqueued.add(g)
+        if len(enqueued) != n:
             frontier.append((g, origin))
 
     # wp makes its obligations canonical; these are made so here, once,

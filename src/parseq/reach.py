@@ -3,12 +3,13 @@
 Templates abstract configurations to (state, buffer length); sigma
 over-approximates single-bit successors, sigma_leap its multi-bit
 variant, reach_fixpoint closes a seed set of template pairs, and
-predecessors inverts the chosen step relation over a closed set.
+predecessors inverts the chosen step relation over a closed set, from the
+successors the fixpoint kept.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import deque
 from typing import Iterable, Optional
 
 from .core import RESULTS, Automaton, Record, select_targets
@@ -16,15 +17,18 @@ from .confrel import T_REJECT, Template, templates_of
 
 
 class TemplatePair(Record):
-    __slots__ = ("left", "right")
+    # hashed in every set and dict of a check's step relation, so its hash
+    # is computed once
+    __slots__ = ("left", "right", "_hash")
 
     def __init__(self, left: Template, right: Template):
         self.left, self.right = left, right
+        self._hash = hash((left, right))
 
     def __eq__(self, o):
         return type(o) is TemplatePair and (self.left, self.right) == (o.left, o.right)
 
-    def __hash__(self): return hash((self.left, self.right))
+    def __hash__(self): return self._hash
 
 
 def sigma(t: Template, aut: Automaton) -> set[Template]:
@@ -82,11 +86,24 @@ def sigma_leap(p: TemplatePair, aut: Automaton) -> set[TemplatePair]:
     }
 
 
-class ReachSet(Record):
-    __slots__ = ("pairs", "seeds")
+Successors = dict[TemplatePair, set[TemplatePair]]
 
-    def __init__(self, pairs: frozenset[TemplatePair], seeds: frozenset[TemplatePair]):
-        self.pairs, self.seeds = pairs, seeds
+
+class ReachSet(Record):
+    """A set of template pairs, closed under a step relation when
+    ``reach_fixpoint`` made it. Then ``_succ`` holds that relation's mode
+    (``leaps``) and the successors the fixpoint computed for each pair,
+    until ``predecessors`` takes them."""
+
+    __slots__ = ("pairs", "seeds", "_succ")
+
+    def __init__(
+        self,
+        pairs: frozenset[TemplatePair],
+        seeds: frozenset[TemplatePair],
+        succ: Optional[tuple[bool, Successors]] = None,
+    ):
+        self.pairs, self.seeds, self._succ = pairs, seeds, succ
 
     def __contains__(self, p: TemplatePair) -> bool:
         return p in self.pairs
@@ -119,26 +136,42 @@ def reach_fixpoint(
     chosen successor relation."""
     seeds = frozenset(seeds)
     seen: set[TemplatePair] = set(seeds)
+    succ: Successors = {}
     worklist = deque(seeds)
     while worklist:
-        fresh = successors(worklist.popleft(), aut, leaps) - seen
+        p = worklist.popleft()
+        succ[p] = step = successors(p, aut, leaps)
+        fresh = step - seen
         seen.update(fresh)
         worklist.extend(fresh)
-    return ReachSet(frozenset(seen), seeds)
+    return ReachSet(frozenset(seen), seeds, (leaps, succ))
 
 
-Predecessors = dict[TemplatePair, list[TemplatePair]]
+class Predecessors(dict):
+    """Each successor of a pair in a reach set -> the pairs of the set
+    that step into it. ``rewinds`` holds ``wp``'s one-side rewinds of
+    these steps, keyed by (side, t_src, t_dst, k), as it builds them."""
+
+    __slots__ = ("rewinds",)
+
+    def __init__(self):
+        super().__init__()
+        self.rewinds: dict = {}
 
 
 def predecessors(reach: ReachSet, aut: Automaton, leaps: bool = True) -> Predecessors:
     """Each successor of a pair in ``reach`` -> the pairs of ``reach`` that
     step into it, in ``reach.sorted()`` order. Pairs nothing steps into
-    are absent."""
-    preds: Predecessors = defaultdict(list)
+    are absent. Reads the successors ``reach_fixpoint`` kept, when they
+    are of the same relation, and releases them."""
+    known = reach._succ[1] if reach._succ and reach._succ[0] == leaps else {}
+    reach._succ = None
+    preds = Predecessors()
     for p in reach.sorted():
-        for q in successors(p, aut, leaps):
-            preds[q].append(p)
-    return dict(preds)
+        step = known.get(p)
+        for q in successors(p, aut, leaps) if step is None else step:
+            preds.setdefault(q, []).append(p)
+    return preds
 
 
 def all_template_pairs(

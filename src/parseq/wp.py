@@ -140,10 +140,11 @@ def rewind(
 ) -> Optional[Rewind]:
     """How a k-bit read, the k-bit variable x, carries one side from
     t_src to t_dst: the replacements of that side's buffer (by side) and
-    headers (by (name, side)) that rewind a formula at t_dst to t_src, and
-    the simplified condition under which the read ends at t_dst. None when
-    no such read ends at t_dst, so the precondition is vacuous. k may not
-    exceed the bits the side has left before its state transition."""
+    of the headers its operation writes (by (name, side)) that rewind a
+    formula at t_dst to t_src, and the simplified condition under which
+    the read ends at t_dst. None when no such read ends at t_dst, so the
+    precondition is vacuous. k may not exceed the bits the side has left
+    before its state transition."""
     if t_src.state in RESULTS:
         return ({}, {}, TOP) if t_dst == T_REJECT else None  # steps to reject only
     size = aut.opsize_of(t_src.state)
@@ -160,9 +161,10 @@ def rewind(
     st = aut.state(t_src.state)
     if t_dst.buflen != 0 or t_dst.state not in core.select_targets(st.trans):
         return None
-    post = symbolic_exec_op(st.op, identity_store(aut, side), full_buf, size, aut)
+    pre = identity_store(aut, side)
+    post = symbolic_exec_op(st.op, pre, full_buf, size, aut)
     cond = simplify(symbolic_trans_cond(st.trans, post, t_dst.state))
-    return {}, {(h, side): e for h, e in post.items()}, cond
+    return {}, {(h, side): e for h, e in post.items() if e is not pre[h]}, cond
 
 
 def wp_side(
@@ -242,6 +244,27 @@ def canonical_vars(phi: Formula) -> Formula:
     return replace(phi, rename)
 
 
+UNBUILT = object()  # a rewind not built yet: None is a rewind (vacuous)
+
+
+def side_rewind(
+    preds: Predecessors,
+    side: str,
+    t_src: Template,
+    t_dst: Template,
+    k: int,
+    aut: Automaton,
+) -> Optional[Rewind]:
+    """``rewind`` of the read READ, built on first use and kept in
+    ``preds`` for the rest of the check: every pair that steps from t_src
+    to t_dst on this side with a k-bit read shares it."""
+    key = (side, t_src, t_dst, k)
+    r = preds.rewinds.get(key, UNBUILT)
+    if r is UNBUILT:
+        r = preds.rewinds[key] = rewind(side, t_src, t_dst, READ, k, aut)
+    return r
+
+
 def wp(
     psig: Guarded, preds: Predecessors, aut: Automaton, leaps: bool = True
 ) -> list[Guarded]:
@@ -254,14 +277,15 @@ def wp(
     their replacements apply in one simplifying ``subst``; the transition
     conditions wrap the result, and ``canonical_vars`` splits the read
     into one-bit variables for just the bits the precondition reads.
+    Each side's rewind comes from ``preds``, built there on first use.
     """
     if READ in variables(psig.body):
         raise FreshnessError(f"{READ} is not fresh")
     out: list[Guarded] = []
     for pair in preds.get(TemplatePair(psig.t1, psig.t2), ()):
         k = leap_size(pair.left, pair.right, aut) if leaps else 1
-        left = rewind(LEFT, pair.left, psig.t1, READ, k, aut)
-        right = rewind(RIGHT, pair.right, psig.t2, READ, k, aut)
+        left = side_rewind(preds, LEFT, pair.left, psig.t1, k, aut)
+        right = side_rewind(preds, RIGHT, pair.right, psig.t2, k, aut)
         if left is None or right is None:
             continue
         (lbufs, lhdrs, lcond), (rbufs, rhdrs, rcond) = left, right

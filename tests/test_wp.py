@@ -7,10 +7,14 @@ oracles rather than spot checks.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
+import parseq.reach
+import parseq.wp
 from _gen import random_automaton, random_formula, random_guard, random_wide_guard
+from conftest import load_fixture
 from parseq import parse_source
 from parseq.core import (
     ACCEPT,
@@ -396,3 +400,63 @@ class TestPredecessorIndex:
                     ):
                         expected.append(p)
                 assert preds.get(TemplatePair(t1, t2), []) == expected
+
+
+class TestCompiledStepRelation:
+    """A check builds its step relation once: ``predecessors`` reads the
+    successors ``reach_fixpoint`` computed, and each side's rewind is
+    built once and shared by every edge that uses it."""
+
+    @pytest.mark.parametrize(
+        "left, q1, right, q2, leaps",
+        [
+            ("mpls_ref", "q1", "mpls_vec", "q3", False),
+            ("ipopt_generic", "parse_0", "ipopt_timestamp", "parse_0", True),
+        ],
+    )
+    def test_each_side_rewind_is_built_once_per_check(
+        self, monkeypatch, internal_config, left, q1, right, q2, leaps
+    ):
+        built = Counter()
+        rewind = parseq.wp.rewind
+
+        def counted(side, t_src, t_dst, x, k, aut):
+            built[side, t_src, t_dst, k] += 1
+            return rewind(side, t_src, t_dst, x, k, aut)
+
+        monkeypatch.setattr(parseq.wp, "rewind", counted)
+        res = check_equivalence(
+            load_fixture(left), q1, load_fixture(right), q2,
+            config=internal_config, leaps=leaps,
+        )
+        assert res.verdict == "Equivalent", res.reason
+        assert len(built) > 10
+        assert max(built.values()) == 1, built.most_common(3)
+
+    @pytest.mark.parametrize("leaps", [True, False])
+    def test_predecessors_reuse_the_fixpoint_successors(self, monkeypatch, rng, leaps):
+        calls = []
+        successors = parseq.reach.successors
+
+        def counted(p, aut, leaps=True):
+            calls.append(p)
+            return successors(p, aut, leaps)
+
+        for _ in range(10):
+            aut = random_automaton(rng)
+            names = [q for q, _ in aut.states]
+            seed = TemplatePair(Template(names[0], 0), Template(names[-1], 0))
+            reach = reach_fixpoint({seed}, aut, leaps=leaps)
+            monkeypatch.setattr(parseq.reach, "successors", counted)
+            preds = predecessors(reach, aut, leaps)
+            monkeypatch.undo()
+            assert calls == []
+            fresh = predecessors(all_template_pairs(aut, names, names), aut, leaps)
+            assert all(preds[q] == [p for p in fresh[q] if p in reach] for q in preds)
+
+    def test_result_keeps_no_successors(self, internal_config):
+        res = check_equivalence(
+            load_fixture("mpls_ref"), "q1", load_fixture("mpls_vec"), "q3",
+            config=internal_config,
+        )
+        assert res.reach._succ is None

@@ -5,9 +5,10 @@ This script records, for one source tree, every check of the benchmark's
 inputs: the 7 fixture pairs with leaps and single-bit (single-bit
 ``vlan/vlan`` and ``sloppy/strict`` included) and the 300 ``random-small``
 pairs. Per check it writes the verdict, the reason, every counter of
-``Result.stats`` (all its fields but ``wall_time``) and a SHA-256 of the
-witness text. With ``--dump-smt`` it also decides the fixture pairs with
-leaps again under ``--dump-smt`` and records a SHA-256 of each query file.
+``Result.stats`` (all its fields but ``wall_time``), a SHA-256 of the
+witness text and a SHA-256 of the reach set's dump. With ``--dump-smt``
+it also decides the fixture pairs with leaps again under ``--dump-smt``
+and records a SHA-256 of each query file.
 
 Texts are hashed in a normal form that ignores how ``++`` and SMT-LIB
 ``concat`` chains nest and whether adjacent literals are joined, so two
@@ -99,6 +100,7 @@ def _record(res) -> dict:
     out = {"verdict": res.verdict, "reason": flat_text(res.reason)}
     out.update({k: getattr(res.stats, k) for k in res.stats.__slots__ if k != "wall_time"})
     out["witness"] = sha(flat_text(res.witness.to_text())) if res.witness else None
+    out["reach"] = sha(res.reach.dump()) if res.reach else None
     return out
 
 
