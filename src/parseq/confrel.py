@@ -434,15 +434,17 @@ def is_pure(phi: Formula) -> bool:
 
 
 class Template(Record):
-    __slots__ = ("state", "buflen")
+    # hashed in every guard key, so its hash is computed once
+    __slots__ = ("state", "buflen", "_hash")
 
     def __init__(self, state: str, buflen: int):
         self.state, self.buflen = state, buflen
+        self._hash = hash((state, buflen))
 
     def __eq__(self, o):
         return type(o) is Template and (self.state, self.buflen) == (o.state, o.buflen)
 
-    def __hash__(self): return hash((self.state, self.buflen))
+    def __hash__(self): return self._hash
 
     def __str__(self) -> str:
         return f"<{self.state},{self.buflen}>"

@@ -4,8 +4,13 @@ Starting from the requirement that no reachable template pair mixes
 acceptance with non-acceptance, the engine grows a candidate relation R
 by popping proof obligations from a FIFO frontier: an obligation already
 entailed by R (at its guard) is skipped, otherwise it joins R and its
-weakest preconditions join the frontier. On a drained frontier the
-verdict reduces to whether the initial configurations satisfy R.
+weakest preconditions join the frontier.
+
+Every obligation is necessary for equivalence, so the check stops at the
+first one at the initial guard that the initial configurations (phi_extra)
+violate: simulation refutes it as it is pushed, or an exact entailment
+fails as it joins R. Either way it is the witness's last entry, and the
+verdict is NotEquivalent. A drained frontier means Equivalent.
 
 A failure is never interpreted: a solver failure, the iteration bound or
 any other exception aborts the run with an Inconclusive result whose
@@ -39,7 +44,7 @@ from .reach import (
     predecessors,
     reach_fixpoint,
 )
-from .smt import GuardRelation, SolverConfig, decide_entailment
+from .smt import GuardRelation, SolverConfig, decide_entailment, refuted
 from .wp import canonical_vars, wp
 
 EQUIVALENT = "Equivalent"
@@ -164,11 +169,12 @@ def final_check(
     aut: Automaton,
     config: SolverConfig,
 ) -> Optional[Guarded]:
-    """The first conjunct of ``rel``, the relation's conjuncts at the
-    initial templates, that some initial configuration pair satisfying
-    ``given`` (phi_extra, if any) violates, or None. Conjuncts guarded
-    elsewhere hold vacuously there, so one entailment per conjunct of
-    ``rel`` suffices, each against ``given``."""
+    """The first of ``rel``, conjuncts at the initial templates, that some
+    initial configuration pair satisfying ``given`` (phi_extra, if any)
+    violates, or None. The engine calls it on each conjunct as it joins R
+    at the initial guard, so a saturated R holds on every initial pair:
+    conjuncts guarded elsewhere hold vacuously there. Each conjunct is one
+    exact entailment against ``given``."""
     for r in rel:
         if not decide_entailment(given, r, aut, config):
             return r
@@ -204,7 +210,7 @@ def pre_bisimulation(
     frontier. Both default to the plain equivalence query.
     """
     config = config or SolverConfig()
-    t_init1, t_init2 = Template(q1, 0), Template(q2, 0)
+    t_init1, t_init2 = initial = Template(q1, 0), Template(q2, 0)
     stats = Stats()
     start = time.monotonic()
     reach = _reach_for(aut, t_init1, t_init2, leaps, use_reach)
@@ -212,31 +218,11 @@ def pre_bisimulation(
     witness = Witness()
     # R indexed by guard: an entailment only reads the goal's own guard
     by_guard: dict[tuple[Template, Template], GuardRelation] = {}
-    # phi_extra as the premise of the final check
+    # phi_extra, the premise every obligation at the initial guard is
+    # checked against
     given = GuardRelation(t_init1, t_init2)
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
-
-    def push(g: Guarded, origin: str) -> None:
-        # Obligations arrive simplified, with canonical variable names, so
-        # alpha-equivalent ones are equal: repeated preconditions of a loop
-        # dedup here instead of growing R forever. A formula's hash is not
-        # cached, so the set is probed once, by its size.
-        n = len(enqueued)
-        enqueued.add(g)
-        if len(enqueued) != n:
-            frontier.append((g, origin))
-
-    # wp makes its obligations canonical; these are made so here, once,
-    # and no later stage simplifies or renames an obligation again
-    for g in init_relation(reach):
-        push(g, "init")
-    for g in i_extra:
-        push(Guarded(g.t1, g.t2, canonical_vars(simplify(g.body))), "given")
-    phi_extra = simplify(phi_extra)
-    if not isinstance(phi_extra, Top):
-        given.append(Guarded(t_init1, t_init2, phi_extra))
-    bound = (len(reach) + len(frontier) + 1) * (len(reach) + 1) * 20
 
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
@@ -252,7 +238,47 @@ def pre_bisimulation(
         result.reach = reach
         return result
 
+    def violation() -> Result:
+        # the last entry of the witness is the obligation phi_extra violates
+        k = len(witness.entries) - 1
+        bad = render_guarded(witness.entries[k].guarded)
+        why = f"initial configurations violate #{k}: {bad}"
+        return done(Result(NOT_EQUIVALENT, reason=why))
+
+    def push(g: Guarded, origin: str) -> bool:
+        """Enqueue ``g`` unless it was enqueued before. An obligation at the
+        initial guard that simulation refutes under ``given`` is instead
+        appended to the witness, and push returns True."""
+        # Obligations arrive simplified, with canonical variable names, so
+        # alpha-equivalent ones are equal: repeated preconditions of a loop
+        # dedup here instead of growing R forever. A formula's hash is not
+        # cached, so the set is probed once, by its size.
+        n = len(enqueued)
+        enqueued.add(g)
+        if len(enqueued) == n:
+            return False
+        if (g.t1, g.t2) == initial and refuted(given, g, aut, config):
+            witness.entries.append(Entry(g, origin))
+            return True
+        frontier.append((g, origin))
+        return False
+
     try:
+        # every obligation at the initial guard is checked against phi_extra
+        # as it is pushed, so phi_extra is in place before the first push
+        phi_extra = simplify(phi_extra)
+        if not isinstance(phi_extra, Top):
+            given.append(Guarded(t_init1, t_init2, phi_extra))
+        # wp makes its obligations canonical; these are made so here, once,
+        # and no later stage simplifies or renames an obligation again
+        for g in init_relation(reach):
+            if push(g, "init"):
+                return violation()
+        for g in i_extra:
+            g = Guarded(g.t1, g.t2, canonical_vars(simplify(g.body)))
+            if push(g, "given"):
+                return violation()
+        bound = (len(reach) + len(frontier) + 1) * (len(reach) + 1) * 20
         while frontier:
             stats.iterations += 1
             if stats.iterations > bound:
@@ -270,17 +296,16 @@ def pre_bisimulation(
                 witness.entries.append(Entry(phi, origin))
                 same_guard.append(phi)
                 stats.extends += 1
+                if (phi.t1, phi.t2) == initial and (
+                    final_check(given, [phi], aut, config) is not None
+                ):
+                    return violation()
                 for g in wp(phi, preds, aut, leaps):
-                    push(g, f"wp of #{index}")
+                    if push(g, f"wp of #{index}"):
+                        return violation()
             if debug_check is not None:
                 debug_check(witness.formulas(), [g for g, _ in frontier])
-        initial = by_guard.get((t_init1, t_init2), [])
-        bad = final_check(given, initial, aut, config)
-        if bad is None:
-            return done(Result(EQUIVALENT))
-        k = witness.formulas().index(bad)
-        why = f"initial configurations violate #{k}: {render_guarded(bad)}"
-        return done(Result(NOT_EQUIVALENT, reason=why))
+        return done(Result(EQUIVALENT))
     except Exception as exc:  # solver trouble, the iteration bound, deep recursion
         return done(Result(INCONCLUSIVE, reason=f"{type(exc).__name__}: {exc}"))
 

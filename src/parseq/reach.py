@@ -95,7 +95,7 @@ class ReachSet(Record):
     (``leaps``) and the successors the fixpoint computed for each pair,
     until ``predecessors`` takes them."""
 
-    __slots__ = ("pairs", "seeds", "_succ")
+    __slots__ = ("pairs", "seeds", "_succ", "_sorted")
 
     def __init__(
         self,
@@ -104,6 +104,7 @@ class ReachSet(Record):
         succ: Optional[tuple[bool, Successors]] = None,
     ):
         self.pairs, self.seeds, self._succ = pairs, seeds, succ
+        self._sorted: Optional[list[TemplatePair]] = None
 
     def __contains__(self, p: TemplatePair) -> bool:
         return p in self.pairs
@@ -112,7 +113,11 @@ class ReachSet(Record):
         return len(self.pairs)
 
     def sorted(self) -> list[TemplatePair]:
-        return sorted(self.pairs, key=lambda p: (str(p.left), str(p.right)))
+        """The pairs by their templates' text; sorted once, and shared by
+        every caller, which must not change the list."""
+        if self._sorted is None:
+            self._sorted = sorted(self.pairs, key=lambda p: (str(p.left), str(p.right)))
+        return self._sorted
 
     def dump(self) -> str:
         return "\n".join(f"{p.left} {p.right}" for p in self.sorted())

@@ -704,8 +704,9 @@ class GuardRelation(list):
     enumerated when it has at most ``SIM_VAR_BITS`` variable bits and taken
     to hold on no lane otherwise. A goal that is false on a live lane,
     under random values for its own variables, is not entailed: that lane
-    is a counter-model. Only a goal the simulation cannot refute builds the
-    guard's GuardContext, which then decides it and every later one."""
+    is a counter-model; ``refutes`` is this simulation alone. Only a goal
+    the simulation cannot refute builds the guard's GuardContext, which
+    then decides it and every later one."""
 
     __slots__ = (
         "t1", "t2", "context", "alive", "simulated", "refuted", "solver_calls", "_lanes"
@@ -725,6 +726,17 @@ class GuardRelation(list):
         """Do the conjuncts entail ``goal``? Raises SolverFailure once
         time.monotonic() passes ``deadline``, and InternalError for an
         impure goal or a base that does not fit the guard."""
+        if self.refutes(goal, aut, deadline):
+            return False
+        if self.context is None:
+            self.context = GuardContext(aut, self.t1, self.t2)
+        self.solver_calls += 1
+        return self.context.entails(self, goal, deadline)
+
+    def refutes(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
+        """Is ``goal`` false on a live lane? Then that lane is a counter-model
+        and the conjuncts do not entail it; False says nothing. Raises as
+        ``entails`` does."""
         if self.alive:
             buflens = {LEFT: self.t1.buflen, RIGHT: self.t2.buflen}
             cache = self._lanes
@@ -743,11 +755,8 @@ class GuardRelation(list):
                 if deadline is not None and time.monotonic() > deadline:
                     raise SolverFailure("solver timeout")
                 self.refuted += 1
-                return False
-        if self.context is None:
-            self.context = GuardContext(aut, self.t1, self.t2)
-        self.solver_calls += 1
-        return self.context.entails(self, goal, deadline)
+                return True
+        return False
 
 
 def _premise_lanes(p: Formula, lanes: Callable[[Seg], list[int]]) -> int:
@@ -949,6 +958,15 @@ def _provenance(ent: FilteredEntailment) -> str:
     return (
         f"entailment at guard [{ent.t1} {ent.t2}], "
         f"{len(ent.premises)} premise(s); unsat means valid"
+    )
+
+
+def refuted(rel: GuardRelation, goal: Guarded, aut: Automaton, config: SolverConfig) -> bool:
+    """Does simulation find a counter-model to ``rel`` entailing ``goal``, a
+    goal at ``rel``'s guard? Only the internal backend simulates; under the
+    others this is always False."""
+    return config.backend == "internal" and rel.refutes(
+        goal.body, aut, _deadline(config.timeout)
     )
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from _gen import random_automaton
+from _gen import random_automaton, random_pair
 from conftest import FIXTURE_PAIRS, load_fixture
 from parseq.core import Automaton, Extract, Goto, State, disjoint_sum
 from parseq.confrel import (
@@ -21,6 +21,7 @@ from parseq.confrel import (
     T_ACCEPT,
     T_REJECT,
     hdr,
+    render_guarded,
     var,
 )
 import parseq.engine
@@ -40,7 +41,7 @@ from parseq.engine import (
 )
 from parseq.frontend import parse_source
 from parseq.reach import ReachSet, TemplatePair
-from parseq.smt import GuardRelation, SolverConfig
+from parseq.smt import GuardRelation, SolverConfig, decide_entailment
 
 
 def chain_automaton():
@@ -267,6 +268,80 @@ class TestWithRelation:
             aut, "A", aut, "A", i_extra=[bad], config=internal_config
         )
         assert res.verdict == NOT_EQUIVALENT
+        # refuted as it is pushed, before the first iteration
+        assert res.stats.iterations == 0
+
+    def test_extra_obligation_entailed_by_the_filter_holds(self, internal_config):
+        # phi_extra is in place before the first push, so an obligation at
+        # the initial guard that it entails is not refuted
+        aut = chain_automaton()
+        total, left, right = disjoint_sum(aut, aut)
+        t1, t2 = Template(left.states["A"], 0), Template(right.states["A"], 0)
+        same = Eq(hdr("l:h", LEFT, 1), hdr("r:h", RIGHT, 1))
+        res = check_with_relation(
+            aut, "A", aut, "A", phi_extra=same, i_extra=[Guarded(t1, t2, same)],
+            config=internal_config,
+        )
+        assert res.verdict == EQUIVALENT, res.reason
+
+
+class TestEarlyStop:
+    """A check stops at the first obligation at the initial guard that the
+    initial configurations violate: refuted as it is pushed, or failing
+    its exact check as it joins R."""
+
+    @staticmethod
+    def stop(monkeypatch, a1, q1, a2, q2, config, leaps=True):
+        """Check a NotEquivalent pair; returns whether the violation was
+        found as it was pushed."""
+        real, calls = parseq.engine.wp, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parseq.engine, "wp", counting)
+        res = check_equivalence(a1, q1, a2, q2, config=config, leaps=leaps)
+        monkeypatch.setattr(parseq.engine, "wp", real)
+        assert res.verdict == NOT_EQUIVALENT, res.reason
+        entries = res.witness.entries
+        k, last = len(entries) - 1, entries[-1].guarded
+        assert res.reason == f"initial configurations violate #{k}: {render_guarded(last)}"
+        (init,) = res.reach.seeds
+        assert (last.t1, last.t2) == (init.left, init.right)
+        total = disjoint_sum(a1, a2)[0]
+        assert not decide_entailment([], last, total, SolverConfig(backend="enum"))
+        # a pushed obligation that is refuted never joins R; a conjunct
+        # that fails as it joins R gets no weakest precondition
+        at_push = len(entries) == res.stats.extends + 1
+        if at_push:
+            assert len(calls) == res.stats.extends
+        else:
+            assert len(entries) == res.stats.extends
+            assert len(calls) == res.stats.extends - 1
+        # only the internal backend simulates
+        if config.backend != "internal":
+            assert not at_push and res.stats.refuted == 0
+        return at_push
+
+    @pytest.mark.parametrize("backend", ["internal", "enum"])
+    @pytest.mark.parametrize("leaps", [True, False], ids=["leaps", "single-bit"])
+    def test_fixture_pair(self, monkeypatch, backend, leaps):
+        a1, a2 = load_fixture("sloppy_small"), load_fixture("strict_small")
+        config = SolverConfig(backend=backend)
+        self.stop(monkeypatch, a1, "parse_eth", a2, "parse_eth", config, leaps)
+
+    def test_random_pairs(self, monkeypatch, rng, internal_config, enum_config):
+        at_push = at_join = 0
+        for _ in range(100):
+            a1, q1, a2, q2 = random_pair(rng)
+            if check_equivalence(a1, q1, a2, q2, config=internal_config).verdict == EQUIVALENT:
+                continue
+            for config in (internal_config, enum_config):
+                pushed = self.stop(monkeypatch, a1, q1, a2, q2, config)
+                at_push += pushed
+                at_join += not pushed
+        assert at_push > 20 and at_join > 20
 
 
 class TestQuantifiedFilter:

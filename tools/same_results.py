@@ -20,7 +20,9 @@ same hashes.
 
 ``record`` imports ``parseq`` from TREE/src and the inputs from
 TREE/parseqbench/inputs.py, and runs one check at a time in this process.
-``compare`` prints every difference and exits 1 if there is one.
+``compare`` prints every difference, then one line that counts them and
+splits the differing checks by the first record's verdict, and exits 1 if
+there is a difference.
 """
 
 from __future__ import annotations
@@ -142,8 +144,11 @@ def record(tree: str, dump_smt: bool) -> dict:
     return {"tree": os.path.abspath(tree), "checks": checks, "dump_smt": dumps}
 
 
-def compare(a: dict, b: dict) -> list[str]:
+def compare(a: dict, b: dict) -> tuple[list[str], str]:
+    """Every difference, and a summary line that splits the differing
+    checks by their verdict in ``a`` and counts the differing dump sets."""
     diffs = []
+    split = {"changed": 0, "Equivalent": 0, "NotEquivalent": 0, "Inconclusive": 0, "dumps": 0}
     for section in ("checks", "dump_smt"):
         for name in sorted(set(a[section]) | set(b[section])):
             x, y = a[section].get(name), b[section].get(name)
@@ -151,13 +156,23 @@ def compare(a: dict, b: dict) -> list[str]:
                 continue
             if isinstance(x, dict) and isinstance(y, dict):
                 keys = [k for k in x if x[k] != y.get(k)]
+                split[x["verdict"]] += 1
+                split["changed"] += x["verdict"] != y["verdict"]
                 diffs.append(f"{name}: " + ", ".join(f"{k} {x[k]!r} -> {y.get(k)!r}" for k in keys))
             elif isinstance(x, list) and isinstance(y, list):
+                split["dumps"] += 1
                 changed = sum(p != q for p, q in zip(x, y)) + abs(len(x) - len(y))
                 diffs.append(f"{section} {name}: {changed} of {max(len(x), len(y))} files differ")
             else:
                 diffs.append(f"{section} {name}: {x!r} -> {y!r}")
-    return diffs
+    summary = (
+        f"{len(diffs)} difference(s): {split['changed']} verdict changes; "
+        f"{split['Equivalent']} on Equivalent checks, "
+        f"{split['NotEquivalent']} on NotEquivalent checks, "
+        f"{split['Inconclusive']} on Inconclusive checks, "
+        f"{split['dumps']} in dump sets"
+    )
+    return diffs, summary
 
 
 def main(argv: list[str]) -> int:
@@ -176,10 +191,10 @@ def main(argv: list[str]) -> int:
             json.dump(record(args.tree, args.dump_smt), fh, indent=1, sort_keys=True)
         return 0
     with open(args.a) as fa, open(args.b) as fb:
-        diffs = compare(json.load(fa), json.load(fb))
+        diffs, summary = compare(json.load(fa), json.load(fb))
     for d in diffs:
         print(d)
-    print(f"{len(diffs)} difference(s)")
+    print(summary)
     return 1 if diffs else 0
 
 
