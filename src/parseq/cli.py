@@ -6,6 +6,10 @@ on a packet), oracle (brute-force referee), dump-reach (the template
 reachability overapproximation). Exit codes: 0 Equivalent, 1
 NotEquivalent, 2 Inconclusive or an unexpected internal error, 3 usage or
 input error.
+
+Every entailment is decided in process (``--solver internal``, the
+default) or by enumeration (``--solver enum``); ``--dump-smt`` writes each
+query as a QF_BV script for ``parseq-smt``, or any SMT-LIB solver.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .core import Configuration, Store, disjoint_sum
 from .engine import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, Result
 from .reach import TemplatePair, reach_fixpoint
 from .confrel import Template
-from .smt import SolverConfig, SolverFailure, find_solver
+from .smt import BACKENDS, SolverConfig
 
 
 class UsageError(Exception):
@@ -44,11 +48,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=60.0, metavar="N", help="per-query solver timeout in seconds")
         p.add_argument(
             "--solver",
-            default="auto",
-            choices=["auto", "z3", "cvc4", "boolector", "builtin", "internal", "enum"],
-            help="entailment backend (auto probes external solvers, then falls back to the in-process one)",
+            default="internal",
+            choices=BACKENDS,
+            help="entailment backend: in-process simulation and SAT, or exhaustive enumeration",
         )
-        p.add_argument("--solver-path", metavar="EXE", help="explicit solver executable")
 
     p = sub.add_parser("check", help="decide equivalence of two parsers")
     p.add_argument("left", metavar="LEFT.p4a")
@@ -91,32 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 def solver_config(args: argparse.Namespace) -> SolverConfig:
     if args.timeout <= 0:
         raise UsageError("--timeout must be positive")
-    if args.solver == "enum":
-        backend, command = "enum", None
-    elif args.solver == "internal":
-        backend, command = "internal", None
-    elif args.solver == "auto" and args.solver_path is None:
-        try:
-            command = find_solver("auto")
-        except SolverFailure as exc:
-            raise UsageError(str(exc)) from exc
-        # the bundled fallback is the same bit blaster; run it in-process
-        backend = "subprocess" if command[0] != sys.executable else "internal"
-        if backend == "internal":
-            command = None
-    else:
-        name = args.solver if args.solver != "auto" else "z3"
-        try:
-            command = find_solver(name, args.solver_path)
-        except SolverFailure as exc:
-            raise UsageError(str(exc)) from exc
-        backend = "subprocess"
-    return SolverConfig(
-        backend=backend,
-        command=command,
-        timeout=args.timeout,
-        dump_dir=args.dump_smt,
-    )
+    return SolverConfig(backend=args.solver, timeout=args.timeout, dump_dir=args.dump_smt)
 
 
 def _load(path: str) -> core.Automaton:

@@ -67,7 +67,7 @@ class Stats(Record):
         iterations: int = 0,
         skips: int = 0,
         extends: int = 0,
-        solver_calls: int = 0,  # queries a solver answered: a context, enum or subprocess
+        solver_calls: int = 0,  # queries a solver answered: a context or enum
         wall_time: float = 0.0,
         refuted: int = 0,  # queries answered by random simulation
         contexts: int = 0,  # incremental solvers (GuardContexts) the check built

@@ -155,7 +155,8 @@ def reach_fixpoint(
 class Predecessors(dict):
     """Each successor of a pair in a reach set -> the pairs of the set
     that step into it. ``rewinds`` holds ``wp``'s one-side rewinds of
-    these steps, keyed by (side, t_src, t_dst, k), as it builds them."""
+    these steps, keyed by (side, t_src, t_dst, k), as it builds them, and
+    each shared buffering rewind by (side, t_src.buflen, k)."""
 
     __slots__ = ("rewinds",)
 

@@ -3,12 +3,12 @@
 An entailment "R entails g" between guarded formulas reduces, after
 filtering R down to the conjuncts sharing g's guard, to validity of a
 pure implication in which buffer widths are fixed by the guard. That
-implication is discharged either by exhaustive enumeration (small
-instances), in process (random simulation first, then one incremental
-bit-blasting SAT solver per guard), or by an external SMT-LIB solver run
-as a subprocess on its translation to quantifier-free bitvector logic. A
-solver answer other than sat/unsat is never interpreted; it surfaces as
-SolverFailure.
+implication is decided in process, by random simulation and then one
+incremental bit-blasting SAT solver per guard, or by exhaustive
+enumeration, the reference for small instances. ``--dump-smt`` writes each
+query's translation to quantifier-free bitvector SMT-LIB, which
+``parseq-smt`` or any SMT-LIB solver re-checks offline. A query that
+cannot be answered surfaces as SolverFailure, never as a verdict.
 """
 
 from __future__ import annotations
@@ -16,12 +16,8 @@ from __future__ import annotations
 import itertools
 import os
 import re
-import sys
 import time
 from typing import Callable, Iterable, Iterator, Optional
-
-# shutil and subprocess are imported where the subprocess backend uses them,
-# so that a check with the internal backend starts without loading them.
 
 from .core import Automaton, Configuration, Record, Store
 from .confrel import (
@@ -778,60 +774,27 @@ def _premise_lanes(p: Formula, lanes: Callable[[Seg], list[int]]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Solver configuration and subprocess driver
+# Solver configuration
 
-
-def builtin_solver_command() -> tuple[str, ...]:
-    return (sys.executable, "-m", "parseq.solver_cli")
-
-
-_KNOWN_SOLVERS = {
-    "z3": ("z3", "-in", "-smt2"),
-    "cvc4": ("cvc4", "--lang", "smt2"),
-    "boolector": ("boolector", "--smt2"),
-}
-
-
-def find_solver(name: str = "auto", path: Optional[str] = None) -> tuple[str, ...]:
-    """Command line for an SMT-LIB solver reading from stdin."""
-    import shutil
-
-    if name == "auto":
-        for cand, cmd in _KNOWN_SOLVERS.items():
-            exe = shutil.which(cmd[0])
-            if exe:
-                return (exe,) + cmd[1:]
-        return builtin_solver_command()
-    if name == "builtin":
-        return builtin_solver_command()
-    if name in _KNOWN_SOLVERS:
-        cmd = _KNOWN_SOLVERS[name]
-        exe = path or shutil.which(cmd[0])
-        if exe is None:
-            raise SolverFailure(f"solver {name!r} not found on PATH")
-        return (exe,) + cmd[1:]
-    raise SolverFailure(f"unknown solver {name!r}")
+BACKENDS = ("internal", "enum")
 
 
 class SolverConfig(Record):
-    """How entailments get discharged.
+    """How entailments get decided: backend is one of ``BACKENDS``,
+    "internal" (simulation, then a SAT context per guard) or "enum"
+    (exhaustive valuation enumeration)."""
 
-    backend is one of "enum" (exhaustive valuation enumeration),
-    "internal" (in-process bit blasting) or "subprocess" (SMT-LIB over
-    a pipe to ``command``).
-    """
-
-    __slots__ = ("backend", "command", "timeout", "dump_dir", "_dump_count")
+    __slots__ = ("backend", "timeout", "dump_dir", "_dump_count")
 
     def __init__(
         self,
         backend: str = "internal",
-        command: Optional[tuple[str, ...]] = None,
         timeout: float = 60.0,
         dump_dir: Optional[str] = None,
     ):
-        self.backend, self.command = backend, command
-        self.timeout, self.dump_dir = timeout, dump_dir
+        if backend not in BACKENDS:
+            raise ValueError(f"unknown backend {backend!r}, not one of {BACKENDS}")
+        self.backend, self.timeout, self.dump_dir = backend, timeout, dump_dir
         self._dump_count = 0
 
     def dump(self, text: str) -> None:
@@ -842,40 +805,6 @@ class SolverConfig(Record):
         path = os.path.join(self.dump_dir, f"{self._dump_count:04d}_query.smt2")
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def solve_smtlib(text: str, command: tuple[str, ...], timeout: float = 60.0) -> str:
-    """Run a solver subprocess on a script.
-
-    Returns exactly "sat", "unsat" or "unknown". Anything else — a
-    crash, garbage output, a timeout — raises SolverFailure. Leniency
-    here would turn solver noise into verdicts.
-    """
-    import subprocess
-
-    try:
-        proc = subprocess.run(
-            list(command),
-            input=text,
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
-        raise SolverFailure(f"solver did not run: {exc}") from exc
-    token = None
-    for line in proc.stdout.splitlines():
-        line = line.strip()
-        if not line or line.startswith(";"):
-            continue
-        token = line
-        break
-    if token not in ("sat", "unsat", "unknown"):
-        raise SolverFailure(
-            f"unusable solver output {token!r} (exit {proc.returncode}, "
-            f"stderr {proc.stderr.strip()!r})"
-        )
-    return token
 
 
 # ---------------------------------------------------------------------------
@@ -930,30 +859,6 @@ def decide_by_enumeration(ent: FilteredEntailment, aut: Automaton) -> bool:
 # Top-level entailment interface
 
 
-def decide_filtered(
-    ent: FilteredEntailment, aut: Automaton, config: SolverConfig
-) -> bool:
-    """Validity of a filtered entailment via the configured backend."""
-    if config.backend == "enum":
-        return decide_by_enumeration(ent, aut)
-    deadline = _deadline(config.timeout)
-    assertions = to_fol_bv(ent, aut, deadline)
-    if config.backend == "internal":
-        if config.dump_dir:
-            config.dump(serialize_smtlib(assertions, comment=_provenance(ent)))
-        return not check_sat(assertions, deadline)
-    if config.backend == "subprocess":
-        text = serialize_smtlib(assertions, comment=_provenance(ent))
-        config.dump(text)
-        command = config.command or builtin_solver_command()
-        left = None if deadline is None else max(0.0, deadline - time.monotonic())
-        answer = solve_smtlib(text, command, left)
-        if answer == "unknown":
-            raise SolverFailure("solver returned unknown")
-        return answer == "unsat"
-    raise SolverFailure(f"unknown backend {config.backend!r}")
-
-
 def _provenance(ent: FilteredEntailment) -> str:
     return (
         f"entailment at guard [{ent.t1} {ent.t2}], "
@@ -963,8 +868,8 @@ def _provenance(ent: FilteredEntailment) -> str:
 
 def refuted(rel: GuardRelation, goal: Guarded, aut: Automaton, config: SolverConfig) -> bool:
     """Does simulation find a counter-model to ``rel`` entailing ``goal``, a
-    goal at ``rel``'s guard? Only the internal backend simulates; under the
-    others this is always False."""
+    goal at ``rel``'s guard? Only the internal backend simulates; under
+    enum this is always False."""
     return config.backend == "internal" and rel.refutes(
         goal.body, aut, _deadline(config.timeout)
     )
@@ -978,9 +883,10 @@ def decide_entailment(
     Formulas are used as the engine made them, simplified. The query goes
     through a GuardRelation at the goal's guard: ``rel`` itself when it is
     one, else one holding the conjuncts of ``rel`` at that guard. With the
-    internal backend the GuardRelation decides it; the other backends
-    decide one filtered entailment per query, counted in its
-    ``solver_calls``.
+    internal backend the GuardRelation decides it, after its SMT-LIB
+    translation is written when ``config.dump_dir`` is set. With enum,
+    ``decide_by_enumeration`` decides the filtered entailment, counted in
+    the GuardRelation's ``solver_calls``.
     """
     if isinstance(goal.body, Top):
         return True
@@ -988,9 +894,9 @@ def decide_entailment(
         rel = GuardRelation(
             goal.t1, goal.t2, (r for r in rel if r.t1 == goal.t1 and r.t2 == goal.t2)
         )
-    if config.backend != "internal":
+    if config.backend == "enum":
         rel.solver_calls += 1
-        return decide_filtered(template_filter(rel, goal), aut, config)
+        return decide_by_enumeration(template_filter(rel, goal), aut)
     deadline = _deadline(config.timeout)
     if config.dump_dir:
         ent = template_filter(rel, goal)

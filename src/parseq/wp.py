@@ -257,11 +257,16 @@ def side_rewind(
 ) -> Optional[Rewind]:
     """``rewind`` of the read READ, built on first use and kept in
     ``preds`` for the rest of the check: every pair that steps from t_src
-    to t_dst on this side with a k-bit read shares it."""
+    to t_dst on this side with a k-bit read shares it. A buffering rewind
+    depends only on (side, t_src.buflen, k), so one value serves each
+    such key."""
     key = (side, t_src, t_dst, k)
     r = preds.rewinds.get(key, UNBUILT)
     if r is UNBUILT:
-        r = preds.rewinds[key] = rewind(side, t_src, t_dst, READ, k, aut)
+        r = rewind(side, t_src, t_dst, READ, k, aut)
+        if r is not None and r[0]:  # only a buffering rewind replaces a buffer
+            r = preds.rewinds.setdefault((side, t_src.buflen, k), r)
+        preds.rewinds[key] = r
     return r
 
 

@@ -16,8 +16,10 @@ from parseq.confrel import LEFT, Guarded, denotes, template_of
 from parseq.engine import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, check_equivalence
 from parseq.oracle import distinguishing_word, enumerate_configs, oracle_equivalent
 from parseq.reach import TemplatePair, all_template_pairs, leap_size, predecessors, sigma, sigma_leap
-from parseq.smt import SolverConfig, decide_by_enumeration, decide_filtered
+from parseq import sat
+from parseq.smt import SolverConfig, SolverFailure, decide_by_enumeration
 from parseq.wp import wp, wp_side
+from test_smt import decide_as_the_engine
 from test_wp import all_configs
 
 
@@ -244,33 +246,35 @@ def _sampled_configs(rng, aut, n):
     return out
 
 
-def test_criterion_7_smt_dual_path():
-    """Solver and enumeration paths agree; solver noise is never a verdict."""
+def test_criterion_7_smt_dual_path(monkeypatch):
+    """The engine's decision path and enumeration agree; solver trouble is
+    never a verdict."""
     rng = random.Random(7)
     for i in range(500):
         ent, aut = random_entailment(rng)
         want = decide_by_enumeration(ent, aut)
-        if decide_filtered(ent, aut, INTERNAL) != want:
+        if decide_as_the_engine(ent, aut, INTERNAL) != want:
             report(7, False, f"entailment {i}: solver path disagrees")
-    # a solver that answers neither sat nor unsat must never produce a verdict
-    noisy = SolverConfig(backend="subprocess", command=("echo", "unknown"))
-    res = check_equivalence(
-        load_fixture("mpls_ref_small"), "q1",
-        load_fixture("mpls_vec_small"), "q3",
-        config=noisy,
-    )
-    garbage = SolverConfig(backend="subprocess", command=("echo", "segfault"))
-    res2 = check_equivalence(
-        load_fixture("mpls_ref_small"), "q1",
-        load_fixture("mpls_vec_small"), "q3",
-        config=garbage,
-    )
-    ok = res.verdict == INCONCLUSIVE and res2.verdict == INCONCLUSIVE
+    # a solver that fails or crashes must never produce a verdict
+    reasons = []
+    for exc in (SolverFailure("solver returned unknown"), RuntimeError("segfault")):
+
+        def broken(solver, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(sat.Solver, "solve", broken)
+        res = check_equivalence(
+            load_fixture("mpls_ref_small"), "q1",
+            load_fixture("mpls_vec_small"), "q3",
+            config=INTERNAL,
+        )
+        reasons.append(res.reason if res.verdict == INCONCLUSIVE else res.verdict)
+    ok = reasons == ["SolverFailure: solver returned unknown", "RuntimeError: segfault"]
     report(
         7,
         ok,
-        "500 entailments agree between solver and enumeration; "
-        "unknown/garbage solver output yields Inconclusive",
+        "500 entailments agree between the engine's solver path and enumeration; "
+        "a failing or crashing solver yields Inconclusive" + ("" if ok else f": {reasons}"),
     )
 
 

@@ -1,13 +1,16 @@
 """Command-line interface: exit codes, outputs, artifact files."""
 
 import json
+import os
 
 import pytest
 
 import parseq.engine
+import parseq.sat
 import parseq.smt
 from parseq import fixture_path
 from parseq.cli import main
+from parseq.smt import SolverFailure
 
 
 def run(capsys, *argv):
@@ -119,16 +122,48 @@ class TestCheck:
         assert dumps
         assert dumps[0].name == "0001_query.smt2"
 
-    def test_inconclusive_exits_two(self, capsys):
+    def test_inconclusive_exits_two(self, capsys, monkeypatch):
+        def unknown(solver):
+            raise SolverFailure("solver returned unknown")
+
+        monkeypatch.setattr(parseq.sat.Solver, "solve", unknown)
         code, out, _ = run(
             capsys,
             "check",
             fixture_path("mpls_ref_small"), "q1",
             fixture_path("mpls_vec_small"), "q3",
-            "--solver", "z3", "--solver-path", "/bin/false",
         )
         assert code == 2
-        assert out.startswith("Inconclusive")
+        assert out.startswith("Inconclusive: SolverFailure: solver returned unknown")
+
+    @pytest.mark.parametrize("name", ["z3", "cvc4", "boolector"])
+    def test_no_verdict_depends_on_path(self, capsys, monkeypatch, tmp_path, name):
+        """An SMT solver on PATH takes no part in a check: here a fake one
+        that answers every query sat."""
+        fake = tmp_path / name
+        fake.write_text("#!/bin/sh\necho sat\n")
+        fake.chmod(0o755)
+        monkeypatch.setenv("PATH", f"{tmp_path}{os.pathsep}{os.environ.get('PATH', '')}")
+        code, out, _ = run(
+            capsys,
+            "check",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+        )
+        assert code == 0
+        assert out.startswith("Equivalent")
+
+    @pytest.mark.parametrize("flags", [["--solver", "z3"], ["--solver-path", "/bin/false"]])
+    def test_external_solvers_are_usage_errors(self, capsys, flags):
+        code, _, err = run(
+            capsys,
+            "check",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+            *flags,
+        )
+        assert code == 3
+        assert flags[0] in err
 
     def test_internal_solver_timeout_exits_two(self, capsys):
         code, out, _ = run(

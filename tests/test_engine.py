@@ -25,6 +25,7 @@ from parseq.confrel import (
     var,
 )
 import parseq.engine
+import parseq.sat
 import parseq.smt
 from parseq.engine import (
     EQUIVALENT,
@@ -41,7 +42,7 @@ from parseq.engine import (
 )
 from parseq.frontend import parse_source
 from parseq.reach import ReachSet, TemplatePair
-from parseq.smt import GuardRelation, SolverConfig, decide_entailment
+from parseq.smt import GuardRelation, SolverConfig, SolverFailure, decide_entailment
 
 
 def chain_automaton():
@@ -140,20 +141,29 @@ class TestWitness:
 
 
 class TestFailureHandling:
-    def test_solver_failure_is_inconclusive(self):
-        config = SolverConfig(backend="subprocess", command=("echo", "unknown"))
-        res = check_equivalence(
-            chain_automaton(), "A", chain_automaton(), "B", config=config
-        )
-        assert res.verdict == INCONCLUSIVE
-        assert "unknown" in res.reason
+    def test_solver_failure_is_inconclusive(self, monkeypatch, internal_config):
+        def unknown(solver):
+            raise SolverFailure("solver returned unknown")
 
-    def test_crashing_solver_is_inconclusive(self):
-        config = SolverConfig(backend="subprocess", command=("/nonexistent/solver",))
+        monkeypatch.setattr(parseq.sat.Solver, "solve", unknown)
         res = check_equivalence(
-            chain_automaton(), "A", chain_automaton(), "B", config=config
+            load_fixture("mpls_ref_small"), "q1", load_fixture("mpls_vec_small"), "q3",
+            config=internal_config,
         )
         assert res.verdict == INCONCLUSIVE
+        assert res.reason == "SolverFailure: solver returned unknown"
+
+    def test_crashing_solver_is_inconclusive(self, monkeypatch, internal_config):
+        def crash(solver):
+            raise RuntimeError("probe")
+
+        monkeypatch.setattr(parseq.sat.Solver, "solve", crash)
+        res = check_equivalence(
+            load_fixture("mpls_ref_small"), "q1", load_fixture("mpls_vec_small"), "q3",
+            config=internal_config,
+        )
+        assert res.verdict == INCONCLUSIVE
+        assert res.reason == "RuntimeError: probe"
 
     @pytest.mark.parametrize("exc", [RecursionError, EngineError, ValueError])
     def test_internal_exception_is_inconclusive(self, monkeypatch, internal_config, exc):

@@ -20,6 +20,7 @@ from parseq.confrel import (
     buf,
     hdr,
     lit,
+    simplify,
     var,
 )
 from parseq.smt import (
@@ -29,14 +30,10 @@ from parseq.smt import (
     InternalError,
     SolverConfig,
     SolverFailure,
-    builtin_solver_command,
     check_sat,
     decide_by_enumeration,
     decide_entailment,
-    decide_filtered,
-    find_solver,
     serialize_smtlib,
-    solve_smtlib,
     template_filter,
     to_fol_bv,
 )
@@ -184,58 +181,20 @@ class TestEnumeration:
         assert not decide_by_enumeration(flipped, aut)
 
 
+def decide_as_the_engine(ent, aut, config):
+    """``decide_entailment`` on a filtered entailment, its formulas
+    simplified as the engine makes them."""
+    t1, t2 = ent.t1, ent.t2
+    rel = [Guarded(t1, t2, simplify(p)) for p in ent.premises]
+    return decide_entailment(rel, Guarded(t1, t2, simplify(ent.conclusion)), aut, config)
+
+
 class TestDualPath:
-    def test_internal_matches_enumeration_on_500_cases(self, rng):
-        config = SolverConfig(backend="internal")
+    def test_internal_matches_enumeration_on_500_cases(self, rng, internal_config):
         for i in range(500):
             ent, aut = random_entailment(rng)
             want = decide_by_enumeration(ent, aut)
-            assert decide_filtered(ent, aut, config) == want, i
-
-    def test_subprocess_matches_enumeration_spot_checks(self, rng):
-        config = SolverConfig(backend="subprocess", command=builtin_solver_command())
-        for i in range(12):
-            ent, aut = random_entailment(rng)
-            assert decide_filtered(ent, aut, config) == decide_by_enumeration(ent, aut)
-
-
-class TestSolverDriver:
-    def test_trivial_scripts(self):
-        cmd = builtin_solver_command()
-        assert solve_smtlib("(assert false)(check-sat)", cmd) == "unsat"
-        assert solve_smtlib("(assert true)(check-sat)", cmd) == "sat"
-
-    def test_garbage_output_is_a_failure(self):
-        with pytest.raises(SolverFailure):
-            solve_smtlib("(check-sat)", ("echo", "maybe"))
-
-    def test_empty_output_is_a_failure(self):
-        with pytest.raises(SolverFailure):
-            solve_smtlib("(check-sat)", ("true",))
-
-    def test_missing_executable_is_a_failure(self):
-        with pytest.raises(SolverFailure):
-            solve_smtlib("(check-sat)", ("/nonexistent/solver",))
-
-    def test_unknown_token_is_not_a_verdict(self):
-        # the strict driver passes "unknown" through; deciding on it must fail
-        assert solve_smtlib("(check-sat)", ("echo", "unknown")) == "unknown"
-        aut = tiny_automaton()
-        ent = FilteredEntailment(T0, T0, (), BOT)
-        config = SolverConfig(backend="subprocess", command=("echo", "unknown"))
-        with pytest.raises(SolverFailure):
-            decide_filtered(ent, aut, config)
-
-    def test_find_solver_auto_falls_back_to_builtin(self):
-        # no external SMT solver is installed in this environment
-        cmd = find_solver("auto")
-        assert cmd == builtin_solver_command() or cmd[0].endswith(
-            ("z3", "cvc4", "boolector")
-        )
-
-    def test_find_solver_unknown_name(self):
-        with pytest.raises(SolverFailure):
-            find_solver("definitely-not-a-solver")
+            assert decide_as_the_engine(ent, aut, internal_config) == want, i
 
 
 class TestDecideEntailment:
@@ -250,10 +209,16 @@ class TestDecideEntailment:
         g = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
         assert decide_entailment([g], g, aut, internal_config)
 
-    def test_top_goal_without_solver(self):
+    def test_top_goal_without_solver(self, internal_config):
         aut = tiny_automaton()
-        config = SolverConfig(backend="subprocess", command=("/nonexistent",))
-        assert decide_entailment([], Guarded(T0, T0, TOP), aut, config)
+        rel = GuardRelation(T0, T0)
+        assert decide_entailment(rel, Guarded(T0, T0, TOP), aut, internal_config)
+        assert rel.refuted == rel.solver_calls == 0 and rel.context is None
+
+    def test_config_rejects_an_unknown_backend(self):
+        for backend in ("subprocess", "z3", "Internal", ""):
+            with pytest.raises(ValueError, match="unknown backend"):
+                SolverConfig(backend=backend)
 
     def test_dump_dir_receives_queries(self, tmp_path, internal_config):
         aut = tiny_automaton()
@@ -344,7 +309,7 @@ class TestGuardContext:
             for step in range(6):
                 goal = Guarded(t1, t2, formula())
                 fresh = FilteredEntailment(t1, t2, tuple(r.body for r in rel), goal.body)
-                want = decide_filtered(fresh, aut, internal_config)
+                want = not check_sat(to_fol_bv(fresh, aut))
                 assert decide_entailment(rel, goal, aut, internal_config) == want, (case, step)
                 if not want or rng.random() < 0.3:
                     rel.append(goal)
@@ -408,13 +373,13 @@ class TestGuardContext:
         with pytest.raises(SolverFailure):
             decide_entailment(rel, g, aut, config)
 
-    def test_timeout_stops_the_expansion_of_a_wide_premise(self):
+    def test_timeout_stops_the_expansion_of_a_wide_premise(self, tmp_path):
         # x meets no literal, so its expansion walks 4,096 branches
         aut = tiny_automaton()
         wide = Guarded(T0, T1, Eq(var("x", 12), var("y", 12)))
         goal = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
-        for backend in ("internal", "subprocess"):
-            config = SolverConfig(backend=backend, timeout=1e-9)
+        for dump_dir in (None, str(tmp_path)):
+            config = SolverConfig(timeout=1e-9, dump_dir=dump_dir)
             with pytest.raises(SolverFailure):
                 decide_entailment([wide], goal, aut, config)
         rel = GuardRelation(T0, T1)

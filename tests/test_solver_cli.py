@@ -4,9 +4,12 @@ import io
 import subprocess
 import sys
 
+import parseq.engine
 from _gen import random_entailment
-from parseq.confrel import Eq, lit, var
-from parseq.smt import check_sat, serialize_smtlib, to_fol_bv
+from conftest import load_fixture
+from parseq.confrel import Eq, Top, lit, var
+from parseq.engine import EQUIVALENT, check_equivalence
+from parseq.smt import SolverConfig, check_sat, serialize_smtlib, to_fol_bv
 from parseq.solver_cli import Script, parse_sexps, run_script, tokenize
 
 
@@ -86,6 +89,29 @@ class TestAgreement:
             text = serialize_smtlib(assertions)
             _, token = run(text)
             assert token == ("sat" if check_sat(assertions) else "unsat")
+
+    def test_dumped_queries_answer_as_the_engine_decided(self, monkeypatch, tmp_path):
+        """Each ``--dump-smt`` script is unsat exactly when the engine found
+        its entailment valid: the one place the engine's decisions meet an
+        independent SMT-LIB checker."""
+        answers = []
+        decide = parseq.engine.decide_entailment
+
+        def recorded(rel, goal, aut, config):
+            entailed = decide(rel, goal, aut, config)
+            if not isinstance(goal.body, Top):
+                answers.append(entailed)
+            return entailed
+
+        monkeypatch.setattr(parseq.engine, "decide_entailment", recorded)
+        res = check_equivalence(
+            load_fixture("mpls_ref_small"), "q1", load_fixture("mpls_vec_small"), "q3",
+            config=SolverConfig(dump_dir=str(tmp_path)),
+        )
+        assert res.verdict == EQUIVALENT
+        tokens = [run(f.read_text())[1] for f in sorted(tmp_path.glob("*_query.smt2"))]
+        assert tokens == ["unsat" if entailed else "sat" for entailed in answers]
+        assert {"sat", "unsat"} <= set(tokens)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

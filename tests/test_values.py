@@ -179,7 +179,7 @@ class TestValueSemantics:
         assert Var("x").width == 1
         assert SolverConfig().timeout == 60.0
         assert SolverConfig().backend == "internal"
-        assert SolverConfig().command is None and SolverConfig().dump_dir is None
+        assert SolverConfig().dump_dir is None
         assert Result("Equivalent").reason == "" and Result("Equivalent").witness is None
         assert Stats().iterations == 0 and Stats().wall_time == 0.0
 

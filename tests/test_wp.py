@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import parseq.engine
 import parseq.reach
 import parseq.wp
 from _gen import random_automaton, random_formula, random_guard, random_wide_guard
@@ -432,6 +433,30 @@ class TestCompiledStepRelation:
         assert res.verdict == "Equivalent", res.reason
         assert len(built) > 10
         assert max(built.values()) == 1, built.most_common(3)
+
+    def test_buffering_rewinds_are_shared_across_templates(self, monkeypatch, internal_config):
+        """A buffering rewind depends only on (side, t_src.buflen, k), so
+        the table holds one value per such key, whatever the templates."""
+        built = []
+        predecessors = parseq.engine.predecessors
+
+        def kept(reach, aut, leaps=True):
+            built.append(predecessors(reach, aut, leaps))
+            return built[-1]
+
+        monkeypatch.setattr(parseq.engine, "predecessors", kept)
+        res = check_equivalence(
+            load_fixture("vlan"), "parse_eth", load_fixture("vlan"), "parse_eth",
+            config=internal_config, leaps=False,
+        )
+        assert res.verdict == "Equivalent", res.reason
+        (preds,) = built
+        buffering = {
+            key: r for key, r in preds.rewinds.items() if len(key) == 4 and r is not None and r[0]
+        }
+        shapes = {(side, t_src.buflen, k) for side, t_src, _, k in buffering}
+        assert len(buffering) > 2 * len(shapes)
+        assert len({id(r) for r in buffering.values()}) == len(shapes)
 
     @pytest.mark.parametrize("leaps", [True, False])
     def test_predecessors_reuse_the_fixpoint_successors(self, monkeypatch, rng, leaps):
