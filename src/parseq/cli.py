@@ -92,9 +92,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def solver_config(args: argparse.Namespace) -> SolverConfig:
-    if args.timeout <= 0:
-        raise UsageError("--timeout must be positive")
-    return SolverConfig(backend=args.solver, timeout=args.timeout, dump_dir=args.dump_smt)
+    try:
+        return SolverConfig(backend=args.solver, timeout=args.timeout, dump_dir=args.dump_smt)
+    except ValueError as exc:
+        raise UsageError(f"--timeout: {exc}") from None
 
 
 def _load(path: str) -> core.Automaton:

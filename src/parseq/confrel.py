@@ -29,19 +29,22 @@ class NotPure(Exception):
 # A bit expression is kept in the concatenation/extraction normal form of
 # Cyrluk, Möller & Rueß (CAV 1997): a flat tuple of segments, each either
 # a string of literal bits or bits lo..hi of a base (a buffer, a header or
-# a bit variable). A base carries its width, so every expression knows its
-# width when it is built. No segment is empty and no two literals are
-# adjacent; slices of slices and of concatenations never arise.
+# a bit variable). A header or a variable carries its width; a buffer's
+# width is its side's template buflen, which the guard gives, so one
+# reference serves every buffer length and a buffer's bits stay equal as it
+# grows. Every expression knows its width when it is built. No segment is
+# empty and no two literals are adjacent; slices of slices and of
+# concatenations never arise.
 
 
 class BufRef(Record):
-    __slots__ = ("side", "width")
+    __slots__ = ("side",)
 
-    def __init__(self, side: str, width: int):
-        self.side, self.width = side, width
+    def __init__(self, side: str):
+        self.side = side
 
-    def __eq__(self, o): return type(o) is BufRef and (self.side, self.width) == (o.side, o.width)
-    def __hash__(self): return hash((self.side, self.width))
+    def __eq__(self, o): return type(o) is BufRef and self.side == o.side
+    def __hash__(self): return hash(self.side)
 
 
 class BHdrRef(Record):
@@ -69,7 +72,7 @@ class Var(Record):
 Base = Union[BufRef, BHdrRef, Var]
 
 
-class Seg(NamedTuple):  # bits lo..hi of a base, within its width
+class Seg(NamedTuple):  # bits lo..hi of a base, within its width (a buffer's: the guard's)
     base: Base
     lo: int
     hi: int
@@ -131,22 +134,22 @@ def lit(bits: str) -> Bits:
     return Bits((bits,), len(bits)) if bits else EMPTY
 
 
-def ref(base: Base) -> Bits:
-    """All bits of a base."""
-    w = base.width
+def ref(base: Base, w: int) -> Bits:
+    """Bits 0..w-1 of a base."""
     return Bits((Seg(base, 0, w - 1),), w) if w else EMPTY
 
 
 def buf(side: str, width: int) -> Bits:
-    return ref(BufRef(side, width))
+    """All bits of a side's buffer, ``width`` of them."""
+    return ref(BufRef(side), width)
 
 
 def hdr(name: str, side: str, width: int) -> Bits:
-    return ref(BHdrRef(name, side, width))
+    return ref(BHdrRef(name, side, width), width)
 
 
 def var(name: str, width: int = 1) -> Bits:
-    return ref(Var(name, width))
+    return ref(Var(name, width), width)
 
 
 def cat(parts: Iterable[Union[Bits, Segment]]) -> Bits:
@@ -327,9 +330,9 @@ def replace(phi: Formula, fn: Callable[[Seg], Optional[Bits]]) -> Formula:
     return rewrite(phi, eq)
 
 
-def leaves(phi: Formula) -> Iterator[Union[Formula, Base]]:
-    """The atomic formulas under ``phi`` other than equations, and the base
-    of every segment of an equation, left to right."""
+def leaves(phi: Formula) -> Iterator[Union[Formula, Seg]]:
+    """The atomic formulas under ``phi`` other than equations, and every
+    base segment of an equation, left to right."""
     stack = [phi]
     pop, push = stack.pop, stack.append
     while stack:
@@ -338,7 +341,7 @@ def leaves(phi: Formula) -> Iterator[Union[Formula, Base]]:
         if t is Eq:
             for s in n.left.segs + n.right.segs:
                 if type(s) is not str:
-                    yield s.base
+                    yield s
         elif t is Implies:
             push(n.concl)
             push(n.hyp)
@@ -402,11 +405,13 @@ def holds(phi: Formula, cl: Configuration, cr: Configuration, v: Valuation) -> b
 
 
 def variables(phi: Formula) -> set[str]:
-    return {x.name for x in leaves(phi) if isinstance(x, Var)}
+    return {x.base.name for x in leaves(phi) if type(x) is Seg and type(x.base) is Var}
 
 
 def var_widths(phi: Formula) -> dict[str, int]:
-    return {x.name: x.width for x in leaves(phi) if isinstance(x, Var)}
+    return {
+        x.base.name: x.base.width for x in leaves(phi) if type(x) is Seg and type(x.base) is Var
+    }
 
 
 def valuations(phi: Formula) -> Iterator[Valuation]:
@@ -426,7 +431,7 @@ def denotes(phi: Formula, cl: Configuration, cr: Configuration) -> bool:
 
 
 def is_pure(phi: Formula) -> bool:
-    return not any(isinstance(x, (StateIs, BufLenIs)) for x in leaves(phi))
+    return not any(type(x) is StateIs or type(x) is BufLenIs for x in leaves(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +517,11 @@ def subst(
 
     ``buf`` maps a side to a replacement for that side's buffer;
     ``hdr`` maps (name, side) pairs to replacements. A replacement has
-    the width of what it replaces.
+    the width of what it replaces. A segment within a prefix that its
+    replacement maps to itself, as a buffering rewind maps the bits below
+    the old buffer length, is kept, and so is every node it leaves
+    unchanged: a formula no replacement changes comes back as the same
+    object.
     """
 
     def sub(s: Seg) -> Optional[Bits]:
@@ -524,7 +533,12 @@ def subst(
             r = hdr.get((b.name, b.side))
         else:
             return None
-        return None if r is None else r.slice(s.lo, s.hi)
+        if r is None:
+            return None
+        head = r.segs[0] if r.segs else None
+        if type(head) is Seg and head.lo == 0 and s.hi <= head.hi and head.base == b:
+            return None  # r starts with the bits of b it replaces
+        return r.slice(s.lo, s.hi)
 
     def node(x: Formula) -> Formula:
         if type(x) is Eq:
@@ -544,7 +558,8 @@ def simplify_node(phi: Formula) -> Formula:
     """One step of local rewriting (smart constructors) at a node whose
     subformulas are simplified already. Bit expressions are normal
     already; an equation is decided when its sides are equal, of unequal
-    widths or both literal."""
+    widths or both literal. A node the step leaves alone is returned as
+    it is."""
     t = type(phi)
     if t is Eq:
         left, right = phi.left, phi.right
@@ -574,7 +589,7 @@ def simplify_node(phi: Formula) -> Formula:
             for q in p.conjuncts if type(p) is And else (p,):
                 if q not in parts:
                     parts.append(q)
-        return conj(parts)
+        return phi if _kept(parts, phi.conjuncts) else conj(parts)
     if t is Or:
         parts = []
         for p in phi.disjuncts:
@@ -585,7 +600,7 @@ def simplify_node(phi: Formula) -> Formula:
             for q in p.disjuncts if type(p) is Or else (p,):
                 if q not in parts:
                     parts.append(q)
-        return disj(parts)
+        return phi if _kept(parts, phi.disjuncts) else disj(parts)
     if t is Not:
         body = phi.body
         if type(body) is Bottom:
@@ -597,6 +612,11 @@ def simplify_node(phi: Formula) -> Formula:
     return phi
 
 
+def _kept(parts: list[Formula], old: tuple[Formula, ...]) -> bool:
+    """Are ``parts`` the parts ``old`` of an And or Or of two or more?"""
+    return len(parts) == len(old) > 1 and all(map(is_, parts, old))
+
+
 def simplify(phi: Formula) -> Formula:
     """Semantics-preserving local rewriting, bottom-up."""
     return rewrite(phi, simplify_node)
@@ -606,48 +626,63 @@ def simplify(phi: Formula) -> Formula:
 # Rendering (deterministic, diffable)
 
 
-def render_segment(s: Segment) -> str:
+def render_segment(s: Segment, buflens: dict[str, int]) -> str:
+    """A segment as text: a whole base by its name, else with its bit
+    range. A buffer is whole when the segment covers its side's length in
+    ``buflens``; without one it is always shown with its range."""
     if type(s) is str:
         return f'"{s}"'
     b = s.base
     if type(b) is Var:
-        name = b.name
+        name, width = b.name, b.width
     elif type(b) is BufRef:
-        name = f"buf{b.side}"
+        name, width = f"buf{b.side}", buflens.get(b.side)
     else:
-        name = f"{b.name}{b.side}"
-    return name if s.lo == 0 and s.hi == b.width - 1 else f"{name}[{s.lo}:{s.hi}]"
+        name, width = f"{b.name}{b.side}", b.width
+    return name if s.lo == 0 and s.hi + 1 == width else f"{name}[{s.lo}:{s.hi}]"
 
 
-def render_bit_expr(be: Bits) -> str:
+def render_bit_expr(be: Bits, buflens: dict[str, int] = {}) -> str:
     if len(be.segs) == 1:
-        return render_segment(be.segs[0])
+        return render_segment(be.segs[0], buflens)
     if not be.segs:
         return '""'
-    return "(" + " ++ ".join(render_segment(s) for s in be.segs) + ")"
+    return "(" + " ++ ".join(render_segment(s, buflens) for s in be.segs) + ")"
 
 
-def render(phi: Formula) -> str:
+def render(phi: Formula, buflens: dict[str, int] = {}) -> str:
+    """phi as text; ``buflens`` gives the buffer length of each side (see
+    ``render_body``)."""
     if isinstance(phi, Bottom):
         return "false"
     if isinstance(phi, Top):
         return "true"
     if isinstance(phi, Eq):
-        return f"{render_bit_expr(phi.left)} = {render_bit_expr(phi.right)}"
+        return f"{render_bit_expr(phi.left, buflens)} = {render_bit_expr(phi.right, buflens)}"
     if isinstance(phi, StateIs):
         return f"state{phi.side}({phi.state})"
     if isinstance(phi, BufLenIs):
         return f"buflen{phi.side}({phi.length})"
     if isinstance(phi, Implies):
-        return f"({render(phi.hyp)} => {render(phi.concl)})"
+        return f"({render(phi.hyp, buflens)} => {render(phi.concl, buflens)})"
     if isinstance(phi, And):
-        return "(" + " & ".join(render(p) for p in phi.conjuncts) + ")"
+        return "(" + " & ".join(render(p, buflens) for p in phi.conjuncts) + ")"
     if isinstance(phi, Or):
-        return "(" + " | ".join(render(p) for p in phi.disjuncts) + ")"
+        return "(" + " | ".join(render(p, buflens) for p in phi.disjuncts) + ")"
     if isinstance(phi, Not):
-        return f"!{render(phi.body)}"
+        return f"!{render(phi.body, buflens)}"
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def guard_buflens(t1: Template, t2: Template) -> dict[str, int]:
+    """The buffer length of each side under the guard (t1, t2)."""
+    return {LEFT: t1.buflen, RIGHT: t2.buflen}
+
+
+def render_body(g: Guarded) -> str:
+    """g's body as text, each buffer at its length under g's guard."""
+    return render(g.body, guard_buflens(g.t1, g.t2))
+
+
 def render_guarded(g: Guarded) -> str:
-    return f"[{g.t1} {g.t2}] {render(g.body)}"
+    return f"[{g.t1} {g.t2}] {render_body(g)}"

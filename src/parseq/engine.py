@@ -33,7 +33,7 @@ from .confrel import (
     Template,
     Top,
     guard,
-    render,
+    render_body,
     render_guarded,
     simplify,
 )
@@ -44,6 +44,7 @@ from .reach import (
     predecessors,
     reach_fixpoint,
 )
+from .lanes import Simulation
 from .smt import GuardRelation, SolverConfig, decide_entailment, refuted
 from .wp import canonical_vars, wp
 
@@ -124,7 +125,7 @@ class Witness(Record):
                         "index": k,
                         "left": str(e.guarded.t1),
                         "right": str(e.guarded.t2),
-                        "body": render(e.guarded.body),
+                        "body": render_body(e.guarded),
                         "origin": e.origin,
                     }
                     for k, e in enumerate(self.entries)
@@ -216,11 +217,20 @@ def pre_bisimulation(
     reach = _reach_for(aut, t_init1, t_init2, leaps, use_reach)
     preds = predecessors(reach, aut, leaps)
     witness = Witness()
+    # each body's simulation, shared by every guard (wp hands an unchanged
+    # body on to the next guard as the same object) and dropped with the check
+    sims: dict[int, Simulation] = {}
+
+    def relation(t1: Template, t2: Template) -> GuardRelation:
+        rel = GuardRelation(t1, t2)
+        rel.sims = sims
+        return rel
+
     # R indexed by guard: an entailment only reads the goal's own guard
     by_guard: dict[tuple[Template, Template], GuardRelation] = {}
     # phi_extra, the premise every obligation at the initial guard is
     # checked against
-    given = GuardRelation(t_init1, t_init2)
+    given = relation(t_init1, t_init2)
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
 
@@ -288,7 +298,7 @@ def pre_bisimulation(
             phi, origin = frontier.popleft()
             same_guard = by_guard.get((phi.t1, phi.t2))
             if same_guard is None:
-                same_guard = by_guard[phi.t1, phi.t2] = GuardRelation(phi.t1, phi.t2)
+                same_guard = by_guard[phi.t1, phi.t2] = relation(phi.t1, phi.t2)
             if decide_entailment(same_guard, phi, aut, config):
                 stats.skips += 1
             else:

@@ -25,7 +25,6 @@ from .confrel import (
     LEFT,
     RIGHT,
     And,
-    Base,
     BHdrRef,
     Bits,
     Bottom,
@@ -47,25 +46,28 @@ from .confrel import (
     bit_segs,
     cat,
     denotes,
+    guard_buflens,
     is_pure,
     leaves,
     lit,
     replace,
     rewrite,
     simplify,
-    valuations,
     var,
     var_widths,
 )
 from . import sat
+from .lanes import (
+    ALL_LANES,
+    InternalError,
+    Simulation,
+    check_buffer,
+    check_header,
+    lowest_false,
+    sat_name,
+    simulate_body,
+)
 from .sat import SolverFailure
-
-
-class InternalError(Exception):
-    """A formula reached the simulation, the solver or the bitvector
-    translation that does not fit its guard: state or buffer-length
-    assertions, an unknown header, or a reference whose width is not the
-    guard's."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,29 +98,17 @@ def template_filter(rel: Iterable[Guarded], goal: Guarded) -> FilteredEntailment
     return FilteredEntailment(goal.t1, goal.t2, premises, goal.body)
 
 
-def check_base(b: Base, aut: Automaton, buflens: dict[str, int]) -> None:
-    """Raise InternalError unless a buffer or header reference has the
-    width the guard (``buflens``) or the automaton gives it."""
-    want = buflens[b.side] if type(b) is BufRef else aut.sizes.get(b.name)
-    if want is None:
-        raise InternalError(f"unknown header {b.name!r}")
-    if want != b.width:
-        raise InternalError(f"{b} read at width {b.width}, not {want}")
-
-
-def sat_name(b: Base, aut: Automaton, buflens: dict[str, int]) -> str:
-    """A base's name in the internal backend, after ``check_base``. Names
-    never leave the process, so headers need no SMT-LIB sanitizing;
-    prefixes keep the kinds apart. A variable's name carries its width:
-    goals accumulate at a guard, and one goal's v0 may be wider than
-    another's."""
+def base_width(s: Seg, aut: Automaton, buflens: dict[str, int]) -> int:
+    """The width of a segment's base: the guard's buffer length for a
+    buffer. Raises InternalError unless the segment fits it."""
+    b = s.base
     t = type(b)
-    if t is Var:
-        return f"v{b.width}_{b.name}"
-    check_base(b, aut, buflens)
     if t is BufRef:
-        return "bufL" if b.side == LEFT else "bufR"
-    return ("L_" if b.side == LEFT else "R_") + b.name
+        check_buffer(b.side, s.hi + 1, buflens[b.side])
+        return buflens[b.side]
+    if t is BHdrRef:
+        check_header(b, aut)
+    return b.width
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +120,10 @@ _SANE = re.compile(r"[^A-Za-z0-9_]")
 def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
     """Deterministic, collision-free SMT names for header references."""
     refs = {
-        (x.name, x.side) for f in formulas for x in leaves(f) if type(x) is BHdrRef
+        (x.base.name, x.base.side)
+        for f in formulas
+        for x in leaves(f)
+        if type(x) is Seg and type(x.base) is BHdrRef
     }
     table: dict[tuple[str, str], str] = {}
     used: set[str] = {"bufL", "bufR"}
@@ -149,8 +142,9 @@ def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
 # alone. The conclusion's become free (skolemized by the negation). A
 # premise's are eliminated exactly, at any width, by walking the cofactors
 # of its variable bits: ``to_fol_bv`` collects every instance that is not
-# true, and a GuardContext searches one premise at a time for an instance
-# false under a SAT model.
+# true. A GuardContext searches one premise at a time for an instance false
+# under a SAT model, by evaluating it under all its valuations at once
+# (``_falsifying_valuation``).
 
 _KNOWN = str.maketrans("01?", "110")
 _VALUE = str.maketrans("01?", "010")
@@ -201,15 +195,16 @@ def _fix_bit(phi: Formula, name: str, bit: str) -> Formula:
 
 
 def _cofactors(
-    p: Formula, deadline: Optional[float]
+    p: Formula, deadline: Optional[float], cap: int = 0
 ) -> Iterator[tuple[Formula, Valuation]]:
     """The cofactor walk over a simplified formula's variable bits.
 
     Each step fixes the leftmost bit of the first variable by name, 0
     before 1 (``_fix_bit``). A branch ends at true (dropped), at false, or
-    with no variable left, and is yielded with the bits it fixed, in the
-    order of ``valuations``. A branch is simplified only when the walk
-    reaches it. Raises SolverFailure once ``deadline`` passes."""
+    with at most ``cap`` variable bits left, and is yielded with the bits
+    it fixed, in the order of ``valuations``. A branch is simplified only
+    when the walk reaches it. Raises SolverFailure once ``deadline``
+    passes."""
     stack: list[tuple[Formula, Valuation, str, str]] = [(p, {}, "", "")]
     while stack:
         if deadline is not None and time.monotonic() > deadline:
@@ -221,7 +216,7 @@ def _cofactors(
                 continue
             fixed = {**fixed, name: fixed.get(name, "") + bit}
         widths = var_widths(phi)
-        if not widths:
+        if sum(widths.values()) <= cap:
             yield phi, fixed
             continue
         name = min(widths)
@@ -240,6 +235,36 @@ def _premise_instances(p: Formula, deadline: Optional[float]) -> list[Formula]:
     return out
 
 
+INSTANCE_VAR_BITS = 10  # the widest premise an instance search takes in one pass
+
+
+def _falsifying_valuation(
+    p: Formula, widths: dict[str, int], bits: Callable[[Seg], str], deadline: Optional[float]
+) -> Optional[Valuation]:
+    """The first valuation of p's variables (``var_widths(p)``, given as
+    ``widths``), in the order of ``valuations``, under which p is false
+    when each configuration segment holds ``bits(s)``, or None when p
+    holds under every one: the valuation the cofactor walk finds first.
+
+    A premise with at most ``INSTANCE_VAR_BITS`` variable bits is
+    evaluated under all its valuations in one pass (``lowest_false``). A
+    wider one has the configuration bits substituted and is split by the
+    cofactor walk into branches of at most that many bits, evaluated the
+    same way in the walk's order. Raises SolverFailure once ``deadline``
+    passes."""
+    if sum(widths.values()) <= INSTANCE_VAR_BITS:
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverFailure("solver timeout")
+        return lowest_false(p, widths, bits)
+    phi = replace(p, lambda s: None if type(s.base) is Var else lit(bits(s)))
+    phi = _fold_clashes(phi if phi is p else simplify(phi))
+    for branch, fixed in _cofactors(phi, deadline, INSTANCE_VAR_BITS):
+        v = lowest_false(branch, var_widths(branch), bits)
+        if v is not None:  # bits that neither fixed nor read read as 0
+            return {x: (fixed.get(x, "") + v.get(x, "")).ljust(w, "0") for x, w in widths.items()}
+    return None
+
+
 def to_fol_bv(
     ent: FilteredEntailment, aut: Automaton, deadline: Optional[float] = None
 ) -> list[Formula]:
@@ -249,7 +274,7 @@ def to_fol_bv(
     L_h/R_h per header, sanitized for SMT-LIB and collision-free, v_x per
     bit variable). The expansion raises SolverFailure once
     time.monotonic() passes ``deadline``."""
-    buflens = {LEFT: ent.t1.buflen, RIGHT: ent.t2.buflen}
+    buflens = guard_buflens(ent.t1, ent.t2)
     names = _name_table(list(ent.premises) + [ent.conclusion])
 
     def smt_name(s: Seg) -> Bits:
@@ -258,9 +283,9 @@ def to_fol_bv(
         if t is Var:
             name = f"v_{b.name}"
         else:
-            check_base(b, aut, buflens)
             name = names[b.name, b.side] if t is BHdrRef else "bufL" if b.side == LEFT else "bufR"
-        return Bits((Seg(Var(name, b.width), s.lo, s.hi),), s.hi - s.lo + 1)
+        width = base_width(s, aut, buflens)
+        return Bits((Seg(Var(name, width), s.lo, s.hi),), s.hi - s.lo + 1)
 
     if not all(map(is_pure, [*ent.premises, ent.conclusion])):
         raise InternalError("impure formula survived filtering")
@@ -323,9 +348,10 @@ def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
     decls: dict[str, int] = {}
     for f in assertions:
         for x in leaves(f):
-            if type(x) is Var and decls.setdefault(x.name, x.width) != x.width:
+            b = x.base if type(x) is Seg else None
+            if type(b) is Var and decls.setdefault(b.name, b.width) != b.width:
                 raise InternalError(
-                    f"variable {x.name} used at widths {decls[x.name]} and {x.width}"
+                    f"variable {b.name} used at widths {decls[b.name]} and {b.width}"
                 )
     lines = []
     if comment:
@@ -347,20 +373,24 @@ def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
 class Blaster:
     """Tseitin encoding of bitvector formulas into a SAT solver.
 
-    Each base is a SAT variable per bit, found by the name ``name`` gives
-    it (by default its own). Gates fold against the constant and against
-    equal or opposite inputs, and are shared: one per input pair (iff) or
-    input set (and).
+    Each base is a SAT variable per bit, found by the name and width
+    ``base`` gives a segment's base (by default its own). Gates fold
+    against the constant and against equal or opposite inputs, and are
+    shared: one per input pair (iff) or input set (and). Each distinct
+    equation is blasted once.
     """
 
-    def __init__(self, name: Callable[[Base], str] = lambda b: b.name):
+    def __init__(
+        self, base: Callable[[Seg], tuple[str, int]] = lambda s: (s.base.name, s.base.width)
+    ):
         self.sat = sat.Solver()
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
-        self.name = name
+        self.base = base
         self.env: dict[str, list[int]] = {}
         self._iffs: dict[tuple[int, int], int] = {}
         self._ands: dict[tuple[int, ...], int] = {}
+        self._eqs: dict[Eq, int] = {}
 
     def var_bits(
         self, name: str, width: int, lo: int = 0, hi: Optional[int] = None
@@ -389,7 +419,7 @@ class Blaster:
             if type(s) is str:
                 out += [t if b == "1" else -t for b in s]
             else:
-                out += self.var_bits(self.name(s.base), s.base.width, s.lo, s.hi)
+                out += self.var_bits(*self.base(s), s.lo, s.hi)
         return out
 
     def _iff(self, a: int, b: int) -> int:
@@ -440,10 +470,13 @@ class Blaster:
         if isinstance(f, Bottom):
             return -self.true_lit
         if isinstance(f, Eq):
-            lb, rb = self.term(f.left), self.term(f.right)
-            if len(lb) != len(rb):
-                return -self.true_lit
-            return self._and([self._iff(a, b) for a, b in zip(lb, rb)])
+            o = self._eqs.get(f)
+            if o is None:
+                lb, rb = self.term(f.left), self.term(f.right)
+                if len(lb) != len(rb):
+                    return -self.true_lit
+                o = self._eqs[f] = self._and([self._iff(a, b) for a, b in zip(lb, rb)])
+            return o
         if isinstance(f, Not):
             return -self.formula(f.body)
         if isinstance(f, And):
@@ -480,34 +513,35 @@ class GuardContext:
     reuses its literal). A premise with variables is kept pending and
     instantiated lazily, from models (Ge & de Moura, *Complete
     Instantiation for Quantified Formulas in SMT*, CAV 2009). Each goal is
-    solved under the assumption of its negation. On sat, the model's
-    configuration is substituted into each pending premise and the
-    cofactor walk looks for a valuation of its variables that falsifies
-    it. Each bit of it becomes a configuration bit the premise aligns with
-    that variable bit and the model agrees with, or else a literal. The
-    instance is asserted and the goal solved again. Each instance is false
-    under the model it came from and there are finitely many, so the loop
-    ends: unsat means valid, and a model no pending premise rejects means
-    not entailed.
+    solved under the assumption of its negation. On sat, each pending
+    premise is evaluated under the model's configuration bits for the
+    first valuation of its variables that falsifies it
+    (``_falsifying_valuation``). Each bit of that valuation becomes a
+    configuration bit the premise aligns with that variable bit and the
+    model agrees with, or else a literal. The instance is asserted and the
+    goal solved again. Each instance is false under the model it came from
+    and there are finitely many, so the loop ends: unsat means valid, and
+    a model no pending premise rejects means not entailed.
 
     An earlier goal's Tseitin definitions can be met by every assignment
     of its inputs, and instances follow from the premises, so both leave
-    later answers as a fresh per-query solver would give them.
+    later answers as a fresh per-query solver would give them. The Blaster
+    blasts each distinct equation once.
     """
 
     def __init__(self, aut: Automaton, t1: Template, t2: Template):
         self.aut = aut
-        self.buflens = {LEFT: t1.buflen, RIGHT: t2.buflen}
-        self.blaster = Blaster(self._name)
+        self.buflens = guard_buflens(t1, t2)
+        self.blaster = Blaster(self._base)
         self.asserted = 0  # how many conjuncts of the relation are premises
-        # premises with variables, each with its _aligned_bits
-        self.pending: list[tuple[Formula, dict[tuple[str, int], list[Seg]]]] = []
+        # premises with variables, each with its _aligned_bits and var_widths
+        self.pending: list[tuple[Formula, dict[tuple[str, int], list[Seg]], dict[str, int]]] = []
         self.instances = 0  # instances of pending premises asserted
         self.extra_solves = 0  # solve() calls beyond one per goal
         self._goal: tuple[Optional[Formula], int] = (None, 0)  # last goal, its literal
 
-    def _name(self, b: Base) -> str:
-        return sat_name(b, self.aut, self.buflens)
+    def _base(self, s: Seg) -> tuple[str, int]:
+        return sat_name(s.base), base_width(s, self.aut, self.buflens)
 
     def _assert(self, p: Formula) -> None:
         self.blaster.sat.add_clause([self.blaster.formula(p)])
@@ -516,27 +550,22 @@ class GuardContext:
         """A configuration segment's bits in the last model. A bit the
         Blaster never allocated is unconstrained and reads as 0."""
         value = self.blaster.sat.value
-        lits = self.blaster.env.get(self._name(s.base), [0] * s.base.width)
+        name, width = self._base(s)
+        lits = self.blaster.env.get(name, [0] * width)
         return "".join("1" if lit and value(lit) else "0" for lit in lits[s.lo : s.hi + 1])
 
     def _falsified_instance(
-        self, p: Formula, aligned: dict[tuple[str, int], list[Seg]], deadline: Optional[float]
+        self,
+        p: Formula,
+        aligned: dict[tuple[str, int], list[Seg]],
+        widths: dict[str, int],
+        deadline: Optional[float],
     ) -> Optional[Formula]:
         """An instance of pending premise ``p`` false under the last
         model, simplified, or None when the model satisfies ``p``."""
-
-        def at_model(s: Seg) -> Optional[Bits]:
-            return None if type(s.base) is Var else lit(self._model_bits(s))
-
-        phi = replace(p, at_model)  # p itself when it reads no configuration
-        phi = _fold_clashes(phi if phi is p else simplify(phi))
-        if isinstance(phi, Top):
+        v = _falsifying_valuation(p, widths, self._model_bits, deadline)
+        if v is None:
             return None
-        falsified = next(_cofactors(phi, deadline), None)
-        if falsified is None:
-            return None
-        fixed = falsified[1]  # bits the walk left open read as 0
-        v = {name: fixed.get(name, "").ljust(w, "0") for name, w in var_widths(p).items()}
 
         def project(x: str, i: int) -> Segment:
             same = (c for c in aligned.get((x, i), ()) if self._model_bits(c) == v[x][i])
@@ -555,11 +584,12 @@ class GuardContext:
         time.monotonic() passes ``deadline``."""
         for r in rel[self.asserted :]:
             p = r.body
-            if var_widths(p):
-                for b in leaves(p):
-                    if type(b) in (BufRef, BHdrRef):
-                        self._name(b)
-                self.pending.append((p, _aligned_bits(p)))
+            widths = var_widths(p)
+            if widths:
+                for x in leaves(p):
+                    if type(x) is Seg and type(x.base) is not Var:
+                        self._base(x)
+                self.pending.append((p, _aligned_bits(p), widths))
             elif p is self._goal[0]:
                 self.blaster.sat.add_clause([self._goal[1]])
             else:
@@ -573,8 +603,8 @@ class GuardContext:
         while solver.solve():
             found = [
                 inst
-                for p, aligned in self.pending
-                if (inst := self._falsified_instance(p, aligned, deadline)) is not None
+                for p, aligned, widths in self.pending
+                if (inst := self._falsified_instance(p, aligned, widths, deadline)) is not None
             ]
             if not found:
                 return False
@@ -606,117 +636,38 @@ def _aligned_bits(p: Formula) -> dict[tuple[str, int], list[Seg]]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Random simulation
-#
-# Bit-parallel random simulation, as equivalence checkers of circuits use
-# it to disprove candidate equivalences before any SAT call (Mishchenko et
-# al., *Improvements to Combinational Equivalence Checking*, ICCAD 2006).
-# A lane is one configuration pair; each configuration bit is a Python int
-# holding its value on every lane, and a formula evaluates to the int of
-# the lanes on which it holds.
-
-LANES = 256  # configuration pairs simulated at each guard
-SIM_VAR_BITS = 4  # a premise with more variable bits holds on no lane
-_ALL = (1 << LANES) - 1
-_M64 = (1 << 64) - 1
-# SAT name -> lane values of its bits 0, 1, ...: the memo of ``lane_bits``.
-# The values are fixed, so checks sharing it in one process answer alike.
-_LANE_BITS: dict[str, list[int]] = {}
-
-
-def lane_bits(name: str, width: int) -> list[int]:
-    """The lanes of bits 0..width-1 of the base called ``name``. The value
-    of a bit on a lane is a fixed pseudo-random function of the name, the
-    bit and the lane: FNV-1a of "name/bit", stretched by splitmix64."""
-    bits = _LANE_BITS.setdefault(name, [])
-    for i in range(len(bits), width):
-        h = 0xCBF29CE484222325
-        for byte in f"{name}/{i}".encode():
-            h = ((h ^ byte) * 0x100000001B3) & _M64
-        lanes = 0
-        for _ in range(LANES // 64):
-            h = (h + 0x9E3779B97F4A7C15) & _M64
-            z = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
-            lanes = (lanes << 64) | z ^ (z >> 31)
-        bits.append(lanes)
-    return bits
-
-
-def _bit_lanes(e: Bits, lanes: Callable[[Seg], list[int]]) -> list[int]:
-    out: list[int] = []
-    for s in e.segs:
-        if type(s) is str:
-            out += [_ALL if b == "1" else 0 for b in s]
-        else:
-            out += lanes(s)
-    return out
-
-
-def simulate(phi: Formula, lanes: Callable[[Seg], list[int]]) -> int:
-    """The lanes on which ``phi`` holds, each base segment's bits read
-    through ``lanes``. Every segment is read, so ``lanes`` sees (and may
-    reject) every base of ``phi``."""
-    t = type(phi)
-    if t is Eq:
-        left, right = _bit_lanes(phi.left, lanes), _bit_lanes(phi.right, lanes)
-        if len(left) != len(right):
-            return 0
-        out = _ALL
-        for a, b in zip(left, right):
-            out &= ~(a ^ b)
-        return out
-    if t is Not:
-        return _ALL ^ simulate(phi.body, lanes)
-    if t is And:
-        out = _ALL
-        for p in phi.conjuncts:
-            out &= simulate(p, lanes)
-        return out
-    if t is Or:
-        out = 0
-        for p in phi.disjuncts:
-            out |= simulate(p, lanes)
-        return out
-    if t is Implies:
-        return (_ALL ^ simulate(phi.hyp, lanes)) | simulate(phi.concl, lanes)
-    if t is Top:
-        return _ALL
-    if t is Bottom:
-        return 0
-    if t is StateIs or t is BufLenIs:
-        raise InternalError(f"impure formula survived filtering: {phi!r}")
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 class GuardRelation(list):
     """The conjuncts of R at the guard (t1, t2), in the order they joined,
     and the internal backend's entailment checks against them.
 
     A query is simulated first, on ``LANES`` random configuration pairs.
-    ``alive`` holds the lanes that satisfy every conjunct: a premise with
-    variables holds on a lane when it holds for each valuation of them,
-    enumerated when it has at most ``SIM_VAR_BITS`` variable bits and taken
-    to hold on no lane otherwise. A goal that is false on a live lane,
-    under random values for its own variables, is not entailed: that lane
-    is a counter-model; ``refutes`` is this simulation alone. Only a goal
-    the simulation cannot refute builds the guard's GuardContext, which
-    then decides it and every later one."""
+    ``alive`` holds the lanes that satisfy every conjunct as a premise
+    (``simulate_body``). A goal that is false on a live lane, under random
+    values for its own variables, is not entailed: that lane is a
+    counter-model; ``refutes`` is this simulation alone. Only a goal the
+    simulation cannot refute builds the guard's GuardContext, which then
+    decides it and every later one.
+
+    A body is simulated once as a goal, and once more, with its
+    valuations, if it becomes a premise (``simulate_body``), into
+    ``sims``. The engine replaces that table with one for all the
+    relations of a check, since a body's lanes do not depend on its
+    guard; the table goes when the check ends. Each query still checks
+    the body's buffer reads against this guard."""
 
     __slots__ = (
-        "t1", "t2", "context", "alive", "simulated", "refuted", "solver_calls", "_lanes"
+        "t1", "t2", "context", "alive", "simulated", "refuted", "solver_calls", "sims"
     )
 
     def __init__(self, t1: Template, t2: Template, conjuncts: Iterable[Guarded] = ()):
         super().__init__(conjuncts)
         self.t1, self.t2 = t1, t2
         self.context: Optional[GuardContext] = None
-        self.alive = _ALL
+        self.alive = ALL_LANES
         self.simulated = 0  # how many conjuncts ``alive`` has met
         self.refuted = 0  # queries answered by simulation
         self.solver_calls = 0  # queries answered by a solver
-        self._lanes: dict[Base, list[int]] = {}  # each base read, checked
+        self.sims: dict[int, Simulation] = {}  # id of a body -> its Simulation
 
     def entails(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
         """Do the conjuncts entail ``goal``? Raises SolverFailure once
@@ -729,48 +680,31 @@ class GuardRelation(list):
         self.solver_calls += 1
         return self.context.entails(self, goal, deadline)
 
+    def simulation(self, body: Formula, aut: Automaton, premise: bool = False) -> Simulation:
+        """``body``'s Simulation, with its premise lanes when ``premise``
+        is set, made on first use, after checking that its buffer reads
+        fit this guard."""
+        sim = self.sims.get(id(body))
+        if sim is None or premise and sim.premise is None:
+            sim = self.sims[id(body)] = simulate_body(body, aut, premise)
+        check_buffer(LEFT, sim.reads[LEFT], self.t1.buflen)
+        check_buffer(RIGHT, sim.reads[RIGHT], self.t2.buflen)
+        return sim
+
     def refutes(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
         """Is ``goal`` false on a live lane? Then that lane is a counter-model
         and the conjuncts do not entail it; False says nothing. Raises as
         ``entails`` does."""
         if self.alive:
-            buflens = {LEFT: self.t1.buflen, RIGHT: self.t2.buflen}
-            cache = self._lanes
-
-            def lanes(s: Seg) -> list[int]:
-                b = s.base
-                bits = cache.get(b)
-                if bits is None:
-                    bits = cache[b] = lane_bits(sat_name(b, aut, buflens), b.width)
-                return bits[s.lo : s.hi + 1]
-
             for r in self[self.simulated :]:
-                self.alive &= _premise_lanes(r.body, lanes)
+                self.alive &= self.simulation(r.body, aut, premise=True).premise
             self.simulated = len(self)
-            if self.alive & ~simulate(goal, lanes):
+            if self.alive & ~self.simulation(goal, aut).goal:
                 if deadline is not None and time.monotonic() > deadline:
                     raise SolverFailure("solver timeout")
                 self.refuted += 1
                 return True
         return False
-
-
-def _premise_lanes(p: Formula, lanes: Callable[[Seg], list[int]]) -> int:
-    """The lanes on which premise ``p`` holds for every valuation of its
-    variables; none when it has more than ``SIM_VAR_BITS`` of them."""
-    if sum(var_widths(p).values()) > SIM_VAR_BITS:
-        return 0
-    out = _ALL
-    for v in valuations(p):
-
-        def at(s: Seg) -> list[int]:
-            b = s.base
-            if type(b) is not Var:
-                return lanes(s)
-            return [_ALL if c == "1" else 0 for c in v[b.name][s.lo : s.hi + 1]]
-
-        out &= simulate(p, at)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +716,8 @@ BACKENDS = ("internal", "enum")
 class SolverConfig(Record):
     """How entailments get decided: backend is one of ``BACKENDS``,
     "internal" (simulation, then a SAT context per guard) or "enum"
-    (exhaustive valuation enumeration)."""
+    (exhaustive valuation enumeration), each query within ``timeout``
+    seconds, a positive number."""
 
     __slots__ = ("backend", "timeout", "dump_dir", "_dump_count")
 
@@ -794,6 +729,8 @@ class SolverConfig(Record):
     ):
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}, not one of {BACKENDS}")
+        if not timeout > 0:  # NaN too: no time would ever pass it
+            raise ValueError(f"timeout {timeout!r} is not a positive number of seconds")
         self.backend, self.timeout, self.dump_dir = backend, timeout, dump_dir
         self._dump_count = 0
 
@@ -813,13 +750,12 @@ class SolverConfig(Record):
 
 def _enum_domain(ent: FilteredEntailment, aut: Automaton):
     """Referenced configuration bits: headers per side plus buffers."""
-    buflens = {LEFT: ent.t1.buflen, RIGHT: ent.t2.buflen}
-    refs = [x for f in list(ent.premises) + [ent.conclusion] for x in leaves(f)]
-    for x in refs:
-        if type(x) in (BufRef, BHdrRef):
-            check_base(x, aut, buflens)
-    hdrs = {(x.name, x.side) for x in refs if type(x) is BHdrRef}
-    bufs = {x.side for x in refs if type(x) is BufRef}
+    buflens = guard_buflens(ent.t1, ent.t2)
+    segs = [x for f in list(ent.premises) + [ent.conclusion] for x in leaves(f) if type(x) is Seg]
+    for x in segs:
+        base_width(x, aut, buflens)
+    hdrs = {(x.base.name, x.base.side) for x in segs if type(x.base) is BHdrRef}
+    bufs = {x.base.side for x in segs if type(x.base) is BufRef}
     slots: list[tuple[str, str, int]] = []  # (kind, key, width)
     for name, side in sorted(hdrs):
         slots.append(("hdr", f"{side}{name}", aut.sizes[name]))
@@ -882,9 +818,9 @@ def decide_entailment(
 
     Formulas are used as the engine made them, simplified. The query goes
     through a GuardRelation at the goal's guard: ``rel`` itself when it is
-    one, else one holding the conjuncts of ``rel`` at that guard. With the
-    internal backend the GuardRelation decides it, after its SMT-LIB
-    translation is written when ``config.dump_dir`` is set. With enum,
+    one, else one holding the conjuncts of ``rel`` at that guard. Its
+    SMT-LIB translation is written first when ``config.dump_dir`` is set.
+    With the internal backend the GuardRelation decides it. With enum,
     ``decide_by_enumeration`` decides the filtered entailment, counted in
     the GuardRelation's ``solver_calls``.
     """
@@ -894,11 +830,11 @@ def decide_entailment(
         rel = GuardRelation(
             goal.t1, goal.t2, (r for r in rel if r.t1 == goal.t1 and r.t2 == goal.t2)
         )
-    if config.backend == "enum":
-        rel.solver_calls += 1
-        return decide_by_enumeration(template_filter(rel, goal), aut)
     deadline = _deadline(config.timeout)
     if config.dump_dir:
         ent = template_filter(rel, goal)
         config.dump(serialize_smtlib(to_fol_bv(ent, aut, deadline), comment=_provenance(ent)))
+    if config.backend == "enum":
+        rel.solver_calls += 1
+        return decide_by_enumeration(template_filter(rel, goal), aut)
     return rel.entails(goal.body, aut, deadline)

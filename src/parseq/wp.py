@@ -19,6 +19,7 @@ from .confrel import (
     BOT,
     TOP,
     Bits,
+    BufRef,
     Eq,
     Formula,
     Guarded,
@@ -35,6 +36,7 @@ from .confrel import (
     conj,
     disj,
     hdr,
+    leaves,
     lit,
     replace,
     simplify,
@@ -225,7 +227,8 @@ def canonical_vars(phi: Formula) -> Formula:
 
     Variables are scoped to one formula (no variable is shared across
     relation entries), so renaming preserves meaning while making
-    alpha-equivalent formulas equal.
+    alpha-equivalent formulas equal. A canonical formula comes back as
+    the same object.
     """
     names: dict[tuple[str, int], Seg] = {}
 
@@ -239,6 +242,8 @@ def canonical_vars(phi: Formula) -> Formula:
             if seg is None:
                 seg = names[b.name, i] = Seg(Var(f"v{len(names)}"), 0, 0)
             segs.append(seg)
+        if b.width == 1 and segs[0].base.name == b.name:
+            return None  # already one-bit and canonical
         return Bits(tuple(segs), len(segs))
 
     return replace(phi, rename)
@@ -270,6 +275,44 @@ def side_rewind(
     return r
 
 
+def buffer_reads(phi: Formula) -> dict[str, int]:
+    """How many bits of each side's buffer phi reads: one past the
+    highest bit it reads, 0 when it reads none."""
+    reads = {LEFT: 0, RIGHT: 0}
+    for s in leaves(phi):
+        if type(s) is Seg and type(s.base) is BufRef and s.hi >= reads[s.base.side]:
+            reads[s.base.side] = s.hi + 1
+    return reads
+
+
+def transparent(r: Rewind) -> bool:
+    """Does rewind ``r`` rewrite no header and have no condition? Then it
+    maps each buffer bit below its source template's buffer length to
+    itself: a buffering rewind appends the read above them, and a result
+    state stepping to reject replaces nothing."""
+    return not r[1] and type(r[2]) is Top
+
+
+class Body:
+    """What ``wp`` knows of one body it rewinds: its ``buffer_reads`` and
+    its canonical form, each made on first use. Kept in
+    ``Predecessors.bodies`` under the body's id, with the body itself, so
+    that the id names no other formula while the check lasts."""
+
+    __slots__ = ("body", "reads", "canonical")
+
+    def __init__(self, body: Formula):
+        self.body = body
+        self.reads: Optional[dict[str, int]] = None
+        self.canonical: Optional[Formula] = None
+
+    def reads_below(self, pair: TemplatePair) -> bool:
+        """Does the body read only buffer bits below pair's buffer lengths?"""
+        if self.reads is None:
+            self.reads = buffer_reads(self.body)
+        return self.reads[LEFT] <= pair.left.buflen and self.reads[RIGHT] <= pair.right.buflen
+
+
 def wp(
     psig: Guarded, preds: Predecessors, aut: Automaton, leaps: bool = True
 ) -> list[Guarded]:
@@ -283,9 +326,21 @@ def wp(
     conditions wrap the result, and ``canonical_vars`` splits the read
     into one-bit variables for just the bits the precondition reads.
     Each side's rewind comes from ``preds``, built there on first use.
+
+    A pair whose rewinds are both ``transparent``, and whose buffers hold
+    every bit psig's body reads, leaves the body alone: it takes the
+    body's canonical form without a walk. ``preds.bodies`` holds each
+    body's buffer reads and canonical form, made on first use.
+    ``simplify`` and ``canonical_vars`` return a simplified canonical
+    body as it is, so an obligation of the engine comes back as the same
+    object.
     """
-    if READ in variables(psig.body):
-        raise FreshnessError(f"{READ} is not fresh")
+    body = psig.body
+    known = preds.bodies.get(id(body))
+    if known is None:
+        if READ in variables(body):
+            raise FreshnessError(f"{READ} is not fresh")
+        known = preds.bodies[id(body)] = Body(body)
     out: list[Guarded] = []
     for pair in preds.get(TemplatePair(psig.t1, psig.t2), ()):
         k = leap_size(pair.left, pair.right, aut) if leaps else 1
@@ -293,9 +348,15 @@ def wp(
         right = side_rewind(preds, RIGHT, pair.right, psig.t2, k, aut)
         if left is None or right is None:
             continue
-        (lbufs, lhdrs, lcond), (rbufs, rhdrs, rcond) = left, right
-        phi = subst(psig.body, {**lbufs, **rbufs}, {**lhdrs, **rhdrs})
-        phi = simplify_node(Implies(lcond, simplify_node(Implies(rcond, phi))))
+        if transparent(left) and transparent(right) and known.reads_below(pair):
+            if known.canonical is None:
+                known.canonical = canonical_vars(simplify(body))
+            phi = known.canonical
+        else:
+            (lbufs, lhdrs, lcond), (rbufs, rhdrs, rcond) = left, right
+            phi = subst(body, {**lbufs, **rbufs}, {**lhdrs, **rhdrs})
+            phi = simplify_node(Implies(lcond, simplify_node(Implies(rcond, phi))))
+            phi = canonical_vars(phi)
         if type(phi) is not Top:
-            out.append(Guarded(pair.left, pair.right, canonical_vars(phi)))
+            out.append(Guarded(pair.left, pair.right, phi))
     return out

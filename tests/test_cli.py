@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, outputs, artifact files."""
 
+import io
 import json
 import os
+import re
 
 import pytest
 
@@ -11,6 +13,7 @@ import parseq.smt
 from parseq import fixture_path
 from parseq.cli import main
 from parseq.smt import SolverFailure
+from parseq.solver_cli import run_script
 
 
 def run(capsys, *argv):
@@ -121,6 +124,46 @@ class TestCheck:
         dumps = sorted(tmp_path.glob("*_query.smt2"))
         assert dumps
         assert dumps[0].name == "0001_query.smt2"
+
+    def test_enum_dump_smt_writes_each_query(self, capsys, monkeypatch, tmp_path):
+        """Under --solver enum each query is dumped too, and each dumped
+        script answers as enumeration did."""
+        real, answers = parseq.smt.decide_by_enumeration, []
+
+        def recorded(ent, aut):
+            answers.append(real(ent, aut))
+            return answers[-1]
+
+        monkeypatch.setattr(parseq.smt, "decide_by_enumeration", recorded)
+        code, out, _ = run(
+            capsys,
+            "check",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+            "--solver", "enum",
+            "--dump-smt", str(tmp_path),
+        )
+        assert code == 0
+        dumps = sorted(tmp_path.glob("*_query.smt2"))
+        assert len(dumps) == int(re.search(r"solver_calls=(\d+)", out).group(1)) == len(answers) > 10
+        tokens = []
+        for f in dumps:
+            text = io.StringIO()
+            run_script(f.read_text(), out=text)
+            tokens.append(text.getvalue().strip())
+        assert tokens == ["unsat" if entailed else "sat" for entailed in answers]
+        assert {"sat", "unsat"} <= set(tokens)
+
+    def test_nan_timeout_is_a_usage_error(self, capsys):
+        code, _, err = run(
+            capsys,
+            "check",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+            "--timeout", "nan",
+        )
+        assert code == 3
+        assert "--timeout" in err
 
     def test_inconclusive_exits_two(self, capsys, monkeypatch):
         def unknown(solver):

@@ -247,11 +247,11 @@ class TestSimplifyIdempotent:
 class TestRender:
     def test_deterministic_and_readable(self):
         g = Guarded(
-            Template("q2", 0),
-            Template("q5", 0),
+            Template("q2", 40),
+            Template("q5", 32),
             Eq(buf(LEFT, 40).slice(0, 31), buf(RIGHT, 32)),
         )
-        assert render_guarded(g) == "[<q2,0> <q5,0>] buf<[0:31] = buf>"
+        assert render_guarded(g) == "[<q2,40> <q5,32>] buf<[0:31] = buf>"
 
     def test_render_connectives(self):
         phi = Implies(Not(Eq(var("x"), lit("1"))), BOT)

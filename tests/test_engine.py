@@ -1,7 +1,9 @@
 """The saturation loop: verdicts, witnesses, failure handling."""
 
 import json
+import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -135,6 +137,23 @@ class TestWitness:
         assert all(
             {"index", "left", "right", "body", "origin"} <= set(e) for e in doc["relation"]
         )
+        # both renderings read each buffer's width from the entry's guard:
+        # a segment covering it prints as the bare name (only the small
+        # pair's witnesses have one)
+        whole = 0
+        for left, right in [("mpls_ref", "mpls_vec"), ("mpls_ref_small", "mpls_vec_small")]:
+            for leaps in (True, False):
+                res = check_equivalence(
+                    load_fixture(left), "q1", load_fixture(right), "q3",
+                    config=internal_config, leaps=leaps,
+                )
+                doc = json.loads(res.witness.to_json())
+                lines = res.witness.to_text().splitlines()
+                assert len(lines) == len(doc["relation"]) > 20
+                for line, e in zip(lines, doc["relation"]):
+                    assert line == f"#{e['index']} [{e['left']} {e['right']}] {e['body']}  ({e['origin']})"
+                    whole += len(re.findall(r"buf[<>](?!\[)", e["body"]))
+        assert whole > 10
 
     def test_empty_witness_renders_empty(self):
         assert Witness().to_text() == ""
@@ -494,3 +513,36 @@ class TestRepeatedChecks:
         monkeypatch.setattr(Automaton, "__eq__", counting_eq)
         check_fresh_pair()
         assert len(calls) == 0
+
+
+class TestSharedSimulation:
+    def test_each_body_is_simulated_once_per_check(self, monkeypatch, internal_config):
+        """wp hands an unchanged body on to the next guard as the same
+        object; the check simulates it once as a goal and once as a
+        premise, and every guard that queries it still checks its buffer
+        reads."""
+        simulated, queried, kept = Counter(), Counter(), []
+        simulate_body = parseq.smt.simulate_body
+        simulation = GuardRelation.simulation
+
+        def counted(body, aut, premise):
+            kept.append(body)  # so that no two bodies share an id
+            simulated[id(body), premise] += 1
+            return simulate_body(body, aut, premise)
+
+        def query(rel, body, aut, premise=False):
+            queried[id(body), rel.t1, rel.t2] += 1
+            return simulation(rel, body, aut, premise)
+
+        monkeypatch.setattr(parseq.smt, "simulate_body", counted)
+        monkeypatch.setattr(GuardRelation, "simulation", query)
+        res = check_equivalence(
+            load_fixture("mpls_ref"), "q1", load_fixture("mpls_vec"), "q3",
+            config=internal_config, leaps=False,
+        )
+        assert res.verdict == EQUIVALENT
+        assert len(simulated) > 50 and max(simulated.values()) == 1
+        # 61 bodies, queried at 823 (body, guard) pairs
+        guards = Counter(body for body, _, _ in queried)
+        assert set(guards) == {body for body, _ in simulated}
+        assert sum(n > 1 for n in guards.values()) > 30 and len(queried) > 10 * len(guards)

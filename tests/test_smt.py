@@ -1,15 +1,26 @@
 """Entailment pipeline: filtering, bitvector translation, backends."""
 
+import math
+
 import pytest
 
-from _gen import random_entailment, random_formula, random_guard, random_wide_guard
-from parseq.core import Automaton, Extract, Goto, State
+import parseq.smt
+from _gen import (
+    random_bit_expr,
+    random_bits,
+    random_entailment,
+    random_formula,
+    random_guard,
+    random_wide_guard,
+)
+from parseq.core import Automaton, Configuration, Extract, Goto, State, Store
 from parseq.confrel import (
     BOT,
     LEFT,
     RIGHT,
     TOP,
     And,
+    Bits,
     BufLenIs,
     Eq,
     Guarded,
@@ -17,19 +28,30 @@ from parseq.confrel import (
     Or,
     StateIs,
     Template,
+    Var,
     buf,
+    eval_bit_expr,
     hdr,
+    holds,
     lit,
+    replace,
     simplify,
+    valuations,
     var,
+    var_widths,
 )
+from parseq.lanes import LANES, SIM_VAR_BITS, lane_bits, sat_name, simulate, simulate_body
 from parseq.smt import (
+    INSTANCE_VAR_BITS,
     Blaster,
     FilteredEntailment,
     GuardRelation,
     InternalError,
     SolverConfig,
     SolverFailure,
+    _cofactors,
+    _falsifying_valuation,
+    _fold_clashes,
     check_sat,
     decide_by_enumeration,
     decide_entailment,
@@ -220,6 +242,12 @@ class TestDecideEntailment:
             with pytest.raises(ValueError, match="unknown backend"):
                 SolverConfig(backend=backend)
 
+    @pytest.mark.parametrize("timeout", [math.nan, 0, -1.0])
+    def test_config_rejects_a_timeout_that_is_not_positive(self, timeout):
+        """NaN would turn every deadline off: no time is ever past it."""
+        with pytest.raises(ValueError, match="not a positive number"):
+            SolverConfig(timeout=timeout)
+
     def test_dump_dir_receives_queries(self, tmp_path, internal_config):
         aut = tiny_automaton()
         internal_config.dump_dir = str(tmp_path)
@@ -292,6 +320,7 @@ class TestSimulation:
         bad = [
             (Eq(hdr("nope", LEFT, 2), lit("01")), "unknown header 'nope'"),
             (Eq(hdr("h", LEFT, 3), lit("011")), "read at width 3, not 2"),
+            (Eq(buf(RIGHT, 2), lit("11")), "buf> read at bit 1, beyond its 1 bit"),
             (And((Eq(buf(RIGHT, 1), lit("1")), StateIs("Q0", LEFT))), "impure formula"),
         ]
         for body, message in bad:
@@ -402,3 +431,109 @@ class TestGuardContext:
                     rel.append(goal)
             instances += rel.context.instances
         assert instances > 0
+
+
+def _random_lanes(s):
+    """A segment's lanes as simulation reads them, at any guard."""
+    return lane_bits(sat_name(s.base), s.hi + 1)[s.lo : s.hi + 1]
+
+
+def _per_valuation_premise_lanes(p):
+    """The reference for a premise's lanes: one simulation per valuation
+    of its variables, none when it has more than SIM_VAR_BITS."""
+    if sum(var_widths(p).values()) > SIM_VAR_BITS:
+        return 0
+    out = (1 << LANES) - 1
+    for v in valuations(p):
+
+        def at(s):
+            if type(s.base) is not Var:
+                return _random_lanes(s)
+            return [(1 << LANES) - 1 if c == "1" else 0 for c in v[s.base.name][s.lo : s.hi + 1]]
+
+        out &= simulate(p, at)
+    return out
+
+
+def _formula_with_variables(rng, aut, t1, t2, names):
+    """A formula at the guard over one-bit variables ``names``, or'ed with
+    an equation of a variable of up to three bits half of the time."""
+    sizes = dict(aut.headers)
+    buflens = {LEFT: t1.buflen, RIGHT: t2.buflen}
+    phi = random_formula(rng, sizes, buflens, names, depth=3)
+    if rng.random() < 0.5:
+        w = rng.randint(1, 3)
+        phi = Or((Eq(var("w", w), random_bit_expr(rng, sizes, buflens, [], w)), phi))
+    return simplify(phi)
+
+
+class TestBitParallelPasses:
+    def test_body_lanes_match_the_per_valuation_reference(self, rng):
+        """One simulation over 2^n + 1 blocks gives a premise the lanes of
+        one simulation per valuation, and a goal the lanes of a plain one;
+        a goal's own pass leaves the premise lanes unmade."""
+        widths = set()
+        for case in range(300):
+            aut, t1, t2, _ = random_guard(rng)
+            names = ["y0", "y1", "y2", "y3", "y4"][: rng.randint(0, 5)]
+            p = _formula_with_variables(rng, aut, t1, t2, names)
+            sim, goal = simulate_body(p, aut, premise=True), simulate_body(p, aut, premise=False)
+            assert sim.premise == _per_valuation_premise_lanes(p), case
+            assert sim.goal == goal.goal == simulate(p, _random_lanes), case
+            n = sum(var_widths(p).values())
+            assert goal.premise == (None if 0 < n <= SIM_VAR_BITS else sim.premise), case
+            widths.add(n)
+        assert set(range(SIM_VAR_BITS + 3)) <= widths
+
+    @pytest.mark.parametrize("cap", [0, 2, INSTANCE_VAR_BITS])
+    def test_instance_valuation_is_the_cofactor_walks(self, monkeypatch, rng, cap):
+        """The lowest falsifying lane is the valuation the cofactor walk
+        finds first, for premises within and above the cap, and the first
+        falsifying one in the order of ``valuations``."""
+        monkeypatch.setattr(parseq.smt, "INSTANCE_VAR_BITS", cap)
+        falsified = wider = 0
+        for case in range(150):
+            if case % 3 == 2:
+                aut, t1, t2, p, _ = random_wide_guard(rng)
+                p = simplify(p)
+            else:
+                aut, t1, t2, _ = random_guard(rng)
+                p = _formula_with_variables(rng, aut, t1, t2, ["y0", "y1", "y2", "y3"])
+            sizes = dict(aut.headers)
+            cl = Configuration(t1.state, Store.of({h: random_bits(rng, w) for h, w in sizes.items()}),
+                               random_bits(rng, t1.buflen))
+            cr = Configuration(t2.state, Store.of({h: random_bits(rng, w) for h, w in sizes.items()}),
+                               random_bits(rng, t2.buflen))
+
+            def bits(s):
+                return eval_bit_expr(Bits((s,), s.hi - s.lo + 1), cl, cr, {})
+
+            got = _falsifying_valuation(p, var_widths(p), bits, None)
+            at_model = replace(p, lambda s: None if type(s.base) is Var else lit(bits(s)))
+            phi = _fold_clashes(simplify(at_model))
+            walked = None if phi == TOP else next(_cofactors(phi, None), None)
+            if walked is None:
+                assert got is None, case
+                continue
+            want = {x: walked[1].get(x, "").ljust(w, "0") for x, w in var_widths(p).items()}
+            assert got == want, case
+            if sum(var_widths(p).values()) <= 8:
+                first = next(v for v in valuations(p) if not holds(p, cl, cr, v))
+                assert got == first, case
+            falsified += 1
+            wider += sum(var_widths(p).values()) > cap
+        assert falsified > 40 and wider > 10
+
+
+class TestSharedSimulation:
+    def test_a_shared_simulation_still_checks_each_guard(self, internal_config):
+        """A body simulated at one guard is checked again at the next: its
+        buffer reads must fit each guard it is queried at."""
+        aut = tiny_automaton()
+        wide, narrow = GuardRelation(T1, T1), GuardRelation(T0, T0)
+        sims = wide.sims = narrow.sims = {}
+        body = Eq(buf(RIGHT, 1), lit("1"))
+        assert not decide_entailment(wide, Guarded(T1, T1, body), aut, internal_config)
+        assert list(sims) == [id(body)]
+        with pytest.raises(InternalError, match="beyond its 0 bit"):
+            decide_entailment(narrow, Guarded(T0, T0, body), aut, internal_config)

@@ -89,7 +89,7 @@ VALUES = {
     Automaton: _automaton,
     Store: _store,
     Configuration: lambda: Configuration("q", _store(), "1"),
-    BufRef: lambda: BufRef(LEFT, 3),
+    BufRef: lambda: BufRef(LEFT),
     BHdrRef: lambda: BHdrRef("h", LEFT, 2),
     Var: lambda: Var("x", 3),
     Bottom: Bottom,
@@ -141,7 +141,7 @@ class TestValueSemantics:
         [
             (Top(), Bottom()),
             (And((_eq(), Top())), Or((_eq(), Top()))),
-            (BufRef("<", 3), Var("<", 3)),
+            (BufRef("<"), Var("<")),
             (HdrRef("h"), Extract("h")),
             (Lit("01"), ExactPat("01")),
         ],

@@ -485,3 +485,26 @@ class TestCompiledStepRelation:
             config=internal_config,
         )
         assert res.reach._succ is None
+
+
+class TestUnchangedBodies:
+    def test_single_bit_steps_hand_on_the_same_body(self, monkeypatch, internal_config):
+        """A buffering step below every bit a body reads leaves it alone,
+        and wp returns the obligation's own body object for it."""
+        same = total = 0
+        step = parseq.engine.wp
+
+        def counted(psig, preds, aut, leaps=True):
+            nonlocal same, total
+            out = step(psig, preds, aut, leaps)
+            total += len(out)
+            same += sum(g.body is psig.body for g in out)
+            return out
+
+        monkeypatch.setattr(parseq.engine, "wp", counted)
+        res = check_equivalence(
+            load_fixture("mpls_ref"), "q1", load_fixture("mpls_vec"), "q3",
+            config=internal_config, leaps=False,
+        )
+        assert res.verdict == "Equivalent", res.reason
+        assert total == 819 and same >= 759

@@ -6,14 +6,19 @@ inputs: the 7 fixture pairs with leaps and single-bit (single-bit
 ``vlan/vlan`` and ``sloppy/strict`` included) and the 300 ``random-small``
 pairs. Per check it writes the verdict, the reason, every counter of
 ``Result.stats`` (all its fields but ``wall_time``), a SHA-256 of the
-witness text and a SHA-256 of the reach set's dump. With ``--dump-smt``
-it also decides the fixture pairs with leaps again under ``--dump-smt``
-and records a SHA-256 of each query file.
+witness text, a SHA-256 of the witness JSON (``Witness.to_json``) and a
+SHA-256 of the reach set's dump. The witness text renders each entry with
+``render_guarded`` and the JSON renders each body with ``render``; both
+read a buffer's width from the entry's guard, so each hash checks one of
+the two. Records written before the JSON hash was added lack its field,
+``witness_json``, and ``compare`` reports it as a difference. With
+``--dump-smt`` it also decides the fixture pairs with leaps again under
+``--dump-smt`` and records a SHA-256 of each query file.
 
 Texts are hashed in a normal form that ignores how ``++`` and SMT-LIB
 ``concat`` chains nest and whether adjacent literals are joined, so two
 trees that differ only in the shape of their bit expressions record the
-same hashes.
+same hashes. The JSON is hashed with each string in that normal form.
 
   python3 tools/same_results.py record TREE OUT.json [--dump-smt]
   python3 tools/same_results.py compare A.json B.json
@@ -94,6 +99,21 @@ def flat_smt(text: str) -> str:
     return "\n".join(_show(_flat_sexp(e)) for e in _sexps(body))
 
 
+def flat_json(text: str) -> str:
+    """A JSON document with every string in the ``flat_text`` normal form."""
+
+    def flat(x):
+        if isinstance(x, str):
+            return flat_text(x)
+        if isinstance(x, list):
+            return [flat(y) for y in x]
+        if isinstance(x, dict):
+            return {k: flat(y) for k, y in x.items()}
+        return x
+
+    return json.dumps(flat(json.loads(text)), sort_keys=True)
+
+
 def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -102,6 +122,7 @@ def _record(res) -> dict:
     out = {"verdict": res.verdict, "reason": flat_text(res.reason)}
     out.update({k: getattr(res.stats, k) for k in res.stats.__slots__ if k != "wall_time"})
     out["witness"] = sha(flat_text(res.witness.to_text())) if res.witness else None
+    out["witness_json"] = sha(flat_json(res.witness.to_json())) if res.witness else None
     out["reach"] = sha(res.reach.dump()) if res.reach else None
     return out
 
