@@ -103,6 +103,8 @@ def _load(path: str) -> core.Automaton:
         return frontend.load(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
+    except frontend.Diagnostic as exc:
+        raise UsageError(exc.in_file(path)) from exc
 
 
 def _check_state(aut: core.Automaton, name: str, path: str) -> None:
@@ -159,9 +161,12 @@ def cmd_check_rel(args: argparse.Namespace) -> int:
             rel_text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {args.relation}: {exc.strerror}") from exc
-    phi_extra, i_extra = frontend.parse_relation(
-        rel_text, left.states, right.states, left.headers, right.headers, total.sizes
-    )
+    try:
+        phi_extra, i_extra = frontend.parse_relation(
+            rel_text, left.states, right.states, left.headers, right.headers, total.sizes
+        )
+    except frontend.Diagnostic as exc:
+        raise UsageError(exc.in_file(args.relation)) from exc
     result = engine.check_with_relation(
         a1,
         args.left_state,

@@ -45,7 +45,7 @@ from .reach import (
     reach_fixpoint,
 )
 from .lanes import Simulation
-from .smt import GuardRelation, SolverConfig, decide_entailment, refuted
+from .smt import ClosedBodies, GuardRelation, SolverConfig, decide_entailment, refuted
 from .wp import canonical_vars, wp
 
 EQUIVALENT = "Equivalent"
@@ -60,7 +60,7 @@ class EngineError(Exception):
 class Stats(Record):
     __slots__ = (
         "iterations", "skips", "extends", "solver_calls", "wall_time",
-        "refuted", "contexts", "instances", "extra_solves",
+        "refuted", "folded", "contexts", "instances", "extra_solves",
     )
 
     def __init__(
@@ -74,16 +74,17 @@ class Stats(Record):
         contexts: int = 0,  # incremental solvers (GuardContexts) the check built
         instances: int = 0,  # premise instances they asserted
         extra_solves: int = 0,  # their solve() calls beyond one per query
+        folded: int = 0,  # obligations with a closed body, decided as made
     ):
         self.iterations, self.skips, self.extends = iterations, skips, extends
         self.solver_calls, self.wall_time = solver_calls, wall_time
-        self.refuted = refuted
+        self.refuted, self.folded = refuted, folded
         self.contexts, self.instances, self.extra_solves = contexts, instances, extra_solves
 
     def summary(self) -> str:
         return (
             f"iterations={self.iterations} skips={self.skips} "
-            f"extends={self.extends} refuted={self.refuted} "
+            f"extends={self.extends} refuted={self.refuted} folded={self.folded} "
             f"solver_calls={self.solver_calls} contexts={self.contexts} instances={self.instances} "
             f"extra_solves={self.extra_solves} wall_time={self.wall_time:.2f}s"
         )
@@ -233,9 +234,12 @@ def pre_bisimulation(
     given = relation(t_init1, t_init2)
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
+    # each closed body the check makes, decided once
+    closed = ClosedBodies(config)
 
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
+        stats.folded = closed.folded
         for rel in [*by_guard.values(), given]:
             stats.solver_calls += rel.solver_calls
             stats.refuted += rel.refuted
@@ -256,9 +260,15 @@ def pre_bisimulation(
         return done(Result(NOT_EQUIVALENT, reason=why))
 
     def push(g: Guarded, origin: str) -> bool:
-        """Enqueue ``g`` unless it was enqueued before. An obligation at the
-        initial guard that simulation refutes under ``given`` is instead
-        appended to the witness, and push returns True."""
+        """Enqueue ``g`` unless it was enqueued before. A closed body, one
+        that reads no configuration bit, is decided first: a valid one is
+        dropped, as ``wp`` drops true, and any other becomes false. An
+        obligation at the initial guard that simulation refutes under
+        ``given`` is instead appended to the witness, and push returns
+        True."""
+        g = closed.fold(g)
+        if g is None:
+            return False
         # Obligations arrive simplified, with canonical variable names, so
         # alpha-equivalent ones are equal: repeated preconditions of a loop
         # dedup here instead of growing R forever. A formula's hash is not

@@ -76,6 +76,11 @@ class Diagnostic(Exception):
         where = f"{line}:{col}: " if line else ""
         super().__init__(f"{where}{message}")
 
+    def in_file(self, path: str) -> str:
+        """The diagnostic as ``PATH:LINE:COL: message``, or ``PATH: message``
+        when it has no position."""
+        return f"{path}:{self}" if self.line else f"{path}: {self}"
+
 
 # ---------------------------------------------------------------------------
 # Tokenizer

@@ -9,6 +9,10 @@ enumeration, the reference for small instances. ``--dump-smt`` writes each
 query's translation to quantifier-free bitvector SMT-LIB, which
 ``parseq-smt`` or any SMT-LIB solver re-checks offline. A query that
 cannot be answered surfaces as SolverFailure, never as a verdict.
+
+A closed body, one that reads no configuration bit, is true at every
+guard or false at every one; ``ClosedBodies`` decides each such body once
+per check, as the engine makes the obligation.
 """
 
 from __future__ import annotations
@@ -672,7 +676,10 @@ class GuardRelation(list):
     def entails(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
         """Do the conjuncts entail ``goal``? Raises SolverFailure once
         time.monotonic() passes ``deadline``, and InternalError for an
-        impure goal or a base that does not fit the guard."""
+        impure goal or a base that does not fit the guard. Conjuncts that
+        hold false entail every goal, with no simulation and no context."""
+        if any(type(r.body) is Bottom for r in self):
+            return True
         if self.refutes(goal, aut, deadline):
             return False
         if self.context is None:
@@ -789,6 +796,70 @@ def decide_by_enumeration(ent: FilteredEntailment, aut: Automaton) -> bool:
         ):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Closed bodies
+
+
+def closed(phi: Formula) -> bool:
+    """Does ``phi`` read no configuration bit: is every base it reads a
+    variable, and does it name no state or buffer length? A closed body
+    holds, under ``denotes``, at every configuration pair or at none."""
+    for x in leaves(phi):
+        t = type(x)
+        if t is Seg:
+            if type(x.base) is not Var:
+                return False
+        elif t is StateIs or t is BufLenIs:
+            return False
+    return True
+
+
+_NOWHERE = Configuration("", Store(()), "")  # what a closed body reads: nothing
+
+
+def _unread(s: Seg) -> str:
+    raise InternalError(f"a closed body read {s}")
+
+
+def valid_closed(body: Formula, config: SolverConfig) -> bool:
+    """Does closed ``body`` hold under every valuation of its variables?
+    Under enum, by enumeration (``denotes``). Otherwise, up to
+    ``INSTANCE_VAR_BITS`` variable bits, by one bit-parallel pass with a
+    lane per valuation (``lowest_false``), and above that by SAT on its
+    negation, within ``config.timeout``: its variables are then free."""
+    if config.backend == "enum":
+        return denotes(body, _NOWHERE, _NOWHERE)
+    widths = var_widths(body)
+    if sum(widths.values()) <= INSTANCE_VAR_BITS:
+        return lowest_false(body, widths, _unread) is None
+    return not check_sat([Not(body)], _deadline(config.timeout))
+
+
+class ClosedBodies(dict):
+    """The closed bodies of one check, each decided once (body -> is it
+    valid?), and ``folded``, how many obligations ``fold`` decided."""
+
+    __slots__ = ("config", "folded")
+
+    def __init__(self, config: SolverConfig):
+        super().__init__()
+        self.config = config
+        self.folded = 0
+
+    def fold(self, g: Guarded) -> Optional[Guarded]:
+        """``g`` with a closed body decided: None when the body is valid,
+        so that ``g`` holds everywhere, ``g``'s guard with the body false
+        when it is not, else ``g`` itself."""
+        body = g.body
+        if type(body) is Bottom or not closed(body):
+            return g
+        valid = self.get(body)
+        if valid is None:
+            valid = self[body] = valid_closed(body, self.config)
+        self.folded += 1
+        return None if valid else Guarded(g.t1, g.t2, BOT)
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,27 @@ class TestCheck:
 
 
 class TestOtherCommands:
+    def test_diagnostics_name_their_file(self, capsys, tmp_path):
+        bad = tmp_path / "bad.p4a"
+        bad.write_text("state s {\n  extract(h, 2)\n  goto accept\n}\n")
+        code, _, err = run(capsys, "check", fixture_path("mpls_ref_small"), "q1", str(bad), "s")
+        assert code == 3 and err == f"error: {bad}:3:3: expected ';', found 'goto'\n"
+        unplaced = tmp_path / "unplaced.p4a"
+        unplaced.write_text("state s { extract(h, 1); select(k) { _ => accept } }\n")
+        code, _, err = run(capsys, "simulate", str(unplaced), "s", "1")
+        assert code == 3
+        assert err == f"error: {unplaced}: header 'k' is read but never extracted or assigned\n"
+        rel = tmp_path / "rel.txt"
+        rel.write_text("init: true\ninit: left.nope = 0b1\n")
+        code, _, err = run(
+            capsys,
+            "check-rel",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+            str(rel),
+        )
+        assert code == 3 and err == f"error: {rel}:2:12: unknown header 'nope' on the left side\n"
+
     def test_simulate(self, capsys):
         code, out, _ = run(
             capsys,

@@ -542,7 +542,8 @@ class TestSharedSimulation:
         )
         assert res.verdict == EQUIVALENT
         assert len(simulated) > 50 and max(simulated.values()) == 1
-        # 61 bodies, queried at 823 (body, guard) pairs
+        # 47 bodies, queried at 812 (body, guard) pairs, 29 of them at more
+        # than one guard; closed bodies are decided as they are made
         guards = Counter(body for body, _, _ in queried)
         assert set(guards) == {body for body, _ in simulated}
-        assert sum(n > 1 for n in guards.values()) > 30 and len(queried) > 10 * len(guards)
+        assert sum(n > 1 for n in guards.values()) > 25 and len(queried) > 10 * len(guards)

@@ -201,3 +201,72 @@ class TestRelationFiles:
                 rmap.headers,
                 sizes,
             )
+
+
+# Every Diagnostic that parse_source (with its tokenizer and _infer_sizes)
+# and parse_relation raise: the input, then the exact message, line and
+# column. Line and column are 0 where the diagnostic has no position.
+SOURCE_DIAGNOSTICS = [
+    ("state s { extract(h, 1); goto accept } $", "unexpected character '$'", 1, 40),
+    ("state s { extract(h, 1); select(h) { 2 => accept } }", "not a bitvector literal: '2'", 1, 38),
+    ("state s {\n  extract(h, 2)\n  goto accept\n}", "expected ';', found 'goto'", 3, 3),
+    ("state s { extract(h, 1); goto accept", "expected '}', found 'end of file'", 1, 37),
+    ("state s { extract(goto, 1); goto accept }", "expected a header name, found 'goto'", 1, 19),
+    ("state { extract(h, 1); goto accept }", "expected a state name, found '{'", 1, 7),
+    ("state s { extract(h, x); goto accept }", "expected a number, found 'x'", 1, 22),
+    ("state s { extract(h, 2); select(h[0:y]) { _ => accept } }", "expected a number, found 'y'", 1, 37),
+    ("state s { extract(h, 1); g := ; goto accept }", "expected an expression, found ';'", 1, 31),
+    ("state s { extract(h, 1); select(h) { 0b1 => 0b1 } }", "expected a state name, found '0b1'", 1, 45),
+    ("state s { extract(h, 1); }", "expected 'goto' or 'select' to end the state", 1, 26),
+    ("state accept { extract(h, 1); goto reject }", "'accept' is reserved", 1, 7),
+    ("state s { extract(h, 1); goto accept } goto", "expected 'state', found 'goto'", 1, 40),
+    ("# nothing here\n", "a source file needs at least one state", 1, 1),
+    (
+        "state s { extract(h, 8); goto t }\nstate t {\n  extract(h, 16); goto accept }",
+        "header 'h' extracted at width 16, previously 8", 3, 11,
+    ),
+    (
+        "state s { extract(h, 1); g := k; goto accept }",
+        "cannot infer a width for header 'g' (never extracted, and its assignment's width is unknown)",
+        1, 26,
+    ),
+    ("state s { extract(h, 1); select(k) { _ => accept } }", "header 'k' is read but never extracted or assigned", 0, 0),
+    ("state s { extract(h, 1); goto nowhere }", "state 's': goto to undeclared state 'nowhere'", 0, 0),
+]
+
+RELATION_DIAGNOSTICS = [
+    ("init: left.mpls = right.old %", "unexpected character '%'", 1, 29),
+    ("init: left.mpls = 0b1 2", "expected 'init' or 'pair', found '2'", 1, 23),
+    ("init: left.nosuch = 0b1", "unknown header 'nosuch' on the left side", 1, 12),
+    ("init: right.mpls = 0b1", "unknown header 'mpls' on the right side", 1, 13),
+    ("init: left.mpls = ", "expected a bit expression, found ''", 1, 19),
+    ("init: left.mpls 0b1", "expected '=', found '0b1'", 1, 17),
+    ("init left.mpls = 0b1", "expected ':', found 'left'", 1, 6),
+    ("pair nosuch 0 q3 0: true", "unknown left state 'nosuch'", 1, 6),
+    ("pair q1 0 nosuch 0: true", "unknown right state 'nosuch'", 1, 11),
+    ("pair q1 x q3 0: true", "expected a number, found 'x'", 1, 9),
+    ("pair 1 0 q3 0: true", "expected a left state name, found '1'", 1, 6),
+    ("init: true\nrule q1 0 q3 0: true", "expected 'init' or 'pair', found 'rule'", 2, 1),
+    ("init: left.mpls[0:z] = 0b1", "expected a number, found 'z'", 1, 19),
+]
+
+
+def _diagnosed(e: Diagnostic) -> tuple:
+    where = f"{e.line}:{e.col}: " if e.line else ""
+    assert str(e) == where + e.message
+    return e.message, e.line, e.col
+
+
+class TestGoldenDiagnostics:
+    @pytest.mark.parametrize("text, message, line, col", SOURCE_DIAGNOSTICS)
+    def test_source(self, text, message, line, col):
+        with pytest.raises(Diagnostic) as e:
+            parse_source(text)
+        assert _diagnosed(e.value) == (message, line, col)
+
+    @pytest.mark.parametrize("text, message, line, col", RELATION_DIAGNOSTICS)
+    def test_relation(self, text, message, line, col):
+        total, lmap, rmap = disjoint_sum(load_fixture("mpls_ref_small"), load_fixture("mpls_vec_small"))
+        with pytest.raises(Diagnostic) as e:
+            parse_relation(text, lmap.states, rmap.states, lmap.headers, rmap.headers, total.sizes)
+        assert _diagnosed(e.value) == (message, line, col)

@@ -21,6 +21,7 @@ from parseq.confrel import (
     TOP,
     And,
     Bits,
+    Bottom,
     BufLenIs,
     Eq,
     Guarded,
@@ -30,6 +31,8 @@ from parseq.confrel import (
     Template,
     Var,
     buf,
+    cat,
+    denotes,
     eval_bit_expr,
     hdr,
     holds,
@@ -44,6 +47,7 @@ from parseq.lanes import LANES, SIM_VAR_BITS, lane_bits, sat_name, simulate, sim
 from parseq.smt import (
     INSTANCE_VAR_BITS,
     Blaster,
+    ClosedBodies,
     FilteredEntailment,
     GuardRelation,
     InternalError,
@@ -53,6 +57,7 @@ from parseq.smt import (
     _falsifying_valuation,
     _fold_clashes,
     check_sat,
+    closed,
     decide_by_enumeration,
     decide_entailment,
     serialize_smtlib,
@@ -537,3 +542,87 @@ class TestSharedSimulation:
         assert list(sims) == [id(body)]
         with pytest.raises(InternalError, match="beyond its 0 bit"):
             decide_entailment(narrow, Guarded(T0, T0, body), aut, internal_config)
+
+
+def random_closed(rng, bits):
+    """A closed body over one-bit variables v0 … v(bits-1), or over the
+    slices of one ``bits``-bit variable: either a random formula, or one
+    that reads every bit, ``!(all bits = c) | F``, valid exactly when F
+    holds where the bits are c."""
+    if rng.random() < 0.5:
+        names = [f"v{i}" for i in range(bits)]
+        every = cat(var(x) for x in names)
+        f = random_formula(rng, {}, {LEFT: 0, RIGHT: 0}, names, depth=3)
+    else:
+        every = var("w", bits)
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            lo = rng.randrange(bits)
+            hi = rng.randrange(lo, min(bits, lo + 3))
+            parts.append(Eq(every.slice(lo, hi), lit(random_bits(rng, hi - lo + 1))))
+        f = rng.choice([And, Or])(tuple(Not(p) if rng.random() < 0.5 else p for p in parts))
+    if rng.random() < 0.3:
+        return f
+    return Or((Not(Eq(every, lit(random_bits(rng, bits)))), f))
+
+
+class TestClosedBodies:
+    NOWHERE = Configuration("Q0", Store(()), "")
+
+    def test_closed_reads_no_configuration_bit(self):
+        assert closed(Eq(var("x", 2), lit("01"))) and closed(BOT) and closed(TOP)
+        assert not closed(Eq(var("x", 1), buf(LEFT, 1)))
+        assert not closed(Or((Eq(var("x", 1), lit("1")), Eq(hdr("h", RIGHT, 1), lit("1")))))
+        assert not closed(And((Eq(var("x", 1), lit("1")), StateIs("Q0", LEFT))))
+
+    @pytest.mark.parametrize("backend", ["internal", "enum"])
+    def test_fold_agrees_with_enumeration(self, rng, backend):
+        """Each closed body, narrow or wider than ``INSTANCE_VAR_BITS``,
+        is dropped exactly when it holds under every valuation, and
+        otherwise made false at its guard."""
+        bodies = ClosedBodies(SolverConfig(backend=backend))
+        seen = {True: 0, False: 0}
+        widths = [rng.randint(1, 8) for _ in range(120)] + [INSTANCE_VAR_BITS, 11, 12] * 3
+        for i, bits in enumerate(widths):
+            body = random_closed(rng, bits)
+            for phi in {body, simplify(body)}:
+                want = denotes(phi, self.NOWHERE, self.NOWHERE)
+                if type(phi) is not Bottom:
+                    seen[want] += 1
+                g = Guarded(T0, T1, phi)
+                assert bodies.fold(g) == (None if want else Guarded(T0, T1, BOT)), (i, phi)
+        assert seen[True] > 20 and seen[False] > 20
+        wide = [phi for phi in bodies if sum(var_widths(phi).values()) > INSTANCE_VAR_BITS]
+        assert len({denotes(phi, self.NOWHERE, self.NOWHERE) for phi in wide}) == 2
+
+    def test_each_body_is_decided_once(self, monkeypatch, internal_config):
+        decided = []
+        real = parseq.smt.valid_closed
+
+        def counted(body, config):
+            decided.append(body)
+            return real(body, config)
+
+        monkeypatch.setattr(parseq.smt, "valid_closed", counted)
+        bodies = ClosedBodies(internal_config)
+        valid = Or((Eq(var("v0"), lit("1")), Eq(var("v0"), lit("0"))))
+        false = Eq(var("v0"), lit("1"))
+        open_ = Eq(var("v0"), buf(LEFT, 1))
+        for t in (T0, T1, T0):
+            assert bodies.fold(Guarded(t, T1, valid)) is None
+            assert bodies.fold(Guarded(t, T1, false)) == Guarded(t, T1, BOT)
+            g = Guarded(t, T1, open_)
+            assert bodies.fold(g) is g
+            g = Guarded(t, T1, BOT)
+            assert bodies.fold(g) is g
+        assert decided == [valid, false] and bodies.folded == 6
+
+    def test_a_false_conjunct_entails_every_goal_at_once(self, monkeypatch, internal_config):
+        aut = tiny_automaton()
+        rel = GuardRelation(T0, T1)
+        rel.append(Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1"))))
+        rel.append(Guarded(T0, T1, BOT))
+        monkeypatch.setattr(parseq.smt, "simulate_body", None)
+        for body in (Eq(buf(RIGHT, 1), lit("0")), Eq(hdr("h", LEFT, 2), var("x", 2))):
+            assert decide_entailment(rel, Guarded(T0, T1, body), aut, internal_config)
+        assert rel.refuted == rel.solver_calls == 0 and rel.context is None

@@ -10,10 +10,12 @@ witness text, a SHA-256 of the witness JSON (``Witness.to_json``) and a
 SHA-256 of the reach set's dump. The witness text renders each entry with
 ``render_guarded`` and the JSON renders each body with ``render``; both
 read a buffer's width from the entry's guard, so each hash checks one of
-the two. Records written before the JSON hash was added lack its field,
-``witness_json``, and ``compare`` reports it as a difference. With
-``--dump-smt`` it also decides the fixture pairs with leaps again under
-``--dump-smt`` and records a SHA-256 of each query file.
+the two. A record made by an older script, or of a tree whose
+``Result.stats`` has other counters, lacks some fields; ``compare`` checks
+the fields both records have and names the others once. With
+``--dump-smt`` it also decides the fixture pairs again under
+``--dump-smt``, with leaps and single-bit, and records a SHA-256 of each
+query file.
 
 Texts are hashed in a normal form that ignores how ``++`` and SMT-LIB
 ``concat`` chains nest and whether adjacent literals are joined, so two
@@ -26,8 +28,9 @@ same hashes. The JSON is hashed with each string in that normal form.
 ``record`` imports ``parseq`` from TREE/src and the inputs from
 TREE/parseqbench/inputs.py, and runs one check at a time in this process.
 ``compare`` prints every difference, then one line that counts them and
-splits the differing checks by the first record's verdict, and exits 1 if
-there is a difference.
+splits the differing checks by the first record's verdict, then one line
+that counts the differing checks per field, and exits 1 if there is a
+difference.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import os
 import re
 import sys
 import tempfile
+from collections import Counter
 
 RANDOM_SEED, RANDOM_COUNT = 2022, 300  # the random-small population
 
@@ -151,35 +155,44 @@ def record(tree: str, dump_smt: bool) -> dict:
         res = check_equivalence(parse_source(a), qa, parse_source(b), qb, config=SolverConfig())
         checks[f"random {i}"] = _record(res)
     dumps: dict[str, list[str]] = {}
-    if dump_smt:
+    for leaps in (True, False) if dump_smt else ():
         for lf, lq, rf, rq, _ in FIXTURE_PAIRS:
+            name = f"{'leaps' if leaps else 'single-bit'} {pair_name((lf, lq, rf, rq))}"
             with tempfile.TemporaryDirectory() as tmp:
                 config = SolverConfig(dump_dir=tmp)
-                check_equivalence(load(lf), lq, load(rf), rq, config=config)
-                files = sorted(os.listdir(tmp))
+                check_equivalence(load(lf), lq, load(rf), rq, config=config, leaps=leaps)
                 hashes = []
-                for f in files:
+                for f in sorted(os.listdir(tmp)):
                     with open(os.path.join(tmp, f)) as fh:
                         hashes.append(sha(flat_smt(fh.read())))
-                dumps[pair_name((lf, lq, rf, rq))] = hashes
+                dumps[name] = hashes
+            print(name, len(hashes), "dump files", file=sys.stderr)
     return {"tree": os.path.abspath(tree), "checks": checks, "dump_smt": dumps}
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], str]:
-    """Every difference, and a summary line that splits the differing
-    checks by their verdict in ``a`` and counts the differing dump sets."""
+    """Every difference, and a summary: a line that splits the differing
+    checks by their verdict in ``a`` and counts the differing dump sets,
+    a line that counts the differing checks per field, and a line naming
+    the fields only one record has."""
     diffs = []
     split = {"changed": 0, "Equivalent": 0, "NotEquivalent": 0, "Inconclusive": 0, "dumps": 0}
+    fields: Counter[str] = Counter()
+    lacking: set[str] = set()  # fields of one record's checks only
     for section in ("checks", "dump_smt"):
         for name in sorted(set(a[section]) | set(b[section])):
             x, y = a[section].get(name), b[section].get(name)
             if x == y:
                 continue
             if isinstance(x, dict) and isinstance(y, dict):
-                keys = [k for k in x if x[k] != y.get(k)]
+                keys = [k for k in x if k in y and x[k] != y[k]]
+                lacking.update(set(x) ^ set(y))
+                if not keys:
+                    continue
+                fields.update(keys)
                 split[x["verdict"]] += 1
                 split["changed"] += x["verdict"] != y["verdict"]
-                diffs.append(f"{name}: " + ", ".join(f"{k} {x[k]!r} -> {y.get(k)!r}" for k in keys))
+                diffs.append(f"{name}: " + ", ".join(f"{k} {x[k]!r} -> {y[k]!r}" for k in keys))
             elif isinstance(x, list) and isinstance(y, list):
                 split["dumps"] += 1
                 changed = sum(p != q for p, q in zip(x, y)) + abs(len(x) - len(y))
@@ -191,7 +204,10 @@ def compare(a: dict, b: dict) -> tuple[list[str], str]:
         f"{split['Equivalent']} on Equivalent checks, "
         f"{split['NotEquivalent']} on NotEquivalent checks, "
         f"{split['Inconclusive']} on Inconclusive checks, "
-        f"{split['dumps']} in dump sets"
+        f"{split['dumps']} in dump sets\n"
+        "differing checks per field: "
+        + (", ".join(f"{k} {n}" for k, n in sorted(fields.items())) or "none")
+        + (f"\nfields in one record only, not compared: {', '.join(sorted(lacking))}" if lacking else "")
     )
     return diffs, summary
 
