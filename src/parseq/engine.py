@@ -44,8 +44,7 @@ from .reach import (
     predecessors,
     reach_fixpoint,
 )
-from .lanes import Simulation
-from .smt import ClosedBodies, GuardRelation, SolverConfig, decide_entailment, refuted
+from .smt import GuardRelation, SolverConfig, decide_entailment, fold, refuted
 from .wp import canonical_vars, wp
 
 EQUIVALENT = "Equivalent"
@@ -218,13 +217,13 @@ def pre_bisimulation(
     reach = _reach_for(aut, t_init1, t_init2, leaps, use_reach)
     preds = predecessors(reach, aut, leaps)
     witness = Witness()
-    # each body's simulation, shared by every guard (wp hands an unchanged
-    # body on to the next guard as the same object) and dropped with the check
-    sims: dict[int, Simulation] = {}
+    # what the check derives from each body (its lanes, canonical form and,
+    # for a closed body, its validity), shared by wp and every guard
+    bodies = preds.bodies
 
     def relation(t1: Template, t2: Template) -> GuardRelation:
         rel = GuardRelation(t1, t2)
-        rel.sims = sims
+        rel.bodies = bodies
         return rel
 
     # R indexed by guard: an entailment only reads the goal's own guard
@@ -234,12 +233,10 @@ def pre_bisimulation(
     given = relation(t_init1, t_init2)
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
-    # each closed body the check makes, decided once
-    closed = ClosedBodies(config)
 
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
-        stats.folded = closed.folded
+        stats.folded = bodies.folded
         for rel in [*by_guard.values(), given]:
             stats.solver_calls += rel.solver_calls
             stats.refuted += rel.refuted
@@ -266,7 +263,7 @@ def pre_bisimulation(
         obligation at the initial guard that simulation refutes under
         ``given`` is instead appended to the witness, and push returns
         True."""
-        g = closed.fold(g)
+        g = fold(g, bodies, config)
         if g is None:
             return False
         # Obligations arrive simplified, with canonical variable names, so

@@ -143,6 +143,12 @@ def literal_bits(tok: Token) -> str:
 _KEYWORDS = {"state", "extract", "goto", "select"}
 
 
+def _expected(what: str, tok: Token) -> Diagnostic:
+    """The diagnostic for ``tok`` where ``what`` should stand."""
+    found = tok.text or "end of file"
+    return Diagnostic(f"expected {what}, found {found!r}", tok.line, tok.col)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -159,29 +165,19 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.next()
         if tok.text != text:
-            raise Diagnostic(
-                f"expected {text!r}, found {tok.text or 'end of file'!r}",
-                tok.line,
-                tok.col,
-            )
+            raise _expected(repr(text), tok)
         return tok
 
     def name(self, what: str) -> Token:
         tok = self.next()
         if tok.kind != "name" or tok.text in _KEYWORDS:
-            raise Diagnostic(
-                f"expected {what}, found {tok.text or 'end of file'!r}",
-                tok.line,
-                tok.col,
-            )
+            raise _expected(what, tok)
         return tok
 
     def number(self) -> int:
         tok = self.next()
         if tok.kind != "num":
-            raise Diagnostic(
-                f"expected a number, found {tok.text!r}", tok.line, tok.col
-            )
+            raise _expected("a number", tok)
         return int(tok.text)
 
     # expressions ----------------------------------------------------------
@@ -217,11 +213,7 @@ class _Parser:
             return Lit(literal_bits(self.next()))
         if tok.kind == "name" and tok.text not in _KEYWORDS:
             return HdrRef(self.next().text)
-        raise Diagnostic(
-            f"expected an expression, found {tok.text or 'end of file'!r}",
-            tok.line,
-            tok.col,
-        )
+        raise _expected("an expression", tok)
 
     # states ---------------------------------------------------------------
 
@@ -249,9 +241,7 @@ class _Parser:
     def target(self) -> str:
         tok = self.next()
         if tok.kind != "name":
-            raise Diagnostic(
-                f"expected a state name, found {tok.text!r}", tok.line, tok.col
-            )
+            raise _expected("a state name", tok)
         return tok.text
 
     def state_body(self):
@@ -318,9 +308,7 @@ class _Parser:
             states.append((name, stmts, trans))
         tok = self.peek()
         if tok.kind != "eof":
-            raise Diagnostic(
-                f"expected 'state', found {tok.text!r}", tok.line, tok.col
-            )
+            raise _expected("'state'", tok)
         if not states:
             raise Diagnostic("a source file needs at least one state", 1, 1)
         return states
@@ -547,9 +535,7 @@ class _RelParser(_Parser):
                 )
             name = hmap[ref.text]
             return hdr(name, side, self.sizes[name])
-        raise Diagnostic(
-            f"expected a bit expression, found {tok.text!r}", tok.line, tok.col
-        )
+        raise _expected("a bit expression", tok)
 
     def bit_postfix(self) -> Bits:
         e = self.bit_atom()
@@ -665,9 +651,5 @@ def parse_relation(
                 )
             )
         else:
-            raise Diagnostic(
-                f"expected 'init' or 'pair', found {tok.text!r}",
-                tok.line,
-                tok.col,
-            )
+            raise _expected("'init' or 'pair'", tok)
     return conj(init_parts), extra

@@ -39,6 +39,7 @@ from .confrel import (
     Top,
     Valuation,
     Var,
+    leaves,
     var_widths,
 )
 
@@ -206,24 +207,45 @@ def lowest_false(
     return _split(widths, format((false & -false).bit_length() - 1, f"0{n}b") if n else "")
 
 
-class Simulation:
-    """What simulation knows of one body, whatever its guard: the lanes on
-    which it holds as a goal (its variables random) and as a premise (for
-    every valuation; None until asked for), and, per side, one past the
-    highest buffer bit it reads. It keeps the body, so that the body's id
-    names it while a table keyed by ids holds it."""
+class Body:
+    """What a check derives from one body, whatever its guard: per side,
+    one past the highest buffer bit it reads; its variables' widths; and,
+    each made on first use, its canonical form (``wp``), the lanes on
+    which it holds as a goal and as a premise (``simulate_body``), and,
+    for a closed body, whether it is valid (``smt.fold``)."""
 
-    __slots__ = ("body", "reads", "goal", "premise")
+    __slots__ = ("reads", "widths", "canonical", "goal", "premise", "valid")
 
-    def __init__(
-        self, body: Formula, reads: dict[str, int], goal: int, premise: Optional[int]
-    ):
-        self.body, self.reads, self.goal, self.premise = body, reads, goal, premise
+    def __init__(self, body: Formula):
+        self.reads, self.widths = {LEFT: 0, RIGHT: 0}, {}
+        for s in leaves(body):
+            if type(s) is Seg:
+                b = s.base
+                if type(b) is Var:
+                    self.widths[b.name] = b.width
+                elif type(b) is BufRef and s.hi >= self.reads[b.side]:
+                    self.reads[b.side] = s.hi + 1
+        self.canonical = self.goal = self.premise = self.valid = None
 
 
-def simulate_body(body: Formula, aut: Automaton, premise: bool) -> Simulation:
-    """``body`` simulated as a goal, and also as a premise when ``premise``
-    is set, in one pass.
+class Bodies(dict):
+    """The Body of each body one check meets, made on first lookup and
+    keyed by the body's value, so that equal bodies built apart share
+    one; ``folded`` counts the obligations ``smt.fold`` decided. A body's
+    meaning does not depend on its guard, so every guard of the check,
+    and ``wp``, share the table."""
+
+    folded = 0
+
+    def __missing__(self, body: Formula) -> Body:
+        known = self[body] = Body(body)
+        return known
+
+
+def simulate_body(body: Formula, aut: Automaton, premise: bool) -> tuple[int, Optional[int]]:
+    """The lanes on which ``body`` holds as a goal, and as a premise when
+    ``premise`` is set, in one pass; the premise lanes are None when they
+    were not asked for and the goal's pass cannot tell them.
 
     A premise holds on a lane when it holds for each valuation of its
     variables, and holds on no lane when it has more than
@@ -235,9 +257,8 @@ def simulate_body(body: Formula, aut: Automaton, premise: bool) -> Simulation:
     configuration bit is the same on each block. Most goals never become
     premises, so a goal alone takes one block. Every bit reads
     ``lane_bits`` of its ``sat_name``, so the lanes fit any guard; a header is
-    checked against the automaton and each buffer's reads are recorded
-    for the guard to check."""
-    reads = {LEFT: 0, RIGHT: 0}
+    checked against the automaton, and the guard checks the buffer reads
+    (``Body.reads``)."""
     widths = var_widths(body) if premise else {}  # a goal's pass finds them itself
     n = sum(widths.values())
     # valuation blocks before the goal's
@@ -252,12 +273,9 @@ def simulate_body(body: Formula, aut: Automaton, premise: bool) -> Simulation:
     def lanes(s: Seg) -> list[int]:
         b = s.base
         t = type(b)
-        if t is BufRef:
-            if s.hi >= reads[b.side]:
-                reads[b.side] = s.hi + 1
-        elif t is BHdrRef:
+        if t is BHdrRef:
             check_header(b, aut)
-        else:
+        elif t is Var:
             widths[b.name] = b.width
         random = lane_bits(sat_name(b), s.hi + 1)[s.lo : s.hi + 1]
         if not blocks:
@@ -269,10 +287,10 @@ def simulate_body(body: Formula, aut: Automaton, premise: bool) -> Simulation:
     holds = simulate(body, lanes, full)
     goal = holds >> shift
     if not widths:
-        return Simulation(body, reads, goal, goal)
+        return goal, goal
     if not blocks:  # a goal's pass, or a premise too wide to enumerate
-        return Simulation(body, reads, goal, 0 if sum(widths.values()) > SIM_VAR_BITS else None)
+        return goal, 0 if sum(widths.values()) > SIM_VAR_BITS else None
     every = ALL_LANES
     for j in range(blocks):
         every &= holds >> (LANES * j)
-    return Simulation(body, reads, goal, every)
+    return goal, every

@@ -14,6 +14,7 @@ from typing import Iterable, Optional
 
 from .core import RESULTS, Automaton, Record, select_targets
 from .confrel import T_REJECT, Template, templates_of
+from .lanes import Bodies
 
 
 class TemplatePair(Record):
@@ -156,16 +157,16 @@ class Predecessors(dict):
     """Each successor of a pair in a reach set -> the pairs of the set
     that step into it. ``rewinds`` holds ``wp``'s one-side rewinds of
     these steps, keyed by (side, t_src, t_dst, k), as it builds them, and
-    each shared buffering rewind by (side, t_src.buflen, k). ``bodies``
-    holds what ``wp`` knows of each body it has met, keyed by the body's
-    id; like the rest, it lives as long as the check."""
+    each shared buffering rewind by (side, t_src.buflen, k). ``bodies`` is
+    the check's table of what it derives from each body (``Bodies``);
+    like the rest, it lives as long as the check."""
 
     __slots__ = ("rewinds", "bodies")
 
     def __init__(self):
         super().__init__()
         self.rewinds: dict = {}
-        self.bodies: dict = {}
+        self.bodies = Bodies()
 
 
 def predecessors(reach: ReachSet, aut: Automaton, leaps: bool = True) -> Predecessors:

@@ -11,8 +11,8 @@ query's translation to quantifier-free bitvector SMT-LIB, which
 cannot be answered surfaces as SolverFailure, never as a verdict.
 
 A closed body, one that reads no configuration bit, is true at every
-guard or false at every one; ``ClosedBodies`` decides each such body once
-per check, as the engine makes the obligation.
+guard or false at every one; ``fold`` decides each such body once per
+check, as the engine makes the obligation.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ from .confrel import (
 from . import sat
 from .lanes import (
     ALL_LANES,
+    Bodies,
+    Body,
     InternalError,
-    Simulation,
     check_buffer,
     check_header,
     lowest_false,
@@ -653,14 +654,13 @@ class GuardRelation(list):
     decides it and every later one.
 
     A body is simulated once as a goal, and once more, with its
-    valuations, if it becomes a premise (``simulate_body``), into
-    ``sims``. The engine replaces that table with one for all the
-    relations of a check, since a body's lanes do not depend on its
-    guard; the table goes when the check ends. Each query still checks
-    the body's buffer reads against this guard."""
+    valuations, if it becomes a premise (``simulate_body``), into its
+    Body in ``bodies``. The engine gives every relation of a check the
+    check's table. Each query still checks the body's buffer reads
+    against this guard."""
 
     __slots__ = (
-        "t1", "t2", "context", "alive", "simulated", "refuted", "solver_calls", "sims"
+        "t1", "t2", "context", "alive", "simulated", "refuted", "solver_calls", "bodies"
     )
 
     def __init__(self, t1: Template, t2: Template, conjuncts: Iterable[Guarded] = ()):
@@ -671,7 +671,7 @@ class GuardRelation(list):
         self.simulated = 0  # how many conjuncts ``alive`` has met
         self.refuted = 0  # queries answered by simulation
         self.solver_calls = 0  # queries answered by a solver
-        self.sims: dict[int, Simulation] = {}  # id of a body -> its Simulation
+        self.bodies = Bodies()
 
     def entails(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
         """Do the conjuncts entail ``goal``? Raises SolverFailure once
@@ -687,16 +687,16 @@ class GuardRelation(list):
         self.solver_calls += 1
         return self.context.entails(self, goal, deadline)
 
-    def simulation(self, body: Formula, aut: Automaton, premise: bool = False) -> Simulation:
-        """``body``'s Simulation, with its premise lanes when ``premise``
-        is set, made on first use, after checking that its buffer reads
-        fit this guard."""
-        sim = self.sims.get(id(body))
-        if sim is None or premise and sim.premise is None:
-            sim = self.sims[id(body)] = simulate_body(body, aut, premise)
-        check_buffer(LEFT, sim.reads[LEFT], self.t1.buflen)
-        check_buffer(RIGHT, sim.reads[RIGHT], self.t2.buflen)
-        return sim
+    def simulation(self, body: Formula, aut: Automaton, premise: bool = False) -> Body:
+        """``body``'s Body, with its goal lanes, and its premise lanes when
+        ``premise`` is set, made on first use, after checking that its
+        buffer reads fit this guard."""
+        known = self.bodies[body]
+        if known.goal is None or premise and known.premise is None:
+            known.goal, known.premise = simulate_body(body, aut, premise)
+        check_buffer(LEFT, known.reads[LEFT], self.t1.buflen)
+        check_buffer(RIGHT, known.reads[RIGHT], self.t2.buflen)
+        return known
 
     def refutes(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
         """Is ``goal`` false on a live lane? Then that lane is a counter-model
@@ -837,29 +837,19 @@ def valid_closed(body: Formula, config: SolverConfig) -> bool:
     return not check_sat([Not(body)], _deadline(config.timeout))
 
 
-class ClosedBodies(dict):
-    """The closed bodies of one check, each decided once (body -> is it
-    valid?), and ``folded``, how many obligations ``fold`` decided."""
-
-    __slots__ = ("config", "folded")
-
-    def __init__(self, config: SolverConfig):
-        super().__init__()
-        self.config = config
-        self.folded = 0
-
-    def fold(self, g: Guarded) -> Optional[Guarded]:
-        """``g`` with a closed body decided: None when the body is valid,
-        so that ``g`` holds everywhere, ``g``'s guard with the body false
-        when it is not, else ``g`` itself."""
-        body = g.body
-        if type(body) is Bottom or not closed(body):
-            return g
-        valid = self.get(body)
-        if valid is None:
-            valid = self[body] = valid_closed(body, self.config)
-        self.folded += 1
-        return None if valid else Guarded(g.t1, g.t2, BOT)
+def fold(g: Guarded, bodies: Bodies, config: SolverConfig) -> Optional[Guarded]:
+    """``g`` with a closed body decided, once per body in ``bodies``
+    (``Body.valid``), and counted in ``bodies.folded``: None when the
+    body is valid, so that ``g`` holds everywhere, ``g``'s guard with the
+    body false when it is not, else ``g`` itself."""
+    body = g.body
+    if type(body) is Bottom or not closed(body):
+        return g
+    known = bodies[body]
+    if known.valid is None:
+        known.valid = valid_closed(body, config)
+    bodies.folded += 1
+    return None if known.valid else Guarded(g.t1, g.t2, BOT)
 
 
 # ---------------------------------------------------------------------------

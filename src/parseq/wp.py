@@ -19,7 +19,6 @@ from .confrel import (
     BOT,
     TOP,
     Bits,
-    BufRef,
     Eq,
     Formula,
     Guarded,
@@ -36,7 +35,6 @@ from .confrel import (
     conj,
     disj,
     hdr,
-    leaves,
     lit,
     replace,
     simplify,
@@ -275,42 +273,12 @@ def side_rewind(
     return r
 
 
-def buffer_reads(phi: Formula) -> dict[str, int]:
-    """How many bits of each side's buffer phi reads: one past the
-    highest bit it reads, 0 when it reads none."""
-    reads = {LEFT: 0, RIGHT: 0}
-    for s in leaves(phi):
-        if type(s) is Seg and type(s.base) is BufRef and s.hi >= reads[s.base.side]:
-            reads[s.base.side] = s.hi + 1
-    return reads
-
-
 def transparent(r: Rewind) -> bool:
     """Does rewind ``r`` rewrite no header and have no condition? Then it
     maps each buffer bit below its source template's buffer length to
     itself: a buffering rewind appends the read above them, and a result
     state stepping to reject replaces nothing."""
     return not r[1] and type(r[2]) is Top
-
-
-class Body:
-    """What ``wp`` knows of one body it rewinds: its ``buffer_reads`` and
-    its canonical form, each made on first use. Kept in
-    ``Predecessors.bodies`` under the body's id, with the body itself, so
-    that the id names no other formula while the check lasts."""
-
-    __slots__ = ("body", "reads", "canonical")
-
-    def __init__(self, body: Formula):
-        self.body = body
-        self.reads: Optional[dict[str, int]] = None
-        self.canonical: Optional[Formula] = None
-
-    def reads_below(self, pair: TemplatePair) -> bool:
-        """Does the body read only buffer bits below pair's buffer lengths?"""
-        if self.reads is None:
-            self.reads = buffer_reads(self.body)
-        return self.reads[LEFT] <= pair.left.buflen and self.reads[RIGHT] <= pair.right.buflen
 
 
 def wp(
@@ -329,18 +297,18 @@ def wp(
 
     A pair whose rewinds are both ``transparent``, and whose buffers hold
     every bit psig's body reads, leaves the body alone: it takes the
-    body's canonical form without a walk. ``preds.bodies`` holds each
-    body's buffer reads and canonical form, made on first use.
+    body's canonical form without a walk. ``preds.bodies``, the check's
+    table, holds each body's buffer reads (``Body.reads``) and canonical
+    form, made on first use.
     ``simplify`` and ``canonical_vars`` return a simplified canonical
     body as it is, so an obligation of the engine comes back as the same
     object.
     """
     body = psig.body
-    known = preds.bodies.get(id(body))
-    if known is None:
-        if READ in variables(body):
-            raise FreshnessError(f"{READ} is not fresh")
-        known = preds.bodies[id(body)] = Body(body)
+    known = preds.bodies[body]
+    if READ in known.widths:
+        raise FreshnessError(f"{READ} is not fresh")
+    reads = known.reads
     out: list[Guarded] = []
     for pair in preds.get(TemplatePair(psig.t1, psig.t2), ()):
         k = leap_size(pair.left, pair.right, aut) if leaps else 1
@@ -348,7 +316,10 @@ def wp(
         right = side_rewind(preds, RIGHT, pair.right, psig.t2, k, aut)
         if left is None or right is None:
             continue
-        if transparent(left) and transparent(right) and known.reads_below(pair):
+        if (
+            transparent(left) and transparent(right)
+            and reads[LEFT] <= pair.left.buflen and reads[RIGHT] <= pair.right.buflen
+        ):
             if known.canonical is None:
                 known.canonical = canonical_vars(simplify(body))
             phi = known.canonical

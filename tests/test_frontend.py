@@ -215,8 +215,10 @@ SOURCE_DIAGNOSTICS = [
     ("state { extract(h, 1); goto accept }", "expected a state name, found '{'", 1, 7),
     ("state s { extract(h, x); goto accept }", "expected a number, found 'x'", 1, 22),
     ("state s { extract(h, 2); select(h[0:y]) { _ => accept } }", "expected a number, found 'y'", 1, 37),
+    ("state a { extract(h,", "expected a number, found 'end of file'", 1, 21),
     ("state s { extract(h, 1); g := ; goto accept }", "expected an expression, found ';'", 1, 31),
     ("state s { extract(h, 1); select(h) { 0b1 => 0b1 } }", "expected a state name, found '0b1'", 1, 45),
+    ("state a { extract(h, 8); goto", "expected a state name, found 'end of file'", 1, 30),
     ("state s { extract(h, 1); }", "expected 'goto' or 'select' to end the state", 1, 26),
     ("state accept { extract(h, 1); goto reject }", "'accept' is reserved", 1, 7),
     ("state s { extract(h, 1); goto accept } goto", "expected 'state', found 'goto'", 1, 40),
@@ -239,7 +241,7 @@ RELATION_DIAGNOSTICS = [
     ("init: left.mpls = 0b1 2", "expected 'init' or 'pair', found '2'", 1, 23),
     ("init: left.nosuch = 0b1", "unknown header 'nosuch' on the left side", 1, 12),
     ("init: right.mpls = 0b1", "unknown header 'mpls' on the right side", 1, 13),
-    ("init: left.mpls = ", "expected a bit expression, found ''", 1, 19),
+    ("init: left.mpls = ", "expected a bit expression, found 'end of file'", 1, 19),
     ("init: left.mpls 0b1", "expected '=', found '0b1'", 1, 17),
     ("init left.mpls = 0b1", "expected ':', found 'left'", 1, 6),
     ("pair nosuch 0 q3 0: true", "unknown left state 'nosuch'", 1, 6),

@@ -1,6 +1,7 @@
 """Entailment pipeline: filtering, bitvector translation, backends."""
 
 import math
+from collections import Counter
 
 import pytest
 
@@ -43,11 +44,10 @@ from parseq.confrel import (
     var,
     var_widths,
 )
-from parseq.lanes import LANES, SIM_VAR_BITS, lane_bits, sat_name, simulate, simulate_body
+from parseq.lanes import LANES, SIM_VAR_BITS, Bodies, lane_bits, sat_name, simulate, simulate_body
 from parseq.smt import (
     INSTANCE_VAR_BITS,
     Blaster,
-    ClosedBodies,
     FilteredEntailment,
     GuardRelation,
     InternalError,
@@ -60,6 +60,7 @@ from parseq.smt import (
     closed,
     decide_by_enumeration,
     decide_entailment,
+    fold,
     serialize_smtlib,
     template_filter,
     to_fol_bv,
@@ -482,11 +483,12 @@ class TestBitParallelPasses:
             aut, t1, t2, _ = random_guard(rng)
             names = ["y0", "y1", "y2", "y3", "y4"][: rng.randint(0, 5)]
             p = _formula_with_variables(rng, aut, t1, t2, names)
-            sim, goal = simulate_body(p, aut, premise=True), simulate_body(p, aut, premise=False)
-            assert sim.premise == _per_valuation_premise_lanes(p), case
-            assert sim.goal == goal.goal == simulate(p, _random_lanes), case
+            goal, premise = simulate_body(p, aut, premise=True)
+            goal_only, unmade = simulate_body(p, aut, premise=False)
+            assert premise == _per_valuation_premise_lanes(p), case
+            assert goal == goal_only == simulate(p, _random_lanes), case
             n = sum(var_widths(p).values())
-            assert goal.premise == (None if 0 < n <= SIM_VAR_BITS else sim.premise), case
+            assert unmade == (None if 0 < n <= SIM_VAR_BITS else premise), case
             widths.add(n)
         assert set(range(SIM_VAR_BITS + 3)) <= widths
 
@@ -536,12 +538,53 @@ class TestSharedSimulation:
         buffer reads must fit each guard it is queried at."""
         aut = tiny_automaton()
         wide, narrow = GuardRelation(T1, T1), GuardRelation(T0, T0)
-        sims = wide.sims = narrow.sims = {}
+        bodies = wide.bodies = narrow.bodies = Bodies()
         body = Eq(buf(RIGHT, 1), lit("1"))
         assert not decide_entailment(wide, Guarded(T1, T1, body), aut, internal_config)
-        assert list(sims) == [id(body)]
+        assert list(bodies) == [body]
         with pytest.raises(InternalError, match="beyond its 0 bit"):
             decide_entailment(narrow, Guarded(T0, T0, body), aut, internal_config)
+
+    def test_equal_bodies_built_apart_share_one_body(self, monkeypatch, internal_config):
+        """The table keys by value: copies of one body, each built as its
+        own object and queried at two guards, are simulated once per
+        role, a closed one is decided once, and each guard still checks
+        the buffer reads."""
+        simulated, decided = Counter(), []
+        simulate_real, valid_real = parseq.smt.simulate_body, parseq.smt.valid_closed
+
+        def counted_simulation(body, aut, premise):
+            simulated[body, premise] += 1
+            return simulate_real(body, aut, premise)
+
+        def counted_decision(body, config):
+            decided.append(body)
+            return valid_real(body, config)
+
+        monkeypatch.setattr(parseq.smt, "simulate_body", counted_simulation)
+        monkeypatch.setattr(parseq.smt, "valid_closed", counted_decision)
+        aut, bodies = tiny_automaton(), Bodies()
+
+        def apart():  # a new object each time, reading bit 0 of the right buffer
+            return Or((Eq(buf(RIGHT, 1), var("v0")), Eq(hdr("h", LEFT, 2), lit("01"))))
+
+        assert apart() is not apart() and apart() == apart()
+        for t1 in (T0, T1):
+            rel = GuardRelation(t1, T1)
+            rel.bodies = bodies
+            assert not decide_entailment(rel, Guarded(t1, T1, apart()), aut, internal_config)
+            rel.append(Guarded(t1, T1, apart()))
+            goal = Eq(hdr("h", RIGHT, 2), lit("10"))
+            assert not decide_entailment(rel, Guarded(t1, T1, goal), aut, internal_config)
+        assert set(simulated.values()) == {1} and len(simulated) == 3
+        for t1 in (T0, T1):
+            g = Guarded(t1, T1, Or((Eq(var("v0"), lit("1")), Eq(var("v0"), lit("0")))))
+            assert fold(g, bodies, internal_config) is None
+        assert len(decided) == 1 and bodies.folded == 2 and len(bodies) == 3
+        narrow = GuardRelation(T1, T0)
+        narrow.bodies = bodies
+        with pytest.raises(InternalError, match="beyond its 0 bit"):
+            decide_entailment(narrow, Guarded(T1, T0, apart()), aut, internal_config)
 
 
 def random_closed(rng, bits):
@@ -580,7 +623,7 @@ class TestClosedBodies:
         """Each closed body, narrow or wider than ``INSTANCE_VAR_BITS``,
         is dropped exactly when it holds under every valuation, and
         otherwise made false at its guard."""
-        bodies = ClosedBodies(SolverConfig(backend=backend))
+        bodies, config = Bodies(), SolverConfig(backend=backend)
         seen = {True: 0, False: 0}
         widths = [rng.randint(1, 8) for _ in range(120)] + [INSTANCE_VAR_BITS, 11, 12] * 3
         for i, bits in enumerate(widths):
@@ -590,7 +633,7 @@ class TestClosedBodies:
                 if type(phi) is not Bottom:
                     seen[want] += 1
                 g = Guarded(T0, T1, phi)
-                assert bodies.fold(g) == (None if want else Guarded(T0, T1, BOT)), (i, phi)
+                assert fold(g, bodies, config) == (None if want else Guarded(T0, T1, BOT)), (i, phi)
         assert seen[True] > 20 and seen[False] > 20
         wide = [phi for phi in bodies if sum(var_widths(phi).values()) > INSTANCE_VAR_BITS]
         assert len({denotes(phi, self.NOWHERE, self.NOWHERE) for phi in wide}) == 2
@@ -604,17 +647,17 @@ class TestClosedBodies:
             return real(body, config)
 
         monkeypatch.setattr(parseq.smt, "valid_closed", counted)
-        bodies = ClosedBodies(internal_config)
+        bodies = Bodies()
         valid = Or((Eq(var("v0"), lit("1")), Eq(var("v0"), lit("0"))))
         false = Eq(var("v0"), lit("1"))
         open_ = Eq(var("v0"), buf(LEFT, 1))
         for t in (T0, T1, T0):
-            assert bodies.fold(Guarded(t, T1, valid)) is None
-            assert bodies.fold(Guarded(t, T1, false)) == Guarded(t, T1, BOT)
+            assert fold(Guarded(t, T1, valid), bodies, internal_config) is None
+            assert fold(Guarded(t, T1, false), bodies, internal_config) == Guarded(t, T1, BOT)
             g = Guarded(t, T1, open_)
-            assert bodies.fold(g) is g
+            assert fold(g, bodies, internal_config) is g
             g = Guarded(t, T1, BOT)
-            assert bodies.fold(g) is g
+            assert fold(g, bodies, internal_config) is g
         assert decided == [valid, false] and bodies.folded == 6
 
     def test_a_false_conjunct_entails_every_goal_at_once(self, monkeypatch, internal_config):

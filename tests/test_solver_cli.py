@@ -1,6 +1,7 @@
 """The bundled SMT-LIB solver: parsing and end-to-end agreement."""
 
 import io
+import os
 import subprocess
 import sys
 
@@ -114,10 +115,14 @@ class TestAgreement:
         assert {"sat", "unsat"} <= set(tokens)
 
     def test_console_entry_point(self):
+        # the child imports parseq from where this process found it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(parseq.engine.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "parseq.solver_cli"],
             input="(assert false)(check-sat)",
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.stdout.strip() == "unsat"

@@ -57,7 +57,7 @@ from parseq.reach import (
     predecessors,
     reach_fixpoint,
 )
-from parseq.smt import SolverConfig
+from parseq.smt import GuardRelation, SolverConfig, decide_entailment
 from parseq.wp import READ, FreshnessError, canonical_vars, template_chain, wp, wp_side
 
 
@@ -306,6 +306,21 @@ class TestWideLeaps:
         with pytest.raises(FreshnessError):
             wp(psig, predecessors(reach, total), total)
 
+    def test_split_bit_names_must_be_fresh_in_a_guards_body(self):
+        """A Body that a guard made first, for an equal body built apart,
+        is still checked for freshness when wp meets it."""
+        one, two = _wide_pair(8, "[0:0]", "0b0", "a[0:0]")
+        total, _, _, reach = _summed(one, two)
+        preds = predecessors(reach, total)
+        rel = GuardRelation(T_ACCEPT, T_REJECT)
+        rel.bodies = preds.bodies
+        goal = Guarded(T_ACCEPT, T_REJECT, Eq(var(READ), lit("1")))
+        assert not decide_entailment(rel, goal, total, self.INTERNAL)
+        assert list(preds.bodies) == [goal.body]
+        psig = Guarded(T_ACCEPT, T_REJECT, Eq(var(READ), lit("1")))
+        with pytest.raises(FreshnessError):
+            wp(psig, preds, total)
+
     def test_leap_draws_one_fresh_name_per_predecessor(self):
         one, _ = _wide_pair(4096, "[0:0]", "0b0", "a[0:0]")
         total, t1, t2, reach = _summed(one, one)
@@ -489,22 +504,33 @@ class TestCompiledStepRelation:
 
 class TestUnchangedBodies:
     def test_single_bit_steps_hand_on_the_same_body(self, monkeypatch, internal_config):
-        """A buffering step below every bit a body reads leaves it alone,
-        and wp returns the obligation's own body object for it."""
-        same = total = 0
-        step = parseq.engine.wp
+        """A buffering step below every bit a body reads leaves it alone:
+        wp hands on the canonical form kept in the body's Body, without a
+        walk (``subst``). Equal bodies share that Body, so the form handed
+        on is the first equal body's object."""
+        same = equal = total = walks = 0
+        step, subst = parseq.engine.wp, parseq.wp.subst
 
         def counted(psig, preds, aut, leaps=True):
-            nonlocal same, total
+            nonlocal same, equal, total
             out = step(psig, preds, aut, leaps)
             total += len(out)
             same += sum(g.body is psig.body for g in out)
+            equal += sum(g.body == psig.body for g in out)
             return out
 
+        def walk(*args):
+            nonlocal walks
+            walks += 1
+            return subst(*args)
+
         monkeypatch.setattr(parseq.engine, "wp", counted)
+        monkeypatch.setattr(parseq.wp, "subst", walk)
         res = check_equivalence(
             load_fixture("mpls_ref"), "q1", load_fixture("mpls_vec"), "q3",
             config=internal_config, leaps=False,
         )
         assert res.verdict == "Equivalent", res.reason
-        assert total == 819 and same >= 759
+        # 759 outputs equal their obligation's body, 746 of them the same
+        # object; 67 outputs take a walk, and without the shortcut all do
+        assert total == 819 and equal >= 759 and same >= 746 and walks < 100
