@@ -1,10 +1,14 @@
 """Symbolic relations on configuration pairs.
 
-Formulas relate a left and a right configuration. Variables are
-bitvectors of a fixed width (one bit unless stated); conjunction,
-disjunction, negation and top are first-class but denotationally equal to
-their implication/bottom encodings. The same language, with only literals
-and variables as leaves, is what the QF_BV translation in ``smt`` emits.
+Formulas relate a left and a right configuration. Their only atoms are
+equations between bit expressions over the two buffers, the two stores'
+headers and variables. Variables are bitvectors of a fixed width (one bit
+unless stated); conjunction, disjunction, negation and top are first-class
+but denotationally equal to their implication/bottom encodings. No
+formula names a state or a buffer length: a guard's templates fix both,
+so every guarded body is pure by construction. The same language, with
+only literals and variables as bases, is what the QF_BV translation in
+``smt`` emits.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ from .core import ACCEPT, REJECT, Automaton, Configuration, Record, slice_bits
 
 LEFT = "<"
 RIGHT = ">"
-
-
-class NotPure(Exception):
-    """Raised when a guard body contains state or buffer-length assertions."""
 
 
 # ---------------------------------------------------------------------------
@@ -201,28 +201,6 @@ class Eq(Record):
     def __hash__(self): return hash((self.left, self.right))
 
 
-class StateIs(Record):
-    __slots__ = ("state", "side")
-
-    def __init__(self, state: str, side: str):
-        self.state, self.side = state, side
-
-    def __eq__(self, o): return type(o) is StateIs and (self.state, self.side) == (o.state, o.side)
-    def __hash__(self): return hash((self.state, self.side))
-
-
-class BufLenIs(Record):
-    __slots__ = ("length", "side")
-
-    def __init__(self, length: int, side: str):
-        self.length, self.side = length, side
-
-    def __eq__(self, o):
-        return type(o) is BufLenIs and (self.length, self.side) == (o.length, o.side)
-
-    def __hash__(self): return hash((self.length, self.side))
-
-
 class Implies(Record):
     __slots__ = ("hyp", "concl")
 
@@ -263,7 +241,7 @@ class Not(Record):
     def __hash__(self): return hash((self.body,))
 
 
-Formula = Union[Bottom, Top, Eq, StateIs, BufLenIs, Implies, And, Or, Not]
+Formula = Union[Bottom, Top, Eq, Implies, And, Or, Not]
 
 BOT = Bottom()
 TOP = Top()
@@ -330,9 +308,8 @@ def replace(phi: Formula, fn: Callable[[Seg], Optional[Bits]]) -> Formula:
     return rewrite(phi, eq)
 
 
-def leaves(phi: Formula) -> Iterator[Union[Formula, Seg]]:
-    """The atomic formulas under ``phi`` other than equations, and every
-    base segment of an equation, left to right."""
+def segments(phi: Formula) -> Iterator[Seg]:
+    """Every base segment of an equation under ``phi``, left to right."""
     stack = [phi]
     pop, push = stack.pop, stack.append
     while stack:
@@ -351,8 +328,6 @@ def leaves(phi: Formula) -> Iterator[Union[Formula, Seg]]:
             stack += reversed(n.disjuncts)
         elif t is Not:
             push(n.body)
-        else:
-            yield n
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +362,6 @@ def holds(phi: Formula, cl: Configuration, cr: Configuration, v: Valuation) -> b
         return True
     if isinstance(phi, Eq):
         return eval_bit_expr(phi.left, cl, cr, v) == eval_bit_expr(phi.right, cl, cr, v)
-    if isinstance(phi, StateIs):
-        c = cl if phi.side == LEFT else cr
-        return c.state == phi.state
-    if isinstance(phi, BufLenIs):
-        c = cl if phi.side == LEFT else cr
-        return len(c.buffer) == phi.length
     if isinstance(phi, Implies):
         return (not holds(phi.hyp, cl, cr, v)) or holds(phi.concl, cl, cr, v)
     if isinstance(phi, And):
@@ -405,13 +374,11 @@ def holds(phi: Formula, cl: Configuration, cr: Configuration, v: Valuation) -> b
 
 
 def variables(phi: Formula) -> set[str]:
-    return {x.base.name for x in leaves(phi) if type(x) is Seg and type(x.base) is Var}
+    return {s.base.name for s in segments(phi) if type(s.base) is Var}
 
 
 def var_widths(phi: Formula) -> dict[str, int]:
-    return {
-        x.base.name: x.base.width for x in leaves(phi) if type(x) is Seg and type(x.base) is Var
-    }
+    return {s.base.name: s.base.width for s in segments(phi) if type(s.base) is Var}
 
 
 def valuations(phi: Formula) -> Iterator[Valuation]:
@@ -428,10 +395,6 @@ def valuations(phi: Formula) -> Iterator[Valuation]:
 def denotes(phi: Formula, cl: Configuration, cr: Configuration) -> bool:
     """True iff phi holds under every valuation of its variables."""
     return all(holds(phi, cl, cr, v) for v in valuations(phi))
-
-
-def is_pure(phi: Formula) -> bool:
-    return not any(type(x) is StateIs or type(x) is BufLenIs for x in leaves(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +441,8 @@ def template_of(c: Configuration) -> Template:
 
 
 class Guarded(Record):
-    """A template-guarded formula: t1< ∧ t2> ⟹ body, with a pure body."""
+    """A template-guarded formula: t1< ∧ t2> ⟹ body. The templates fix
+    each side's state and buffer length; the body reads bits only."""
 
     __slots__ = ("t1", "t2", "body")
 
@@ -494,12 +458,6 @@ class Guarded(Record):
         if template_of(cl) != self.t1 or template_of(cr) != self.t2:
             return True
         return denotes(self.body, cl, cr)
-
-
-def guard(t1: Template, t2: Template, body: Formula) -> Guarded:
-    if not is_pure(body):
-        raise NotPure(f"guard body is not pure: {render(body)}")
-    return Guarded(t1, t2, body)
 
 
 # ---------------------------------------------------------------------------
@@ -659,10 +617,6 @@ def render(phi: Formula, buflens: dict[str, int] = {}) -> str:
         return "true"
     if isinstance(phi, Eq):
         return f"{render_bit_expr(phi.left, buflens)} = {render_bit_expr(phi.right, buflens)}"
-    if isinstance(phi, StateIs):
-        return f"state{phi.side}({phi.state})"
-    if isinstance(phi, BufLenIs):
-        return f"buflen{phi.side}({phi.length})"
     if isinstance(phi, Implies):
         return f"({render(phi.hyp, buflens)} => {render(phi.concl, buflens)})"
     if isinstance(phi, And):

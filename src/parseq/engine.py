@@ -32,7 +32,6 @@ from .confrel import (
     T_ACCEPT,
     Template,
     Top,
-    guard,
     render_body,
     render_guarded,
     simplify,
@@ -157,11 +156,7 @@ def mixed_acceptance(p: TemplatePair) -> bool:
 
 def init_relation(reach: ReachSet) -> list[Guarded]:
     """One falsum obligation per reachable pair mixing acceptance."""
-    return [
-        guard(p.left, p.right, BOT)
-        for p in reach.sorted()
-        if mixed_acceptance(p)
-    ]
+    return [Guarded(p.left, p.right, BOT) for p in reach.sorted() if mixed_acceptance(p)]
 
 
 def final_check(
@@ -189,8 +184,7 @@ def _reach_for(
     if use_reach:
         return reach_fixpoint({seed}, aut, leaps=leaps)
     names = [q for q, _ in aut.states]
-    full = all_template_pairs(aut, names, names)
-    return ReachSet(full.pairs | {seed}, frozenset({seed}))
+    return ReachSet(all_template_pairs(aut, names, names).pairs | {seed})
 
 
 def pre_bisimulation(

@@ -60,7 +60,6 @@ from .confrel import (
     buf,
     conj,
     disj,
-    guard,
     hdr,
     lit,
 )
@@ -540,11 +539,15 @@ class _RelParser(_Parser):
     def bit_postfix(self) -> Bits:
         e = self.bit_atom()
         while self.peek().text == "[":
-            self.next()
+            tok = self.next()
             lo = self.number()
             self.expect(":")
             hi = self.number()
             self.expect("]")
+            if not lo <= hi < e.width:
+                raise Diagnostic(
+                    f"slice [{lo}:{hi}] out of range for width {e.width}", tok.line, tok.col
+                )
             e = e.slice(lo, hi)
         return e
 
@@ -644,11 +647,7 @@ def parse_relation(
                     f"unknown right state {rq.text!r}", rq.line, rq.col
                 )
             extra.append(
-                guard(
-                    Template(lstates[lq.text], ln),
-                    Template(rstates[rq.text], rn),
-                    body,
-                )
+                Guarded(Template(lstates[lq.text], ln), Template(rstates[rq.text], rn), body)
             )
         else:
             raise _expected("'init' or 'pair'", tok)

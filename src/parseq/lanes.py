@@ -27,7 +27,6 @@ from .confrel import (
     BHdrRef,
     Bits,
     Bottom,
-    BufLenIs,
     BufRef,
     Eq,
     Formula,
@@ -35,20 +34,19 @@ from .confrel import (
     Not,
     Or,
     Seg,
-    StateIs,
     Top,
     Valuation,
     Var,
-    leaves,
+    segments,
     var_widths,
 )
 
 
 class InternalError(Exception):
     """A formula reached the simulation, the solver or the bitvector
-    translation that does not fit its guard: state or buffer-length
-    assertions, an unknown header, a header read at a width that is not
-    its own, or a buffer read beyond the guard's buffer length."""
+    translation that does not fit its guard: an unknown header, a header
+    read at a width that is not its own, or a buffer read beyond the
+    guard's buffer length."""
 
 
 def check_header(b: BHdrRef, aut: Automaton) -> None:
@@ -178,8 +176,6 @@ def simulate(phi: Formula, lanes: Callable[[Seg], list[int]], full: int = ALL_LA
         return full
     if t is Bottom:
         return 0
-    if t is StateIs or t is BufLenIs:
-        raise InternalError(f"impure formula survived filtering: {phi!r}")
     raise TypeError(f"not a formula: {phi!r}")
 
 
@@ -218,13 +214,12 @@ class Body:
 
     def __init__(self, body: Formula):
         self.reads, self.widths = {LEFT: 0, RIGHT: 0}, {}
-        for s in leaves(body):
-            if type(s) is Seg:
-                b = s.base
-                if type(b) is Var:
-                    self.widths[b.name] = b.width
-                elif type(b) is BufRef and s.hi >= self.reads[b.side]:
-                    self.reads[b.side] = s.hi + 1
+        for s in segments(body):
+            b = s.base
+            if type(b) is Var:
+                self.widths[b.name] = b.width
+            elif type(b) is BufRef and s.hi >= self.reads[b.side]:
+                self.reads[b.side] = s.hi + 1
         self.canonical = self.goal = self.premise = self.valid = None
 
 

@@ -96,15 +96,12 @@ class ReachSet(Record):
     (``leaps``) and the successors the fixpoint computed for each pair,
     until ``predecessors`` takes them."""
 
-    __slots__ = ("pairs", "seeds", "_succ", "_sorted")
+    __slots__ = ("pairs", "_succ", "_sorted")
 
     def __init__(
-        self,
-        pairs: frozenset[TemplatePair],
-        seeds: frozenset[TemplatePair],
-        succ: Optional[tuple[bool, Successors]] = None,
+        self, pairs: frozenset[TemplatePair], succ: Optional[tuple[bool, Successors]] = None
     ):
-        self.pairs, self.seeds, self._succ = pairs, seeds, succ
+        self.pairs, self._succ = pairs, succ
         self._sorted: Optional[list[TemplatePair]] = None
 
     def __contains__(self, p: TemplatePair) -> bool:
@@ -140,17 +137,16 @@ def reach_fixpoint(
 ) -> ReachSet:
     """Least template-pair set containing the seeds and closed under the
     chosen successor relation."""
-    seeds = frozenset(seeds)
     seen: set[TemplatePair] = set(seeds)
     succ: Successors = {}
-    worklist = deque(seeds)
+    worklist = deque(seen)
     while worklist:
         p = worklist.popleft()
         succ[p] = step = successors(p, aut, leaps)
         fresh = step - seen
         seen.update(fresh)
         worklist.extend(fresh)
-    return ReachSet(frozenset(seen), seeds, (leaps, succ))
+    return ReachSet(frozenset(seen), (leaps, succ))
 
 
 class Predecessors(dict):
@@ -191,5 +187,4 @@ def all_template_pairs(
     valid right template (used when reach pruning is disabled)."""
     lts = templates_of(aut, list(left_states))
     rts = templates_of(aut, list(right_states))
-    pairs = frozenset(TemplatePair(l, r) for l in lts for r in rts)
-    return ReachSet(pairs, pairs)
+    return ReachSet(frozenset(TemplatePair(l, r) for l in lts for r in rts))

@@ -32,7 +32,6 @@ from .confrel import (
     BHdrRef,
     Bits,
     Bottom,
-    BufLenIs,
     BufRef,
     Eq,
     Formula,
@@ -42,7 +41,6 @@ from .confrel import (
     Or,
     Seg,
     Segment,
-    StateIs,
     Template,
     Top,
     Valuation,
@@ -51,11 +49,10 @@ from .confrel import (
     cat,
     denotes,
     guard_buflens,
-    is_pure,
-    leaves,
     lit,
     replace,
     rewrite,
+    segments,
     simplify,
     var,
     var_widths,
@@ -125,10 +122,7 @@ _SANE = re.compile(r"[^A-Za-z0-9_]")
 def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
     """Deterministic, collision-free SMT names for header references."""
     refs = {
-        (x.base.name, x.base.side)
-        for f in formulas
-        for x in leaves(f)
-        if type(x) is Seg and type(x.base) is BHdrRef
+        (s.base.name, s.base.side) for f in formulas for s in segments(f) if type(s.base) is BHdrRef
     }
     table: dict[tuple[str, str], str] = {}
     used: set[str] = {"bufL", "bufR"}
@@ -292,8 +286,6 @@ def to_fol_bv(
         width = base_width(s, aut, buflens)
         return Bits((Seg(Var(name, width), s.lo, s.hi),), s.hi - s.lo + 1)
 
-    if not all(map(is_pure, [*ent.premises, ent.conclusion])):
-        raise InternalError("impure formula survived filtering")
     out = [
         replace(inst, smt_name)
         for p in ent.premises
@@ -352,8 +344,8 @@ def serialize_smtlib(assertions: list[Formula], comment: str = "") -> str:
     """SMT-LIB v2 script: unsat means the negated query was valid."""
     decls: dict[str, int] = {}
     for f in assertions:
-        for x in leaves(f):
-            b = x.base if type(x) is Seg else None
+        for s in segments(f):
+            b = s.base
             if type(b) is Var and decls.setdefault(b.name, b.width) != b.width:
                 raise InternalError(
                     f"variable {b.name} used at widths {decls[b.name]} and {b.width}"
@@ -490,8 +482,6 @@ class Blaster:
             return self._or([self.formula(p) for p in f.disjuncts])
         if isinstance(f, Implies):
             return self._or([-self.formula(f.hyp), self.formula(f.concl)])
-        if isinstance(f, (StateIs, BufLenIs)):
-            raise InternalError(f"impure formula survived filtering: {f!r}")
         raise TypeError(f"not a formula: {f!r}")
 
 
@@ -591,9 +581,9 @@ class GuardContext:
             p = r.body
             widths = var_widths(p)
             if widths:
-                for x in leaves(p):
-                    if type(x) is Seg and type(x.base) is not Var:
-                        self._base(x)
+                for s in segments(p):
+                    if type(s.base) is not Var:
+                        self._base(s)
                 self.pending.append((p, _aligned_bits(p), widths))
             elif p is self._goal[0]:
                 self.blaster.sat.add_clause([self._goal[1]])
@@ -675,9 +665,9 @@ class GuardRelation(list):
 
     def entails(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
         """Do the conjuncts entail ``goal``? Raises SolverFailure once
-        time.monotonic() passes ``deadline``, and InternalError for an
-        impure goal or a base that does not fit the guard. Conjuncts that
-        hold false entail every goal, with no simulation and no context."""
+        time.monotonic() passes ``deadline``, and InternalError for a base
+        that does not fit the guard. Conjuncts that hold false entail every
+        goal, with no simulation and no context."""
         if any(type(r.body) is Bottom for r in self):
             return True
         if self.refutes(goal, aut, deadline):
@@ -758,7 +748,7 @@ class SolverConfig(Record):
 def _enum_domain(ent: FilteredEntailment, aut: Automaton):
     """Referenced configuration bits: headers per side plus buffers."""
     buflens = guard_buflens(ent.t1, ent.t2)
-    segs = [x for f in list(ent.premises) + [ent.conclusion] for x in leaves(f) if type(x) is Seg]
+    segs = [s for f in list(ent.premises) + [ent.conclusion] for s in segments(f)]
     for x in segs:
         base_width(x, aut, buflens)
     hdrs = {(x.base.name, x.base.side) for x in segs if type(x.base) is BHdrRef}
@@ -804,16 +794,9 @@ def decide_by_enumeration(ent: FilteredEntailment, aut: Automaton) -> bool:
 
 def closed(phi: Formula) -> bool:
     """Does ``phi`` read no configuration bit: is every base it reads a
-    variable, and does it name no state or buffer length? A closed body
-    holds, under ``denotes``, at every configuration pair or at none."""
-    for x in leaves(phi):
-        t = type(x)
-        if t is Seg:
-            if type(x.base) is not Var:
-                return False
-        elif t is StateIs or t is BufLenIs:
-            return False
-    return True
+    variable? A closed body holds, under ``denotes``, at every
+    configuration pair or at none."""
+    return all(type(s.base) is Var for s in segments(phi))
 
 
 _NOWHERE = Configuration("", Store(()), "")  # what a closed body reads: nothing

@@ -4,8 +4,9 @@ Reads a script from stdin (or a file argument), supports the QF_BV
 fragment emitted by the entailment pipeline — bitvector constants,
 equality, concat, extract and the boolean connectives — and answers by
 bit blasting into the bundled SAT solver. Runs as ``parseq-smt`` or
-``python -m parseq.solver_cli``; anything it cannot parse yields
-"unknown" on stdout and a diagnostic on stderr.
+``python -m parseq.solver_cli``; anything it cannot parse or sort, or a
+file it cannot read, yields "unknown" on stdout and a diagnostic on
+stderr.
 """
 
 from __future__ import annotations
@@ -87,9 +88,9 @@ def parse_sexps(tokens: list[str]) -> list[Sexp]:
 
 
 def _literal(tok: str) -> Bits:
-    if tok.startswith("#b"):
+    if len(tok) > 2 and tok.startswith("#b"):
         return lit(tok[2:])
-    if tok.startswith("#x"):
+    if len(tok) > 2 and tok.startswith("#x"):
         bits = "".join(format(int(d, 16), "04b") for d in tok[2:])
         return lit(bits)
     raise ParseError(f"not a bitvector literal: {tok}")
@@ -107,9 +108,15 @@ class Script:
             and len(sort) == 3
             and sort[0] == "_"
             and sort[1] == "BitVec"
+            and int(sort[2]) > 0
         ):
             return int(sort[2])
         raise ParseError(f"unsupported sort: {sort!r}")
+
+    def declare(self, name: Sexp, sort: Sexp) -> None:
+        if name in self.widths:
+            raise ParseError(f"{name} declared twice")
+        self.widths[name] = self._sort_width(sort)
 
     def term(self, e: Sexp) -> Bits:
         if isinstance(e, str):
@@ -150,6 +157,8 @@ class Script:
             args = [self.term(a) for a in e[1:]]
             if len(args) < 2:
                 raise ParseError("= needs two arguments")
+            if len({a.width for a in args}) > 1:
+                raise ParseError(f"= of unequal widths {[a.width for a in args]}")
             eqs = tuple(Eq(a, b) for a, b in zip(args, args[1:]))
             return eqs[0] if len(eqs) == 1 else And(eqs)
         if head == "not":
@@ -173,12 +182,12 @@ class Script:
         if head in ("set-logic", "set-info", "set-option", "exit"):
             return
         if head == "declare-const":
-            self.widths[cmd[1]] = self._sort_width(cmd[2])
+            self.declare(cmd[1], cmd[2])
             return
         if head == "declare-fun":
             if cmd[2] != []:
                 raise ParseError("only nullary declare-fun supported")
-            self.widths[cmd[1]] = self._sort_width(cmd[3])
+            self.declare(cmd[1], cmd[3])
             return
         if head == "assert":
             self.assertions.append(self.formula(cmd[1]))
@@ -195,7 +204,7 @@ def run_script(text: str, out=sys.stdout) -> int:
         script = Script()
         for cmd in parse_sexps(tokenize(text)):
             script.run_command(cmd, out)
-    except (ParseError, ValueError, IndexError) as exc:
+    except (ParseError, ValueError, IndexError, RecursionError) as exc:
         print("unknown", file=out)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -205,8 +214,13 @@ def run_script(text: str, out=sys.stdout) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv:
-        with open(argv[0]) as fh:
-            text = fh.read()
+        try:
+            with open(argv[0]) as fh:
+                text = fh.read()
+        except OSError as exc:
+            print("unknown")
+            print(f"error: cannot read {argv[0]}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         text = sys.stdin.read()
     return run_script(text)

@@ -221,7 +221,7 @@ def template_chain(
 
 def canonical_vars(phi: Formula) -> Formula:
     """phi with each variable bit renamed to a one-bit variable v0, v1, …
-    in the order the bits first occur (``leaves`` order, low bit first).
+    in the order the bits first occur (``segments`` order, low bit first).
 
     Variables are scoped to one formula (no variable is shared across
     relation entries), so renaming preserves meaning while making

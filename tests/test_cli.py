@@ -290,6 +290,20 @@ class TestOtherCommands:
         )
         assert code == 3 and err == f"error: {rel}:2:12: unknown header 'nope' on the left side\n"
 
+    def test_check_rel_rejects_a_slice_out_of_range(self, capsys, tmp_path):
+        # clamped, left.ether[3:1] would read as "" and make init false
+        rel = tmp_path / "rel.txt"
+        rel.write_text("init: left.ether[3:1] = 0b1\n")
+        code, out, err = run(
+            capsys,
+            "check-rel",
+            fixture_path("sloppy"), "parse_eth",
+            fixture_path("strict"), "parse_eth",
+            str(rel),
+        )
+        assert code == 3 and out == ""
+        assert err == f"error: {rel}:1:17: slice [3:1] out of range for width 112\n"
+
     def test_simulate(self, capsys):
         code, out, _ = run(
             capsys,

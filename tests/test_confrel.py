@@ -2,7 +2,6 @@
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,22 +13,17 @@ from parseq.confrel import (
     RIGHT,
     TOP,
     And,
-    BufLenIs,
     Eq,
     Guarded,
     Implies,
     Not,
-    NotPure,
     Or,
-    StateIs,
     Template,
     buf,
     denotes,
     eval_bit_expr,
-    guard,
     hdr,
     holds,
-    is_pure,
     lit,
     render,
     render_bit_expr,
@@ -66,12 +60,6 @@ class TestEval:
         assert holds(Implies(BOT, BOT), CL, CR, {})
         assert holds(And((TOP, eq)), CL, CR, {})
         assert not holds(Or((BOT,)), CL, CR, {})
-
-    def test_holds_state_and_buflen(self):
-        assert holds(StateIs("q", LEFT), CL, CR, {})
-        assert not holds(StateIs("q", RIGHT), CL, CR, {})
-        assert holds(BufLenIs(3, LEFT), CL, CR, {})
-        assert not holds(BufLenIs(3, RIGHT), CL, CR, {})
 
     def test_denotes_quantifies_variables(self):
         # closed formula: denotes == holds under the empty valuation
@@ -163,17 +151,6 @@ class TestWideVariables:
 
 
 class TestGuards:
-    def test_guard_rejects_impure_bodies(self):
-        t = Template("q", 0)
-        with pytest.raises(NotPure):
-            guard(t, t, StateIs("q", LEFT))
-        with pytest.raises(NotPure):
-            guard(t, t, And((TOP, BufLenIs(0, RIGHT))))
-
-    def test_is_pure(self):
-        assert is_pure(Implies(Eq(var("x"), lit("0")), TOP))
-        assert not is_pure(Not(StateIs("q", LEFT)))
-
     def test_guarded_vacuous_on_other_templates(self):
         g = Guarded(Template("q", 3), Template("other", 0), BOT)
         assert g.denotes(CL, CR)  # CR is in state p, guard does not apply

@@ -73,7 +73,7 @@ class TestInitRelation:
                 TemplatePair(Template("A", 0), T_ACCEPT),
             }
         )
-        rel = init_relation(ReachSet(pairs, pairs))
+        rel = init_relation(ReachSet(pairs))
         assert len(rel) == 2
         assert all(g.body == BOT for g in rel)
 
@@ -255,10 +255,9 @@ class TestLoopInvariants:
         assert res.verdict == "Equivalent"
         # every saturation query, and one final query per conjunct at the
         # initial guard
-        (init,) = res.reach.seeds
-        finals = [
-            g for g in res.witness.formulas() if (g.t1, g.t2) == (init.left, init.right)
-        ]
+        _, left, right = disjoint_sum(a1, a2)
+        init = (Template(left.states["q1"], 0), Template(right.states["q3"], 0))
+        finals = [g for g in res.witness.formulas() if (g.t1, g.t2) == init]
         assert len(seen) == res.stats.iterations + len(finals) and max(seen) > 0
 
     def test_premises_are_instantiated_from_models(self, internal_config):
@@ -336,9 +335,8 @@ class TestEarlyStop:
         entries = res.witness.entries
         k, last = len(entries) - 1, entries[-1].guarded
         assert res.reason == f"initial configurations violate #{k}: {render_guarded(last)}"
-        (init,) = res.reach.seeds
-        assert (last.t1, last.t2) == (init.left, init.right)
-        total = disjoint_sum(a1, a2)[0]
+        total, left, right = disjoint_sum(a1, a2)
+        assert (last.t1, last.t2) == (Template(left.states[q1], 0), Template(right.states[q2], 0))
         assert not decide_entailment([], last, total, SolverConfig(backend="enum"))
         # a pushed obligation that is refuted never joins R; a conjunct
         # that fails as it joins R gets no weakest precondition

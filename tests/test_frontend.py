@@ -250,6 +250,9 @@ RELATION_DIAGNOSTICS = [
     ("pair 1 0 q3 0: true", "expected a left state name, found '1'", 1, 6),
     ("init: true\nrule q1 0 q3 0: true", "expected 'init' or 'pair', found 'rule'", 2, 1),
     ("init: left.mpls[0:z] = 0b1", "expected a number, found 'z'", 1, 19),
+    ("init: left.mpls[3:1] = 0b1", "slice [3:1] out of range for width 1", 1, 16),
+    ("init: left.mpls[200:210] = 0b1", "slice [200:210] out of range for width 1", 1, 16),
+    ("init: left.buf[0:0] = 0b1", "slice [0:0] out of range for width 0", 1, 15),
 ]
 
 

@@ -23,12 +23,10 @@ from parseq.confrel import (
     And,
     Bits,
     Bottom,
-    BufLenIs,
     Eq,
     Guarded,
     Not,
     Or,
-    StateIs,
     Template,
     Var,
     buf,
@@ -109,13 +107,6 @@ class TestTranslation:
         ent = FilteredEntailment(T0, T0, (), Eq(buf(LEFT, 0), buf(RIGHT, 0)))
         text = serialize_smtlib(to_fol_bv(ent, aut))
         assert "buf" not in text
-
-    def test_impure_formula_is_an_internal_error(self):
-        aut = tiny_automaton()
-        for bad in (StateIs("Q0", LEFT), BufLenIs(0, RIGHT)):
-            ent = FilteredEntailment(T0, T0, (), bad)
-            with pytest.raises(InternalError):
-                to_fol_bv(ent, aut)
 
     def test_premise_variables_are_expanded(self):
         # forall x. buf> = x  is unsatisfiable as a premise, so anything follows
@@ -327,7 +318,6 @@ class TestSimulation:
             (Eq(hdr("nope", LEFT, 2), lit("01")), "unknown header 'nope'"),
             (Eq(hdr("h", LEFT, 3), lit("011")), "read at width 3, not 2"),
             (Eq(buf(RIGHT, 2), lit("11")), "buf> read at bit 1, beyond its 1 bit"),
-            (And((Eq(buf(RIGHT, 1), lit("1")), StateIs("Q0", LEFT))), "impure formula"),
         ]
         for body, message in bad:
             with pytest.raises(InternalError, match=message):
@@ -616,7 +606,6 @@ class TestClosedBodies:
         assert closed(Eq(var("x", 2), lit("01"))) and closed(BOT) and closed(TOP)
         assert not closed(Eq(var("x", 1), buf(LEFT, 1)))
         assert not closed(Or((Eq(var("x", 1), lit("1")), Eq(hdr("h", RIGHT, 1), lit("1")))))
-        assert not closed(And((Eq(var("x", 1), lit("1")), StateIs("Q0", LEFT))))
 
     @pytest.mark.parametrize("backend", ["internal", "enum"])
     def test_fold_agrees_with_enumeration(self, rng, backend):

@@ -5,13 +5,15 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import parseq.engine
 from _gen import random_entailment
 from conftest import load_fixture
 from parseq.confrel import Eq, Top, lit, var
 from parseq.engine import EQUIVALENT, check_equivalence
 from parseq.smt import SolverConfig, check_sat, serialize_smtlib, to_fol_bv
-from parseq.solver_cli import Script, parse_sexps, run_script, tokenize
+from parseq.solver_cli import Script, main, parse_sexps, run_script, tokenize
 
 
 def run(text):
@@ -76,6 +78,29 @@ class TestScripts:
     def test_unparseable_input_reports_unknown(self):
         code, out = run("(assert (bvadd x y))(check-sat)")
         assert out == "unknown"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # read as false, an ill-sorted equation made the negated query
+            # unsat: "valid"
+            "(declare-const x (_ BitVec 2))(assert (= x #b1))(check-sat)",
+            "(declare-const x (_ BitVec 0))(check-sat)",
+            "(declare-const x (_ BitVec 1))(declare-const x (_ BitVec 1))(check-sat)",
+            "(assert (= #b #b))(check-sat)",
+            "(assert (= #x #x))(check-sat)",
+            "(assert " + "(not " * 5000 + "true" + ")" * 5000 + ")(check-sat)",
+        ],
+        ids=["ill-sorted", "zero-width", "redeclared", "empty-bin", "empty-hex", "deep"],
+    )
+    def test_ill_formed_script_is_rejected(self, capsys, text):
+        assert run(text) == (1, "unknown")
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_file_is_rejected(self, capsys, tmp_path):
+        assert main([str(tmp_path / "missing.smt2")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "unknown\n" and err.startswith("error: cannot read ")
 
     def test_comments_and_options_ignored(self):
         text = "; header\n(set-option :produce-models true)(assert true)(check-sat)\n(exit)"

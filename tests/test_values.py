@@ -1,8 +1,10 @@
-"""Value semantics of parseq's plain classes, and what importing it loads."""
+"""Value semantics of parseq's plain classes, the kinds of formula every
+evaluator takes, and what importing parseq loads."""
 
 import os
 import subprocess
 import sys
+from typing import get_args
 
 import pytest
 
@@ -12,19 +14,22 @@ from parseq.confrel import (
     And,
     BHdrRef,
     Bottom,
-    BufLenIs,
     BufRef,
     Eq,
+    Formula,
     Guarded,
     Implies,
     Not,
     Or,
-    StateIs,
     Template,
     Top,
     Var,
     buf,
+    holds,
     lit,
+    ref,
+    render,
+    replace,
 )
 from parseq.core import (
     Assign,
@@ -47,9 +52,10 @@ from parseq.core import (
 )
 from parseq.engine import Entry, Result, Stats, Witness
 from parseq.frontend import Token
+from parseq.lanes import lane_bits, sat_name, simulate
 from parseq.oracle import Distinguisher
 from parseq.reach import ReachSet, TemplatePair
-from parseq.smt import FilteredEntailment, SolverConfig
+from parseq.smt import Blaster, FilteredEntailment, SolverConfig, _smt
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(parseq.__file__)))
 
@@ -95,8 +101,6 @@ VALUES = {
     Bottom: Bottom,
     Top: Top,
     Eq: _eq,
-    StateIs: lambda: StateIs("q", LEFT),
-    BufLenIs: lambda: BufLenIs(2, LEFT),
     Implies: lambda: Implies(_eq(), Not(_eq())),
     And: lambda: And((_eq(), Top())),
     Or: lambda: Or((_eq(), Bottom())),
@@ -182,6 +186,34 @@ class TestValueSemantics:
         assert SolverConfig().dump_dir is None
         assert Result("Equivalent").reason == "" and Result("Equivalent").witness is None
         assert Stats().iterations == 0 and Stats().wall_time == 0.0
+
+
+def _evaluators():
+    """Each evaluator of formulas, by name, as a function of one formula."""
+    conf = Configuration("q", _store(), "01")
+    bits = lambda s: lane_bits(sat_name(s.base), s.hi + 1)[s.lo : s.hi + 1]
+    as_vars = lambda s: ref(Var(sat_name(s.base), 8), 8).slice(s.lo, s.hi)
+    return {
+        "holds": lambda f: holds(f, conf, conf, {}),
+        "render": render,
+        "simulate": lambda f: simulate(f, bits),
+        "Blaster.formula": Blaster(lambda s: (sat_name(s.base), 8)).formula,
+        "_smt": lambda f: _smt(replace(f, as_vars)),
+    }
+
+
+class TestClosedWorld:
+    """Every evaluator takes every kind of formula, and nothing else."""
+
+    @pytest.mark.parametrize("cls", get_args(Formula), ids=lambda c: c.__name__)
+    def test_every_evaluator_takes_every_formula(self, cls):
+        for evaluate in _evaluators().values():
+            evaluate(VALUES[cls]())
+
+    @pytest.mark.parametrize("name", list(_evaluators()))
+    def test_each_evaluator_rejects_a_non_formula(self, name):
+        with pytest.raises(TypeError):
+            _evaluators()[name](_template())
 
 
 class TestImportFootprint:
