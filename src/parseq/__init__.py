@@ -28,8 +28,6 @@ from .engine import (
     NOT_EQUIVALENT,
     Result,
     check_equivalence,
-    check_states,
-    check_with_relation,
 )
 from .frontend import Diagnostic, load, parse_source, pretty_print
 from .smt import SolverConfig
@@ -50,8 +48,6 @@ __all__ = [
     "Store",
     "accepts",
     "check_equivalence",
-    "check_states",
-    "check_with_relation",
     "disjoint_sum",
     "distinguishing_word",
     "fixture_path",

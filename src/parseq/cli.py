@@ -163,20 +163,19 @@ def cmd_check_rel(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read {args.relation}: {exc.strerror}") from exc
     try:
         phi_extra, i_extra = frontend.parse_relation(
-            rel_text, left.states, right.states, left.headers, right.headers, total.sizes
+            rel_text, left.states, right.states, left.headers, right.headers, total
         )
     except frontend.Diagnostic as exc:
         raise UsageError(exc.in_file(args.relation)) from exc
-    result = engine.check_with_relation(
-        a1,
-        args.left_state,
-        a2,
-        args.right_state,
-        phi_extra=phi_extra,
-        i_extra=i_extra,
+    result = engine.pre_bisimulation(
+        total,
+        left.states[args.left_state],
+        right.states[args.right_state],
         config=solver_config(args),
         leaps=not args.no_leaps,
         use_reach=not args.no_reach,
+        phi_extra=phi_extra,
+        i_extra=i_extra,
     )
     meta = {
         "query": f"{args.left}:{args.left_state} vs {args.right}:{args.right_state}",

@@ -291,13 +291,13 @@ class Configuration(Record):
 # ---------------------------------------------------------------------------
 # Typing
 
-def width_of(e: Expr, aut: Automaton) -> int:
-    """Static bit width of a well-typed expression.
+def width_of(e: Expr, sizes: dict[str, int]) -> int:
+    """Static bit width of a well-typed expression, over the header sizes
+    ``sizes``.
 
     Slices must satisfy lo <= hi < width(operand), which makes the
     clamping in eval_expr dead code for typed programs.
     """
-    sizes = aut.sizes
     if isinstance(e, HdrRef):
         if e.name not in sizes:
             raise TypeError_(f"unknown header {e.name!r}")
@@ -305,12 +305,12 @@ def width_of(e: Expr, aut: Automaton) -> int:
     if isinstance(e, Lit):
         return len(e.bits)
     if isinstance(e, Slice):
-        w = width_of(e.expr, aut)
+        w = width_of(e.expr, sizes)
         if not (0 <= e.lo <= e.hi < w):
             raise TypeError_(f"slice [{e.lo}:{e.hi}] out of range for width {w}")
         return e.hi - e.lo + 1
     if isinstance(e, Concat):
-        return width_of(e.left, aut) + width_of(e.right, aut)
+        return width_of(e.left, sizes) + width_of(e.right, sizes)
     raise TypeError_(f"not an expression: {e!r}")
 
 
@@ -355,7 +355,7 @@ def typecheck(aut: Automaton) -> list[str]:
                     errors.append(f"state {q!r}: assign to unknown header {stmt.header!r}")
                     continue
                 try:
-                    w = width_of(stmt.expr, aut)
+                    w = width_of(stmt.expr, sizes)
                 except TypeError_ as exc:
                     errors.append(f"state {q!r}: {exc}")
                     continue
@@ -372,7 +372,7 @@ def typecheck(aut: Automaton) -> list[str]:
             widths = []
             for e in tz.exprs:
                 try:
-                    widths.append(width_of(e, aut))
+                    widths.append(width_of(e, sizes))
                 except TypeError_ as exc:
                     errors.append(f"state {q!r}: {exc}")
                     widths.append(None)

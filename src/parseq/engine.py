@@ -321,20 +321,6 @@ def pre_bisimulation(
         return done(Result(INCONCLUSIVE, reason=f"{type(exc).__name__}: {exc}"))
 
 
-def check_states(
-    aut: Automaton,
-    q1: str,
-    q2: str,
-    config: Optional[SolverConfig] = None,
-    leaps: bool = True,
-    use_reach: bool = True,
-) -> Result:
-    """Decide language equivalence of two start states of one automaton."""
-    return pre_bisimulation(
-        aut, q1, q2, config=config, leaps=leaps, use_reach=use_reach
-    )
-
-
 def check_equivalence(
     a1: Automaton,
     q1: str,
@@ -343,42 +329,16 @@ def check_equivalence(
     config: Optional[SolverConfig] = None,
     leaps: bool = True,
     use_reach: bool = True,
+    phi_extra: Formula = TOP,
+    i_extra: Iterable[Guarded] = (),
 ) -> Result:
     """Decide language equivalence of states of two separate automata.
 
     Initial stores are unconstrained on both sides, so Equivalent means
-    the languages agree for every pair of initial stores.
-    """
-    total, left, right = disjoint_sum(a1, a2)
-    return check_states(
-        total,
-        left.states[q1],
-        right.states[q2],
-        config=config,
-        leaps=leaps,
-        use_reach=use_reach,
-    )
-
-
-def check_with_relation(
-    a1: Automaton,
-    q1: str,
-    a2: Automaton,
-    q2: str,
-    phi_extra: Formula = TOP,
-    i_extra: Iterable[Guarded] = (),
-    config: Optional[SolverConfig] = None,
-    leaps: bool = True,
-    use_reach: bool = True,
-) -> Result:
-    """The saturation loop under a strengthened initial relation.
-
-    phi_extra (pure, over the summed automaton's headers at the initial
-    templates) restricts which initial store pairs must satisfy the
-    computed relation; i_extra seeds extra obligations. Equivalent then
-    means: the computed relation is a bisimulation candidate and every
-    initial pair satisfying phi_extra is in it — what that implies about
-    the original automata is up to the chosen relation.
+    the languages agree for every pair of initial stores. phi_extra and
+    i_extra, over the disjoint sum's names, strengthen the initial
+    relation as in ``pre_bisimulation``; what Equivalent then implies
+    about the original automata is up to the chosen relation.
     """
     total, left, right = disjoint_sum(a1, a2)
     return pre_bisimulation(

@@ -23,7 +23,6 @@ parse_relation.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from . import core
 from .core import (
@@ -43,7 +42,9 @@ from .core import (
     Select,
     Slice,
     State,
+    TypeError_,
     Wildcard,
+    width_of,
 )
 from .confrel import (
     Bits,
@@ -353,25 +354,6 @@ def _infer_sizes(states) -> dict[str, int]:
                     tok.col,
                 )
 
-    def try_width(e: Expr) -> Optional[int]:
-        if isinstance(e, HdrRef):
-            return sizes.get(e.name)
-        if isinstance(e, Lit):
-            return len(e.bits)
-        if isinstance(e, Slice):
-            w = try_width(e.expr)
-            if w is None:
-                return None
-            if not (0 <= e.lo <= e.hi < w):
-                return None  # left for typecheck to report precisely
-            return e.hi - e.lo + 1
-        if isinstance(e, Concat):
-            wl, wr = try_width(e.left), try_width(e.right)
-            if wl is None or wr is None:
-                return None
-            return wl + wr
-        return None
-
     changed = True
     while changed:
         changed = False
@@ -379,10 +361,11 @@ def _infer_sizes(states) -> dict[str, int]:
             for s in stmts:
                 if s[0] != "assign" or s[1] in sizes:
                     continue
-                w = try_width(s[2])
-                if w is not None:
-                    sizes[s[1]] = w
-                    changed = True
+                try:
+                    sizes[s[1]] = width_of(s[2], sizes)
+                except TypeError_:
+                    continue  # not known yet, or left for typecheck to report
+                changed = True
 
     for _, stmts, _ in states:
         for s in stmts:
@@ -610,16 +593,17 @@ def parse_relation(
     rstates: dict[str, str],
     lheaders: dict[str, str],
     rheaders: dict[str, str],
-    sizes: dict[str, int],
+    aut: Automaton,
 ) -> tuple[Formula, list[Guarded]]:
-    """Parse a relation file against the summed automaton's renamings and
-    header sizes.
+    """Parse a relation file against the summed automaton and its
+    renamings.
 
     Returns the conjoined init formula and the guarded extra
     obligations, with state and header names mapped through the
-    disjoint-sum renaming of each side.
+    disjoint-sum renaming of each side. A pair's buffer length must be
+    below its state's operation size, as every configuration's is.
     """
-    p = _RelParser(text, lheaders, rheaders, sizes)
+    p = _RelParser(text, lheaders, rheaders, aut.sizes)
     init_parts: list[Formula] = []
     extra: list[Guarded] = []
     while p.peek().kind != "eof":
@@ -631,24 +615,27 @@ def parse_relation(
             init_parts.append(p.formula())
         elif tok.text == "pair":
             p.next()
-            lq = p.name("a left state name")
-            ln = p.number()
-            rq = p.name("a right state name")
-            rn = p.number()
+            sides = []
+            for what, states in (("left", lstates), ("right", rstates)):
+                q = p.name(f"a {what} state name")
+                sides.append((what, states, q, p.peek(), p.number()))
             p.expect(":")
-            p.buflens = {LEFT: ln, RIGHT: rn}
+            p.buflens = {side: s[-1] for side, s in zip((LEFT, RIGHT), sides)}
             body = p.formula()
-            if lq.text not in lstates:
-                raise Diagnostic(
-                    f"unknown left state {lq.text!r}", lq.line, lq.col
-                )
-            if rq.text not in rstates:
-                raise Diagnostic(
-                    f"unknown right state {rq.text!r}", rq.line, rq.col
-                )
-            extra.append(
-                Guarded(Template(lstates[lq.text], ln), Template(rstates[rq.text], rn), body)
-            )
+            templates = []
+            for what, states, q, n, buflen in sides:
+                if q.text not in states:
+                    raise Diagnostic(f"unknown {what} state {q.text!r}", q.line, q.col)
+                size = aut.opsize_of(states[q.text])
+                if buflen >= size:
+                    raise Diagnostic(
+                        f"buffer length {buflen} is not below the {size}-bit "
+                        f"operation of state {q.text!r}",
+                        n.line,
+                        n.col,
+                    )
+                templates.append(Template(states[q.text], buflen))
+            extra.append(Guarded(*templates, body))
         else:
             raise _expected("'init' or 'pair'", tok)
     return conj(init_parts), extra

@@ -1,8 +1,9 @@
 """Template-level abstract interpretation of the step function.
 
-Templates abstract configurations to (state, buffer length); sigma
-over-approximates single-bit successors, sigma_leap its multi-bit
-variant, reach_fixpoint closes a seed set of template pairs, and
+Templates abstract configurations to (state, buffer length);
+sigma_side over-approximates one side's successors after k single-bit
+steps, successors takes their product at k = 1, or at the leap size with
+leaps, reach_fixpoint closes a seed set of template pairs under it, and
 predecessors inverts the chosen step relation over a closed set, from the
 successors the fixpoint kept.
 """
@@ -30,17 +31,6 @@ class TemplatePair(Record):
         return type(o) is TemplatePair and (self.left, self.right) == (o.left, o.right)
 
     def __hash__(self): return self._hash
-
-
-def sigma(t: Template, aut: Automaton) -> set[Template]:
-    """Abstract single-bit successors of a template."""
-    if t.state in RESULTS:
-        return {T_REJECT}
-    size = aut.opsize_of(t.state)
-    if t.buflen + 1 < size:
-        return {Template(t.state, t.buflen + 1)}
-    targets = select_targets(aut.state(t.state).trans)
-    return {Template(q, 0) for q in targets}
 
 
 def leap_size(t1: Template, t2: Template, aut: Automaton) -> int:
@@ -76,15 +66,6 @@ def sigma_side(t: Template, k: int, aut: Automaton) -> set[Template]:
         targets = select_targets(aut.state(t.state).trans)
         return {Template(q, 0) for q in targets}
     raise ValueError(f"leap of {k} overshoots template {t} (remaining {remaining})")
-
-
-def sigma_leap(p: TemplatePair, aut: Automaton) -> set[TemplatePair]:
-    k = leap_size(p.left, p.right, aut)
-    return {
-        TemplatePair(l, r)
-        for l in sigma_side(p.left, k, aut)
-        for r in sigma_side(p.right, k, aut)
-    }
 
 
 Successors = dict[TemplatePair, set[TemplatePair]]
@@ -125,10 +106,11 @@ def successors(
     p: TemplatePair, aut: Automaton, leaps: bool = True
 ) -> set[TemplatePair]:
     """The step relation of a check: one leap, or one bit on both sides."""
-    if leaps:
-        return sigma_leap(p, aut)
+    k = leap_size(p.left, p.right, aut) if leaps else 1
     return {
-        TemplatePair(l, r) for l in sigma(p.left, aut) for r in sigma(p.right, aut)
+        TemplatePair(l, r)
+        for l in sigma_side(p.left, k, aut)
+        for r in sigma_side(p.right, k, aut)
     }
 
 
@@ -152,8 +134,8 @@ def reach_fixpoint(
 class Predecessors(dict):
     """Each successor of a pair in a reach set -> the pairs of the set
     that step into it. ``rewinds`` holds ``wp``'s one-side rewinds of
-    these steps, keyed by (side, t_src, t_dst, k), as it builds them, and
-    each shared buffering rewind by (side, t_src.buflen, k). ``bodies`` is
+    these steps as it builds them: for each (side, t_src, k), every
+    template the read ends at, with its rewind (``wp.rewinds``). ``bodies`` is
     the check's table of what it derives from each body (``Bodies``);
     like the rest, it lives as long as the check."""
 

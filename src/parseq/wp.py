@@ -2,7 +2,8 @@
 
 The per-side transformer rewinds k steps of one side of a configuration
 pair as one k-bit read: the side's buffer grows by a k-bit variable, or
-the variable completes the buffer and the state's operation runs on it.
+the variable completes the buffer and the state's operation runs on it,
+once for all the transition's targets, over only the headers it writes.
 The paired transformer rewinds both sides over one shared read, of one
 bit, or with leaps of every bit up to the next state transition on either
 side. Every precondition leaves it with canonical one-bit variable names:
@@ -16,7 +17,6 @@ from typing import Optional
 from . import core
 from .core import RESULTS, Automaton, Assign, Extract, Goto, Select
 from .confrel import (
-    BOT,
     TOP,
     Bits,
     Eq,
@@ -45,21 +45,25 @@ from .confrel import (
 )
 from .reach import Predecessors, TemplatePair, leap_size
 
-SymbolicStore = dict[str, Bits]
-
 READ = "x"  # the bits a step of ``wp`` reads, until canonical renaming
-
-
-class WidthError(Exception):
-    pass
 
 
 class FreshnessError(Exception):
     pass
 
 
-def identity_store(aut: Automaton, side: str) -> SymbolicStore:
-    return {h: hdr(h, side, size) for h, size in aut.headers}
+class SymbolicStore(dict):
+    """The headers an operation has written on one side, by name, to the
+    bits written; any other header reads as itself, ``hdr(h, side, size)``."""
+
+    __slots__ = ("side", "sizes")
+
+    def __init__(self, side: str, sizes: dict[str, int]):
+        super().__init__()
+        self.side, self.sizes = side, sizes
+
+    def __missing__(self, h: str) -> Bits:
+        return hdr(h, self.side, self.sizes[h])
 
 
 def expr_to_bit_expr(e: core.Expr, st: SymbolicStore) -> Bits:
@@ -76,21 +80,14 @@ def expr_to_bit_expr(e: core.Expr, st: SymbolicStore) -> Bits:
 
 
 def symbolic_exec_op(
-    op: tuple[core.Stmt, ...],
-    pre: SymbolicStore,
-    buf: Bits,
-    buf_width: int,
-    aut: Automaton,
+    op: tuple[core.Stmt, ...], side: str, buf: Bits, aut: Automaton
 ) -> SymbolicStore:
-    """Post-state header bindings after running a block on symbolic input.
-
-    ``buf_width`` must equal the block's opsize; extracts bind successive
-    slices of ``buf``, assigns see earlier bindings.
-    """
-    if buf_width != core.opsize(op, aut):
-        raise WidthError(f"buffer width {buf_width} != opsize {core.opsize(op, aut)}")
+    """The headers a block writes on one side, bound to what it writes,
+    when it runs on the symbolic input ``buf`` of the block's opsize:
+    extracts bind successive slices of ``buf``, and assigns see earlier
+    bindings."""
     sizes = aut.sizes
-    st = dict(pre)
+    st = SymbolicStore(side, sizes)
     offset = 0
     for stmt in op:
         if isinstance(stmt, Extract):
@@ -103,50 +100,46 @@ def symbolic_exec_op(
     return st
 
 
-def symbolic_trans_cond(
-    tz: core.TransBlock, st: SymbolicStore, target: str
-) -> Formula:
-    """Pure formula holding exactly when the transition routes to ``target``."""
+def trans_conds(tz: core.TransBlock, st: SymbolicStore) -> dict[str, Formula]:
+    """Each state a transition block can route to -> the simplified pure
+    formula holding exactly when it does, in one sweep over a select's
+    cases. A select falls through to reject, the last arm of its
+    condition."""
     if isinstance(tz, Goto):
-        return TOP if tz.target == target else BOT
+        return {tz.target: TOP}
     assert isinstance(tz, Select)
     exprs = [expr_to_bit_expr(e, st) for e in tz.exprs]
-
-    def full_match(case: core.Case) -> Formula:
-        eqs = [
+    arms: dict[str, list[Formula]] = {}
+    earlier: list[Formula] = []
+    for case in tz.cases:
+        m = conj([
             Eq(ex, lit(pat.bits))
             for ex, pat in zip(exprs, case.patterns)
             if isinstance(pat, core.ExactPat)
-        ]
-        return conj(eqs)
-
-    arms: list[Formula] = []
-    earlier: list[Formula] = []
-    for case in tz.cases:
-        m = full_match(case)
-        if case.target == target:
-            arms.append(conj([m] + [Not(e) for e in earlier]))
+        ])
+        arms.setdefault(case.target, []).append(conj([m] + [Not(e) for e in earlier]))
         earlier.append(m)
-    if target == core.REJECT:
-        arms.append(conj([Not(e) for e in earlier]))
-    return disj(arms)
+    arms.setdefault(core.REJECT, []).append(conj([Not(e) for e in earlier]))
+    return {q: simplify(disj(a)) for q, a in arms.items()}
 
 
 Rewind = tuple[dict[str, Bits], dict[tuple[str, str], Bits], Formula]
 
 
-def rewind(
-    side: str, t_src: Template, t_dst: Template, x: str, k: int, aut: Automaton
-) -> Optional[Rewind]:
+def rewinds(
+    side: str, t_src: Template, x: str, k: int, aut: Automaton
+) -> dict[Template, Rewind]:
     """How a k-bit read, the k-bit variable x, carries one side from
-    t_src to t_dst: the replacements of that side's buffer (by side) and
-    of the headers its operation writes (by (name, side)) that rewind a
-    formula at t_dst to t_src, and the simplified condition under which
-    the read ends at t_dst. None when no such read ends at t_dst, so the
-    precondition is vacuous. k may not exceed the bits the side has left
-    before its state transition."""
+    t_src: each template the read can end at -> the replacements of that
+    side's buffer (by side) and of the headers its operation writes (by
+    (name, side)) that rewind a formula there to t_src, and the
+    simplified condition under which the read ends there. A read ends at
+    no other template, so a precondition across it is vacuous. The
+    targets of a transition share one run of its operation, and so one
+    header map. k may not exceed the bits the side has left before its
+    state transition."""
     if t_src.state in RESULTS:
-        return ({}, {}, TOP) if t_dst == T_REJECT else None  # steps to reject only
+        return {T_REJECT: ({}, {}, TOP)}  # a result state steps to reject only
     size = aut.opsize_of(t_src.state)
     remaining = size - t_src.buflen
     if k > remaining:
@@ -154,17 +147,12 @@ def rewind(
     full_buf = buf(side, t_src.buflen) + var(x, k)
     if remaining > k:
         # buffering edge: the read bits are appended to this side's buffer
-        if t_dst != Template(t_src.state, t_src.buflen + k):
-            return None
-        return {side: full_buf}, {}, TOP
+        return {Template(t_src.state, t_src.buflen + k): ({side: full_buf}, {}, TOP)}
     # transition edge: the read bits complete the buffer
     st = aut.state(t_src.state)
-    if t_dst.buflen != 0 or t_dst.state not in core.select_targets(st.trans):
-        return None
-    pre = identity_store(aut, side)
-    post = symbolic_exec_op(st.op, pre, full_buf, size, aut)
-    cond = simplify(symbolic_trans_cond(st.trans, post, t_dst.state))
-    return {}, {(h, side): e for h, e in post.items() if e is not pre[h]}, cond
+    post = symbolic_exec_op(st.op, side, full_buf, aut)
+    hdrs = {(h, side): e for h, e in post.items()}
+    return {Template(q, 0): ({}, hdrs, cond) for q, cond in trans_conds(st.trans, post).items()}
 
 
 def wp_side(
@@ -186,7 +174,7 @@ def wp_side(
     """
     if x in variables(phi):
         raise FreshnessError(f"{x} is not fresh")
-    r = rewind(side, t_src, t_dst, x, k, aut)
+    r = rewinds(side, t_src, x, k, aut).get(t_dst)
     if r is None:
         return TOP
     bufs, hdrs, cond = r
@@ -247,9 +235,6 @@ def canonical_vars(phi: Formula) -> Formula:
     return replace(phi, rename)
 
 
-UNBUILT = object()  # a rewind not built yet: None is a rewind (vacuous)
-
-
 def side_rewind(
     preds: Predecessors,
     side: str,
@@ -258,19 +243,15 @@ def side_rewind(
     k: int,
     aut: Automaton,
 ) -> Optional[Rewind]:
-    """``rewind`` of the read READ, built on first use and kept in
-    ``preds`` for the rest of the check: every pair that steps from t_src
-    to t_dst on this side with a k-bit read shares it. A buffering rewind
-    depends only on (side, t_src.buflen, k), so one value serves each
-    such key."""
-    key = (side, t_src, t_dst, k)
-    r = preds.rewinds.get(key, UNBUILT)
-    if r is UNBUILT:
-        r = rewind(side, t_src, t_dst, READ, k, aut)
-        if r is not None and r[0]:  # only a buffering rewind replaces a buffer
-            r = preds.rewinds.setdefault((side, t_src.buflen, k), r)
-        preds.rewinds[key] = r
-    return r
+    """The rewind of the read READ from t_src to t_dst, or None when no
+    such read ends at t_dst. ``rewinds`` of (side, t_src, k) is built on
+    first use and kept in ``preds`` for the rest of the check: every pair
+    that steps from t_src on this side with a k-bit read shares it."""
+    key = (side, t_src, k)
+    table = preds.rewinds.get(key)
+    if table is None:
+        table = preds.rewinds[key] = rewinds(side, t_src, READ, k, aut)
+    return table.get(t_dst)
 
 
 def transparent(r: Rewind) -> bool:
@@ -293,7 +274,8 @@ def wp(
     their replacements apply in one simplifying ``subst``; the transition
     conditions wrap the result, and ``canonical_vars`` splits the read
     into one-bit variables for just the bits the precondition reads.
-    Each side's rewind comes from ``preds``, built there on first use.
+    Each side's rewinds from its source template come from ``preds``,
+    all built there in one pass on first use.
 
     A pair whose rewinds are both ``transparent``, and whose buffers hold
     every bit psig's body reads, leaves the body alone: it takes the

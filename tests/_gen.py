@@ -260,3 +260,23 @@ def random_pair(rng: random.Random):
         q2 = rng.choice([q for q, _ in a2.states])
     q1 = rng.choice([q for q, _ in a1.states])
     return a1, q1, a2, q2
+
+
+def chain_pair(n: int):
+    """Two equivalent parsers of n 8-bit headers, for even n, each header
+    read on to the next only when its bit 0 is 1: the left side takes one
+    header per state, the right side two. Returns (left, q, right, q)."""
+    from parseq.frontend import parse_source
+
+    def state(i: int, width: int) -> str:
+        names = [f"h{j}" for j in range(i, i + width)]
+        nxt = f"s{i + width}" if i + width < n else "accept"
+        extracts = " ".join(f"extract({h}, 8);" for h in names)
+        keys = ", ".join(f"{h}[0:0]" for h in names)
+        ones = ", ".join("0b1" for _ in names)
+        anys = ", ".join("_" for _ in names)
+        return f"state s{i} {{ {extracts} select({keys}) {{ ({ones}) => {nxt} ({anys}) => reject }} }}"
+
+    left = "\n".join(state(i, 1) for i in range(n))
+    right = "\n".join(state(i, 2) for i in range(0, n, 2))
+    return parse_source(left), "s0", parse_source(right), "s0"

@@ -15,7 +15,7 @@ from parseq.core import Configuration, Store, accepts, multi_step, step
 from parseq.confrel import LEFT, Guarded, denotes, template_of
 from parseq.engine import EQUIVALENT, INCONCLUSIVE, NOT_EQUIVALENT, check_equivalence
 from parseq.oracle import distinguishing_word, enumerate_configs, oracle_equivalent
-from parseq.reach import TemplatePair, all_template_pairs, leap_size, predecessors, sigma, sigma_leap
+from parseq.reach import TemplatePair, all_template_pairs, leap_size, predecessors, sigma_side, successors
 from parseq import sat
 from parseq.smt import SolverConfig, SolverFailure, decide_by_enumeration
 from parseq.wp import wp, wp_side
@@ -188,10 +188,10 @@ def test_criterion_6_reach_soundness():
         else:
             configs = _sampled_configs(rng, aut, 40)
         for c in configs:
-            succ = sigma(template_of(c), aut)
+            succ = sigma_side(template_of(c), 1, aut)
             for b in "01":
                 if template_of(step(c, b, aut)) not in succ:
-                    report(6, False, f"{name}: step escapes sigma at {c}")
+                    report(6, False, f"{name}: step escapes sigma_side at {c}")
                 stepped += 1
         pairs = (
             [(c1, c2) for c1 in configs for c2 in configs]
@@ -201,7 +201,7 @@ def test_criterion_6_reach_soundness():
         for c1, c2 in pairs:
             p = TemplatePair(template_of(c1), template_of(c2))
             k = leap_size(p.left, p.right, aut)
-            succ = sigma_leap(p, aut)
+            succ = successors(p, aut, True)
             words = (
                 ["".join(w) for w in itertools.product("01", repeat=k)]
                 if k <= 4
@@ -213,7 +213,7 @@ def test_criterion_6_reach_soundness():
                     template_of(multi_step(c2, w, aut)),
                 )
                 if q not in succ:
-                    report(6, False, f"{name}: leap escapes sigma_leap at {p}")
+                    report(6, False, f"{name}: leap escapes successors at {p}")
                 leapt += 1
     for i in range(25):
         a1, q1, a2, q2 = random_pair(rng)

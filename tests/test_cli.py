@@ -304,6 +304,23 @@ class TestOtherCommands:
         assert code == 3 and out == ""
         assert err == f"error: {rel}:1:17: slice [3:1] out of range for width 112\n"
 
+    def test_check_rel_rejects_a_pair_past_its_operation(self, capsys, tmp_path):
+        # no configuration of the 1-bit state q1 holds 7 buffered bits, so
+        # the obligation could never apply
+        rel = tmp_path / "rel.txt"
+        rel.write_text("pair q1 7 q3 0: left.buf[6:6] = 0b1\n")
+        code, out, err = run(
+            capsys,
+            "check-rel",
+            fixture_path("mpls_ref_small"), "q1",
+            fixture_path("mpls_vec_small"), "q3",
+            str(rel),
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            f"error: {rel}:1:9: buffer length 7 is not below the 1-bit operation of state 'q1'\n"
+        )
+
     def test_simulate(self, capsys):
         code, out, _ = run(
             capsys,

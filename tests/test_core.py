@@ -69,10 +69,10 @@ def two_state():
 class TestExpressions:
     def test_widths(self):
         aut = two_state()
-        assert width_of(HdrRef("h"), aut) == 2
-        assert width_of(Lit("0101"), aut) == 4
-        assert width_of(Slice(HdrRef("h"), 0, 1), aut) == 2
-        assert width_of(Concat(HdrRef("h"), HdrRef("g")), aut) == 3
+        assert width_of(HdrRef("h"), aut.sizes) == 2
+        assert width_of(Lit("0101"), aut.sizes) == 4
+        assert width_of(Slice(HdrRef("h"), 0, 1), aut.sizes) == 2
+        assert width_of(Concat(HdrRef("h"), HdrRef("g")), aut.sizes) == 3
 
     def test_eval(self):
         s = Store.of({"h": "10", "g": "1"})

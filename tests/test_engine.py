@@ -36,8 +36,6 @@ from parseq.engine import (
     NOT_EQUIVALENT,
     Witness,
     check_equivalence,
-    check_states,
-    check_with_relation,
     init_relation,
     mixed_acceptance,
     pre_bisimulation,
@@ -88,7 +86,7 @@ class TestVerdicts:
 
     def test_same_automaton_both_states(self, internal_config):
         aut = chain_automaton()
-        res = check_states(
+        res = pre_bisimulation(
             disjoint_sum(aut, aut)[0], "l:A", "r:B", config=internal_config
         )
         assert res.verdict == NOT_EQUIVALENT
@@ -276,12 +274,16 @@ class TestWithRelation:
     def test_empty_extras_match_plain_check(self, internal_config):
         aut = chain_automaton()
         plain = check_equivalence(aut, "A", aut, "A", config=internal_config)
-        seeded = check_with_relation(aut, "A", aut, "A", config=internal_config)
+        total, left, right = disjoint_sum(aut, aut)
+        seeded = pre_bisimulation(
+            total, left.states["A"], right.states["A"], config=internal_config,
+            phi_extra=TOP, i_extra=[],
+        )
         assert plain.verdict == seeded.verdict == EQUIVALENT
 
     def test_contradictory_filter_is_vacuously_equivalent(self, internal_config):
         aut = chain_automaton()
-        res = check_with_relation(
+        res = check_equivalence(
             aut, "A", aut, "B", phi_extra=BOT, config=internal_config
         )
         assert res.verdict == EQUIVALENT
@@ -292,7 +294,7 @@ class TestWithRelation:
         bad = Guarded(
             Template(left.states["A"], 0), Template(right.states["A"], 0), BOT
         )
-        res = check_with_relation(
+        res = check_equivalence(
             aut, "A", aut, "A", i_extra=[bad], config=internal_config
         )
         assert res.verdict == NOT_EQUIVALENT
@@ -306,7 +308,7 @@ class TestWithRelation:
         total, left, right = disjoint_sum(aut, aut)
         t1, t2 = Template(left.states["A"], 0), Template(right.states["A"], 0)
         same = Eq(hdr("l:h", LEFT, 1), hdr("r:h", RIGHT, 1))
-        res = check_with_relation(
+        res = check_equivalence(
             aut, "A", aut, "A", phi_extra=same, i_extra=[Guarded(t1, t2, same)],
             config=internal_config,
         )
@@ -384,7 +386,7 @@ class TestQuantifiedFilter:
         aut = parse_source(self.SOURCE)
         config = SolverConfig(backend="internal", timeout=60)
         start = time.monotonic()
-        res = check_with_relation(aut, "s", aut, "s", phi_extra=phi_extra, config=config)
+        res = check_equivalence(aut, "s", aut, "s", phi_extra=phi_extra, config=config)
         return res, time.monotonic() - start
 
     @staticmethod

@@ -149,10 +149,10 @@ class TestRelationFiles:
         left = load_fixture("mpls_ref_small")
         right = load_fixture("mpls_vec_small")
         total, lmap, rmap = disjoint_sum(left, right)
-        return lmap, rmap, total.sizes
+        return lmap, rmap, total
 
     def test_init_and_pairs(self):
-        lmap, rmap, sizes = self._renamings()
+        lmap, rmap, total = self._renamings()
         phi, extras = parse_relation(
             "init: left.mpls = right.old\n"
             "pair q1 0 q3 0: left.buf = right.buf\n"
@@ -161,7 +161,7 @@ class TestRelationFiles:
             rmap.states,
             lmap.headers,
             rmap.headers,
-            sizes,
+            total,
         )
         assert isinstance(phi, Eq)
         assert len(extras) == 2
@@ -170,19 +170,19 @@ class TestRelationFiles:
         assert extras[0].t2.state == rmap.states["q3"]
 
     def test_formula_syntax(self):
-        lmap, rmap, sizes = self._renamings()
+        lmap, rmap, total = self._renamings()
         phi, _ = parse_relation(
             "init: !(left.mpls = 0b1) => (right.old[0:0] = 0b0 && true)\n",
             lmap.states,
             rmap.states,
             lmap.headers,
             rmap.headers,
-            sizes,
+            total,
         )
         assert isinstance(phi, Implies)
 
     def test_unknown_names_are_diagnosed(self):
-        lmap, rmap, sizes = self._renamings()
+        lmap, rmap, total = self._renamings()
         with pytest.raises(Diagnostic):
             parse_relation(
                 "pair nosuch 0 q3 0: true\n",
@@ -190,7 +190,7 @@ class TestRelationFiles:
                 rmap.states,
                 lmap.headers,
                 rmap.headers,
-                sizes,
+                total,
             )
         with pytest.raises(Diagnostic):
             parse_relation(
@@ -199,7 +199,7 @@ class TestRelationFiles:
                 rmap.states,
                 lmap.headers,
                 rmap.headers,
-                sizes,
+                total,
             )
 
 
@@ -253,6 +253,11 @@ RELATION_DIAGNOSTICS = [
     ("init: left.mpls[3:1] = 0b1", "slice [3:1] out of range for width 1", 1, 16),
     ("init: left.mpls[200:210] = 0b1", "slice [200:210] out of range for width 1", 1, 16),
     ("init: left.buf[0:0] = 0b1", "slice [0:0] out of range for width 0", 1, 15),
+    (
+        "pair q1 7 q3 0: left.buf[6:6] = 0b1",
+        "buffer length 7 is not below the 1-bit operation of state 'q1'", 1, 9,
+    ),
+    ("pair q1 0 q3 2: true", "buffer length 2 is not below the 2-bit operation of state 'q3'", 1, 14),
 ]
 
 
@@ -273,5 +278,5 @@ class TestGoldenDiagnostics:
     def test_relation(self, text, message, line, col):
         total, lmap, rmap = disjoint_sum(load_fixture("mpls_ref_small"), load_fixture("mpls_vec_small"))
         with pytest.raises(Diagnostic) as e:
-            parse_relation(text, lmap.states, rmap.states, lmap.headers, rmap.headers, total.sizes)
+            parse_relation(text, lmap.states, rmap.states, lmap.headers, rmap.headers, total)
         assert _diagnosed(e.value) == (message, line, col)

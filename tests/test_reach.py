@@ -12,8 +12,8 @@ from parseq.reach import (
     all_template_pairs,
     leap_size,
     reach_fixpoint,
-    sigma,
-    sigma_leap,
+    sigma_side,
+    successors,
 )
 
 
@@ -33,11 +33,11 @@ def _sample_configs(rng, aut, per_state=4):
 
 class TestSigma:
     def test_one_step_soundness_on_fixtures(self, rng):
-        """The template of any one-bit successor is predicted by sigma."""
+        """The template of any one-bit successor is predicted by sigma_side."""
         for name in ALL_FIXTURES:
             aut = load_fixture(name)
             for c in _sample_configs(rng, aut, per_state=2):
-                succ = sigma(template_of(c), aut)
+                succ = sigma_side(template_of(c), 1, aut)
                 for b in "01":
                     assert template_of(step(c, b, aut)) in succ, (name, c)
 
@@ -50,7 +50,7 @@ class TestSigma:
                 for c2 in configs[:6]:
                     p = TemplatePair(template_of(c1), template_of(c2))
                     k = leap_size(p.left, p.right, aut)
-                    succ = sigma_leap(p, aut)
+                    succ = successors(p, aut, True)
                     words = (
                         ["".join(w) for w in itertools.product("01", repeat=k)]
                         if k <= 6
@@ -91,7 +91,7 @@ class TestFixpoint:
             seed = TemplatePair(Template(q0, 0), Template(q0, 0))
             r = reach_fixpoint({seed}, aut)
             for p in r.pairs:
-                assert sigma_leap(p, aut) <= r.pairs
+                assert successors(p, aut, True) <= r.pairs
 
     def test_single_bit_mode_refines_differently(self, rng):
         aut = random_automaton(rng)
@@ -99,8 +99,8 @@ class TestFixpoint:
         seed = TemplatePair(Template(q0, 0), Template(q0, 0))
         r = reach_fixpoint({seed}, aut, leaps=False)
         for p in r.pairs:
-            for left in sigma(p.left, aut):
-                for right in sigma(p.right, aut):
+            for left in sigma_side(p.left, 1, aut):
+                for right in sigma_side(p.right, 1, aut):
                     assert TemplatePair(left, right) in r.pairs
 
     def test_subset_of_all_pairs(self, rng):

@@ -14,7 +14,7 @@ import pytest
 import parseq.engine
 import parseq.reach
 import parseq.wp
-from _gen import random_automaton, random_formula, random_guard, random_wide_guard
+from _gen import chain_pair, random_automaton, random_formula, random_guard, random_wide_guard
 from conftest import load_fixture
 from parseq import parse_source
 from parseq.core import (
@@ -420,8 +420,9 @@ class TestPredecessorIndex:
 
 class TestCompiledStepRelation:
     """A check builds its step relation once: ``predecessors`` reads the
-    successors ``reach_fixpoint`` computed, and each side's rewind is
-    built once and shared by every edge that uses it."""
+    successors ``reach_fixpoint`` computed, and each side's rewinds from a
+    source template are built in one pass and shared by every edge that
+    uses them."""
 
     @pytest.mark.parametrize(
         "left, q1, right, q2, leaps",
@@ -434,13 +435,13 @@ class TestCompiledStepRelation:
         self, monkeypatch, internal_config, left, q1, right, q2, leaps
     ):
         built = Counter()
-        rewind = parseq.wp.rewind
+        rewinds = parseq.wp.rewinds
 
-        def counted(side, t_src, t_dst, x, k, aut):
-            built[side, t_src, t_dst, k] += 1
-            return rewind(side, t_src, t_dst, x, k, aut)
+        def counted(side, t_src, x, k, aut):
+            built[side, t_src, k] += 1
+            return rewinds(side, t_src, x, k, aut)
 
-        monkeypatch.setattr(parseq.wp, "rewind", counted)
+        monkeypatch.setattr(parseq.wp, "rewinds", counted)
         res = check_equivalence(
             load_fixture(left), q1, load_fixture(right), q2,
             config=internal_config, leaps=leaps,
@@ -449,9 +450,9 @@ class TestCompiledStepRelation:
         assert len(built) > 10
         assert max(built.values()) == 1, built.most_common(3)
 
-    def test_buffering_rewinds_are_shared_across_templates(self, monkeypatch, internal_config):
-        """A buffering rewind depends only on (side, t_src.buflen, k), so
-        the table holds one value per such key, whatever the templates."""
+    def test_targets_of_one_source_share_one_operation(self, monkeypatch, internal_config):
+        """A transition runs its operation once for all its targets, so
+        the rewinds of one (side, t_src, k) share one header map."""
         built = []
         predecessors = parseq.engine.predecessors
 
@@ -461,17 +462,34 @@ class TestCompiledStepRelation:
 
         monkeypatch.setattr(parseq.engine, "predecessors", kept)
         res = check_equivalence(
-            load_fixture("vlan"), "parse_eth", load_fixture("vlan"), "parse_eth",
-            config=internal_config, leaps=False,
+            load_fixture("ipopt_generic"), "parse_0", load_fixture("ipopt_timestamp"), "parse_0",
+            config=internal_config, leaps=True,
         )
         assert res.verdict == "Equivalent", res.reason
         (preds,) = built
-        buffering = {
-            key: r for key, r in preds.rewinds.items() if len(key) == 4 and r is not None and r[0]
-        }
-        shapes = {(side, t_src.buflen, k) for side, t_src, _, k in buffering}
-        assert len(buffering) > 2 * len(shapes)
-        assert len({id(r) for r in buffering.values()}) == len(shapes)
+        shared = [table for table in preds.rewinds.values() if len(table) >= 2]
+        assert len(shared) > 2
+        for table in shared:
+            assert len({id(hdrs) for _, hdrs, _ in table.values()}) == 1, table
+
+    @pytest.mark.parametrize("leaps", [True, False])
+    def test_rewinds_grow_with_the_operation_not_the_automaton(self, monkeypatch, leaps):
+        """A rewind maps only the headers its operation writes, so on the
+        chain family the header references ``wp`` builds grow at most
+        linearly in the number of headers, not with headers x rewinds."""
+        built = Counter()
+        hdr = parseq.wp.hdr
+
+        for n in (20, 40):
+            def counted(name, side, width, n=n):
+                built[n] += 1
+                return hdr(name, side, width)
+
+            monkeypatch.setattr(parseq.wp, "hdr", counted)
+            res = check_equivalence(*chain_pair(n), leaps=leaps)
+            monkeypatch.undo()
+            assert res.verdict == "Equivalent", res.reason
+        assert built[40] <= 2 * built[20], built
 
     @pytest.mark.parametrize("leaps", [True, False])
     def test_predecessors_reuse_the_fixpoint_successors(self, monkeypatch, rng, leaps):
