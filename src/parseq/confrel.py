@@ -104,12 +104,12 @@ class Bits(NamedTuple):
         return Bits(a + b, self.width + other.width)
 
     def slice(self, lo: int, hi: int) -> "Bits":
-        """Bits lo..hi, both clamped to the last bit as ``core.slice_bits``
-        does; empty when lo > hi."""
+        """Bits lo..hi. Raises ValueError unless 0 <= lo <= hi < width:
+        every caller slices within range (the parsers reject a slice that
+        is not, and ``core.typecheck`` does for the automaton)."""
         w = self.width
-        lo, hi = min(lo, w - 1), min(hi, w - 1)
-        if lo > hi or not w:
-            return EMPTY
+        if not 0 <= lo <= hi < w:
+            raise ValueError(f"slice [{lo}:{hi}] out of range for width {w}")
         if lo == 0 and hi == w - 1:
             return self
         out: list[Segment] = []

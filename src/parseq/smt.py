@@ -6,9 +6,10 @@ pure implication in which buffer widths are fixed by the guard. That
 implication is decided in process, by random simulation and then one
 incremental bit-blasting SAT solver per guard, or by exhaustive
 enumeration, the reference for small instances. ``--dump-smt`` writes each
-query's translation to quantifier-free bitvector SMT-LIB, which
-``parseq-smt`` or any SMT-LIB solver re-checks offline. A query that
-cannot be answered surfaces as SolverFailure, never as a verdict.
+query as quantifier-free bitvector SMT-LIB: the ground query a fresh
+context asserts to decide it, which ``parseq-smt`` or any SMT-LIB solver
+re-checks offline. A query that cannot be answered surfaces as
+SolverFailure, never as a verdict.
 
 A closed body, one that reads no configuration bit, is true at every
 guard or false at every one; ``fold`` decides each such body once per
@@ -21,7 +22,7 @@ import itertools
 import os
 import re
 import time
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import Automaton, Configuration, Record, Store
 from .confrel import (
@@ -54,7 +55,6 @@ from .confrel import (
     rewrite,
     segments,
     simplify,
-    var,
     var_widths,
 )
 from . import sat
@@ -138,141 +138,24 @@ def _name_table(formulas: Iterable[Formula]) -> dict[tuple[str, str], str]:
 
 
 # Each formula's bit variables are universally quantified over that formula
-# alone. The conclusion's become free (skolemized by the negation). A
-# premise's are eliminated exactly, at any width, by walking the cofactors
-# of its variable bits: ``to_fol_bv`` collects every instance that is not
-# true. A GuardContext searches one premise at a time for an instance false
-# under a SAT model, by evaluating it under all its valuations at once
-# (``_falsifying_valuation``).
-
-_KNOWN = str.maketrans("01?", "110")
-_VALUE = str.maketrans("01?", "010")
-
-
-def _pattern(be: Bits) -> str:
-    """A bit expression's bits: its literal ones, and "?" elsewhere."""
-    return "".join(s if type(s) is str else "?" * (s.hi - s.lo + 1) for s in be.segs)
-
-
-def _clashes(eq: Eq) -> bool:
-    """Do the sides hold different literal bits at an aligned position?"""
-    left, right = _pattern(eq.left), _pattern(eq.right)
-    if len(left) != len(right) or "?" not in left + right:
-        return False  # simplify has decided these already
-    known = int(left.translate(_KNOWN), 2) & int(right.translate(_KNOWN), 2)
-    return bool(known & (int(left.translate(_VALUE), 2) ^ int(right.translate(_VALUE), 2)))
-
-
-def _fold_clashes(phi: Formula) -> Formula:
-    """phi with each equation whose sides clash at a literal bit made
-    false, simplified again if one was."""
-    clashed = False
-
-    def clash(x: Formula) -> Formula:
-        nonlocal clashed
-        if type(x) is Eq and _clashes(x):
-            clashed = True
-            return BOT
-        return x
-
-    phi = rewrite(phi, clash)
-    return simplify(phi) if clashed else phi
-
-
-def _fix_bit(phi: Formula, name: str, bit: str) -> Formula:
-    """phi with the leftmost bit of variable ``name`` fixed, simplified,
-    clashes folded. ``Var(x, w)`` becomes ``bit ++ Var(x, w - 1)``, so no
-    fresh name is needed."""
-
-    def fix(s: Seg) -> Optional[Bits]:
-        b = s.base
-        if type(b) is not Var or b.name != name:
-            return None
-        return (lit(bit) + var(name, b.width - 1)).slice(s.lo, s.hi)
-
-    return _fold_clashes(simplify(replace(phi, fix)))
-
-
-def _cofactors(
-    p: Formula, deadline: Optional[float], cap: int = 0
-) -> Iterator[tuple[Formula, Valuation]]:
-    """The cofactor walk over a simplified formula's variable bits.
-
-    Each step fixes the leftmost bit of the first variable by name, 0
-    before 1 (``_fix_bit``). A branch ends at true (dropped), at false, or
-    with at most ``cap`` variable bits left, and is yielded with the bits
-    it fixed, in the order of ``valuations``. A branch is simplified only
-    when the walk reaches it. Raises SolverFailure once ``deadline``
-    passes."""
-    stack: list[tuple[Formula, Valuation, str, str]] = [(p, {}, "", "")]
-    while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverFailure("solver timeout")
-        phi, fixed, name, bit = stack.pop()
-        if name:
-            phi = _fix_bit(phi, name, bit)
-            if isinstance(phi, Top):
-                continue
-            fixed = {**fixed, name: fixed.get(name, "") + bit}
-        widths = var_widths(phi)
-        if sum(widths.values()) <= cap:
-            yield phi, fixed
-            continue
-        name = min(widths)
-        stack.append((phi, fixed, name, "1"))
-        stack.append((phi, fixed, name, "0"))
-
-
-def _premise_instances(p: Formula, deadline: Optional[float]) -> list[Formula]:
-    """The instances of a simplified premise that are not true; just false
-    when one is false."""
-    out = []
-    for inst, _ in _cofactors(p, deadline):
-        if isinstance(inst, Bottom):
-            return [BOT]
-        out.append(inst)
-    return out
-
-
-INSTANCE_VAR_BITS = 10  # the widest premise an instance search takes in one pass
-
-
-def _falsifying_valuation(
-    p: Formula, widths: dict[str, int], bits: Callable[[Seg], str], deadline: Optional[float]
-) -> Optional[Valuation]:
-    """The first valuation of p's variables (``var_widths(p)``, given as
-    ``widths``), in the order of ``valuations``, under which p is false
-    when each configuration segment holds ``bits(s)``, or None when p
-    holds under every one: the valuation the cofactor walk finds first.
-
-    A premise with at most ``INSTANCE_VAR_BITS`` variable bits is
-    evaluated under all its valuations in one pass (``lowest_false``). A
-    wider one has the configuration bits substituted and is split by the
-    cofactor walk into branches of at most that many bits, evaluated the
-    same way in the walk's order. Raises SolverFailure once ``deadline``
-    passes."""
-    if sum(widths.values()) <= INSTANCE_VAR_BITS:
-        if deadline is not None and time.monotonic() > deadline:
-            raise SolverFailure("solver timeout")
-        return lowest_false(p, widths, bits)
-    phi = replace(p, lambda s: None if type(s.base) is Var else lit(bits(s)))
-    phi = _fold_clashes(phi if phi is p else simplify(phi))
-    for branch, fixed in _cofactors(phi, deadline, INSTANCE_VAR_BITS):
-        v = lowest_false(branch, var_widths(branch), bits)
-        if v is not None:  # bits that neither fixed nor read read as 0
-            return {x: (fixed.get(x, "") + v.get(x, "")).ljust(w, "0") for x, w in widths.items()}
-    return None
+# alone. The conclusion's become free (skolemized by the negation); a
+# premise's are eliminated by the instances a GuardContext adds.
 
 
 def to_fol_bv(
     ent: FilteredEntailment, aut: Automaton, deadline: Optional[float] = None
 ) -> list[Formula]:
-    """Assertions whose joint unsatisfiability is the entailment's validity:
-    every premise (expanded over its variables) plus the negated conclusion,
-    in QF_BV: every base becomes a width-carrying variable (bufL/bufR,
-    L_h/R_h per header, sanitized for SMT-LIB and collision-free, v_x per
-    bit variable). The expansion raises SolverFailure once
-    time.monotonic() passes ``deadline``."""
+    """Assertions whose joint unsatisfiability is the entailment's validity,
+    in QF_BV: what a fresh GuardContext asserts to decide it, that is, the
+    premises without variables, then the instances of the others it added,
+    then the negated conclusion. Each instance follows from its premise,
+    and the context stops only at unsat or at a model under which every
+    premise holds for all its valuations, so the query is exact. Every base
+    becomes a width-carrying variable (bufL/bufR, L_h/R_h per header,
+    sanitized for SMT-LIB and collision-free, v_x per bit variable).
+    Raises SolverFailure once time.monotonic() passes ``deadline``."""
+    context = GuardContext(aut, ent.t1, ent.t2)
+    context.entails([Guarded(ent.t1, ent.t2, p) for p in ent.premises], ent.conclusion, deadline)
     buflens = guard_buflens(ent.t1, ent.t2)
     names = _name_table(list(ent.premises) + [ent.conclusion])
 
@@ -286,11 +169,7 @@ def to_fol_bv(
         width = base_width(s, aut, buflens)
         return Bits((Seg(Var(name, width), s.lo, s.hi),), s.hi - s.lo + 1)
 
-    out = [
-        replace(inst, smt_name)
-        for p in ent.premises
-        for inst in _premise_instances(p, deadline)
-    ]
+    out = [replace(f, smt_name) for f in context.assertions]
     out.append(Not(replace(ent.conclusion, smt_name)))
     return out
 
@@ -384,7 +263,8 @@ class Blaster:
         self.true_lit = self.sat.new_var()
         self.sat.add_clause([self.true_lit])
         self.base = base
-        self.env: dict[str, list[int]] = {}
+        # name -> (width, SAT variable of each bit read so far)
+        self.env: dict[str, tuple[int, dict[int, int]]] = {}
         self._iffs: dict[tuple[int, int], int] = {}
         self._ands: dict[tuple[int, ...], int] = {}
         self._eqs: dict[Eq, int] = {}
@@ -395,19 +275,26 @@ class Blaster:
         """Literals of bits lo..hi of a variable. A bit gets its SAT
         variable when first read, so the unread bits of a wide buffer
         cost nothing."""
-        bits = self.env.get(name)
-        if bits is None:
-            bits = self.env[name] = [0] * width
-        if len(bits) != width:
-            raise InternalError(f"variable {name} used at widths {len(bits)} and {width}")
-        hi = width - 1 if hi is None else hi
-        part = bits[lo : hi + 1]
-        if 0 in part:
-            for i in range(lo, hi + 1):
-                if not bits[i]:
-                    bits[i] = self.sat.new_var()
-            part = bits[lo : hi + 1]
-        return part
+        known = self.env.get(name)
+        if known is None:
+            known = self.env[name] = (width, {})
+        elif known[0] != width:
+            raise InternalError(f"variable {name} used at widths {known[0]} and {width}")
+        bits = known[1]
+        out = []
+        for i in range(lo, width if hi is None else hi + 1):
+            b = bits.get(i)
+            if b is None:
+                b = bits[i] = self.sat.new_var()
+            out.append(b)
+        return out
+
+    def model_bits(self, name: str, lo: int, hi: int) -> str:
+        """Bits lo..hi of a variable in the last model. A bit never read
+        is unconstrained and reads as 0."""
+        bits = self.env.get(name, (0, {}))[1]
+        value = self.sat.value
+        return "".join("1" if i in bits and value(bits[i]) else "0" for i in range(lo, hi + 1))
 
     def term(self, e: Bits) -> list[int]:
         t = self.true_lit
@@ -499,6 +386,35 @@ def check_sat(assertions: list[Formula], deadline: Optional[float] = None) -> bo
     return bl.sat.solve()
 
 
+INSTANCE_VAR_BITS = 10  # the widest premise an instance search takes in one pass
+
+
+def _falsifying_valuation(
+    p: Formula, widths: dict[str, int], bits: Callable[[Seg], str], deadline: Optional[float]
+) -> Optional[Valuation]:
+    """A valuation of p's variables (``var_widths(p)``, given as
+    ``widths``) under which p is false when each configuration segment
+    holds ``bits(s)``, or None when p holds under every one.
+
+    A premise with at most ``INSTANCE_VAR_BITS`` variable bits is
+    evaluated under all its valuations in one pass (``lowest_false``),
+    which finds the first falsifying one in the order of ``valuations``.
+    A wider one has the configuration bits substituted, and the valuation
+    is read from a SAT model of its negation. Raises SolverFailure once
+    ``deadline`` passes."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise SolverFailure("solver timeout")
+    if sum(widths.values()) <= INSTANCE_VAR_BITS:
+        return lowest_false(p, widths, bits)
+    at_model = replace(p, lambda s: None if type(s.base) is Var else lit(bits(s)))
+    bl = Blaster()
+    bl.sat.add_clause([-bl.formula(at_model)])
+    bl.sat.deadline = deadline
+    if not bl.sat.solve():
+        return None
+    return {x: bl.model_bits(x, 0, w - 1) for x, w in widths.items()}
+
+
 class GuardContext:
     """One incremental solver for the entailments at one guard, built by
     its GuardRelation for the first goal that simulation cannot refute.
@@ -509,8 +425,8 @@ class GuardContext:
     instantiated lazily, from models (Ge & de Moura, *Complete
     Instantiation for Quantified Formulas in SMT*, CAV 2009). Each goal is
     solved under the assumption of its negation. On sat, each pending
-    premise is evaluated under the model's configuration bits for the
-    first valuation of its variables that falsifies it
+    premise is evaluated under the model's configuration bits for a
+    valuation of its variables that falsifies it
     (``_falsifying_valuation``). Each bit of that valuation becomes a
     configuration bit the premise aligns with that variable bit and the
     model agrees with, or else a literal. The instance is asserted and the
@@ -521,7 +437,10 @@ class GuardContext:
     An earlier goal's Tseitin definitions can be met by every assignment
     of its inputs, and instances follow from the premises, so both leave
     later answers as a fresh per-query solver would give them. The Blaster
-    blasts each distinct equation once.
+    blasts each distinct equation once. ``assertions`` lists the premises
+    without variables and the instances in the order they were asserted:
+    with a goal's negation, a ground query that is unsat exactly when the
+    goal is entailed (``to_fol_bv``).
     """
 
     def __init__(self, aut: Automaton, t1: Template, t2: Template):
@@ -529,6 +448,7 @@ class GuardContext:
         self.buflens = guard_buflens(t1, t2)
         self.blaster = Blaster(self._base)
         self.asserted = 0  # how many conjuncts of the relation are premises
+        self.assertions: list[Formula] = []  # what was asserted, in order
         # premises with variables, each with its _aligned_bits and var_widths
         self.pending: list[tuple[Formula, dict[tuple[str, int], list[Seg]], dict[str, int]]] = []
         self.instances = 0  # instances of pending premises asserted
@@ -539,15 +459,12 @@ class GuardContext:
         return sat_name(s.base), base_width(s, self.aut, self.buflens)
 
     def _assert(self, p: Formula) -> None:
+        self.assertions.append(p)
         self.blaster.sat.add_clause([self.blaster.formula(p)])
 
     def _model_bits(self, s: Seg) -> str:
-        """A configuration segment's bits in the last model. A bit the
-        Blaster never allocated is unconstrained and reads as 0."""
-        value = self.blaster.sat.value
-        name, width = self._base(s)
-        lits = self.blaster.env.get(name, [0] * width)
-        return "".join("1" if lit and value(lit) else "0" for lit in lits[s.lo : s.hi + 1])
+        """A configuration segment's bits in the last model."""
+        return self.blaster.model_bits(sat_name(s.base), s.lo, s.hi)
 
     def _falsified_instance(
         self,
@@ -586,6 +503,7 @@ class GuardContext:
                         self._base(s)
                 self.pending.append((p, _aligned_bits(p), widths))
             elif p is self._goal[0]:
+                self.assertions.append(p)
                 self.blaster.sat.add_clause([self._goal[1]])
             else:
                 self._assert(p)
@@ -808,16 +726,11 @@ def _unread(s: Seg) -> str:
 
 def valid_closed(body: Formula, config: SolverConfig) -> bool:
     """Does closed ``body`` hold under every valuation of its variables?
-    Under enum, by enumeration (``denotes``). Otherwise, up to
-    ``INSTANCE_VAR_BITS`` variable bits, by one bit-parallel pass with a
-    lane per valuation (``lowest_false``), and above that by SAT on its
-    negation, within ``config.timeout``: its variables are then free."""
+    Under enum, by enumeration (``denotes``). Otherwise, when no valuation
+    falsifies it (``_falsifying_valuation``), within ``config.timeout``."""
     if config.backend == "enum":
         return denotes(body, _NOWHERE, _NOWHERE)
-    widths = var_widths(body)
-    if sum(widths.values()) <= INSTANCE_VAR_BITS:
-        return lowest_false(body, widths, _unread) is None
-    return not check_sat([Not(body)], _deadline(config.timeout))
+    return _falsifying_valuation(body, var_widths(body), _unread, _deadline(config.timeout)) is None
 
 
 def fold(g: Guarded, bodies: Bodies, config: SolverConfig) -> Optional[Guarded]:

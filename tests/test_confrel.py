@@ -2,6 +2,7 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,13 +256,17 @@ class TestNormalForm:
     def test_stored_width_is_the_evaluated_width(self, r):
         sizes, buflens, cl, cr, v = _random_setting(r)
         e = random_bit_expr(r, sizes, buflens, ["x", "y"], r.randint(1, 4), depth=3)
-        for _ in range(3):  # slices (clamped as core clamps) and concatenations
+        for _ in range(3):  # slices and concatenations
             lo, hi = r.randrange(6), r.randrange(6)
             other = random_bit_expr(r, sizes, buflens, ["x"], r.randint(1, 3))
             bits = eval_bit_expr(e, cl, cr, v)
-            assert eval_bit_expr(e.slice(lo, hi), cl, cr, v) == slice_bits(bits, lo, hi)
-            if r.random() < 0.5:
-                bits, e = slice_bits(bits, lo, hi), e.slice(lo, hi)
+            if not lo <= hi < e.width:
+                with pytest.raises(ValueError, match="out of range"):
+                    e.slice(lo, hi)
+            else:
+                assert eval_bit_expr(e.slice(lo, hi), cl, cr, v) == slice_bits(bits, lo, hi)
+                if r.random() < 0.5:
+                    bits, e = slice_bits(bits, lo, hi), e.slice(lo, hi)
             bits, e = bits + eval_bit_expr(other, cl, cr, v), e + other
             assert eval_bit_expr(e, cl, cr, v) == bits
             assert e.width == len(bits)
@@ -282,8 +287,10 @@ class TestNormalForm:
         e = buf(LEFT, 4) + var("x", 4) + lit("01") + lit("1")
         assert e.segs[-1] == "011" and e.width == 11
         assert e.slice(2, 5) == buf(LEFT, 4).slice(2, 3) + var("x", 4).slice(0, 1)
-        assert e.slice(6, 99) == var("x", 4).slice(2, 3) + lit("011")
-        assert e.slice(5, 4) == lit("") and lit("").slice(0, 3) == lit("")
+        assert e.slice(6, 10) == var("x", 4).slice(2, 3) + lit("011")
+        for expr, lo, hi in ((e, 6, 99), (e, 5, 4), (e, -1, 3), (lit(""), 0, 3)):
+            with pytest.raises(ValueError, match="out of range"):
+                expr.slice(lo, hi)
 
     def test_long_concatenation_needs_no_recursion(self):
         e = lit("")

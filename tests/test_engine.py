@@ -1,5 +1,6 @@
 """The saturation loop: verdicts, witnesses, failure handling."""
 
+import io
 import json
 import re
 import time
@@ -43,6 +44,7 @@ from parseq.engine import (
 from parseq.frontend import parse_source
 from parseq.reach import ReachSet, TemplatePair
 from parseq.smt import GuardRelation, SolverConfig, SolverFailure, decide_entailment
+from parseq.solver_cli import run_script
 
 
 def chain_automaton():
@@ -403,6 +405,34 @@ class TestQuantifiedFilter:
         # both decide their final check in a context; only one needs instances
         assert res.stats.contexts == plain.stats.contexts
         assert res.stats.instances > plain.stats.instances == 0
+
+    def test_a_dump_changes_no_verdict(self, monkeypatch, tmp_path):
+        """Dumping each query costs one more context per query, not a walk
+        over x's valuations, and each dumped script answers under
+        ``parseq-smt`` as the engine decided."""
+        answers = []
+        decide = parseq.engine.decide_entailment
+
+        def recorded(rel, goal, aut, config):
+            entailed = decide(rel, goal, aut, config)
+            if goal.body != TOP:
+                answers.append(entailed)
+            return entailed
+
+        monkeypatch.setattr(parseq.engine, "decide_entailment", recorded)
+        aut = parse_source(self.SOURCE)
+        config = SolverConfig(timeout=3, dump_dir=str(tmp_path))
+        res = check_equivalence(
+            aut, "s", aut, "s", phi_extra=self.quantified("l:h", "r:h"), config=config
+        )
+        assert res.verdict == EQUIVALENT, res.reason
+        tokens = []
+        for f in sorted(tmp_path.glob("*_query.smt2")):
+            out = io.StringIO()
+            assert run_script(f.read_text(), out) == 0
+            tokens.append(out.getvalue().strip())
+        assert tokens == ["unsat" if entailed else "sat" for entailed in answers]
+        assert "unsat" in tokens
 
     def test_unknown_header_is_named(self):
         for phi in (self.quantified("h", "h"), Eq(hdr("h", LEFT, 16), hdr("h", RIGHT, 16))):

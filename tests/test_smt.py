@@ -36,7 +36,6 @@ from parseq.confrel import (
     hdr,
     holds,
     lit,
-    replace,
     simplify,
     valuations,
     var,
@@ -51,9 +50,7 @@ from parseq.smt import (
     InternalError,
     SolverConfig,
     SolverFailure,
-    _cofactors,
     _falsifying_valuation,
-    _fold_clashes,
     check_sat,
     closed,
     decide_by_enumeration,
@@ -128,9 +125,22 @@ class TestTranslation:
         split = FilteredEntailment(
             t, t, (Eq(buf(RIGHT, 3), var("a") + var("b") + var("c")),), BOT
         )
-        assert len(to_fol_bv(wide, aut)) == len(to_fol_bv(split, aut)) == 2**3 + 1
-        assert not check_sat(to_fol_bv(wide, aut))
-        assert decide_by_enumeration(wide, aut)
+        for ent in (wide, split):
+            assert not check_sat(to_fol_bv(ent, aut))
+            assert decide_by_enumeration(ent, aut)
+
+    def test_wide_premise_query_stays_small(self):
+        # forall x:16. buf>[0:15] = x  is false; the query holds the few
+        # instances a context needs to see it, not one per valuation
+        aut = Automaton(
+            (("h", 32),),
+            (("Q0", State((Extract("h"),), Goto("accept"))),),
+        )
+        t = Template("Q0", 16)
+        ent = FilteredEntailment(t, t, (Eq(buf(RIGHT, 16).slice(0, 15), var("x", 16)),), BOT)
+        out = to_fol_bv(ent, aut)
+        assert len(out) <= 4
+        assert not check_sat(out)
 
     def test_wide_premise_entails_false_exactly(self, internal_config):
         # forall x:16. buf>[0:15] = x  is false; keeping x free would make
@@ -399,7 +409,8 @@ class TestGuardContext:
             decide_entailment(rel, g, aut, config)
 
     def test_timeout_stops_the_expansion_of_a_wide_premise(self, tmp_path):
-        # x meets no literal, so its expansion walks 4,096 branches
+        # x meets no literal; its instance search, for the dump's fresh
+        # context or the guard's own, stops at the deadline
         aut = tiny_automaton()
         wide = Guarded(T0, T1, Eq(var("x", 12), var("y", 12)))
         goal = Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1")))
@@ -483,10 +494,11 @@ class TestBitParallelPasses:
         assert set(range(SIM_VAR_BITS + 3)) <= widths
 
     @pytest.mark.parametrize("cap", [0, 2, INSTANCE_VAR_BITS])
-    def test_instance_valuation_is_the_cofactor_walks(self, monkeypatch, rng, cap):
-        """The lowest falsifying lane is the valuation the cofactor walk
-        finds first, for premises within and above the cap, and the first
-        falsifying one in the order of ``valuations``."""
+    def test_instance_valuation_falsifies_exactly(self, monkeypatch, rng, cap):
+        """The valuation falsifies the premise at the configuration, it is
+        None exactly when every valuation satisfies the premise, and within
+        the cap it is the first falsifying one in the order of
+        ``valuations``; above it, SAT finds one."""
         monkeypatch.setattr(parseq.smt, "INSTANCE_VAR_BITS", cap)
         falsified = wider = 0
         for case in range(150):
@@ -506,19 +518,17 @@ class TestBitParallelPasses:
                 return eval_bit_expr(Bits((s,), s.hi - s.lo + 1), cl, cr, {})
 
             got = _falsifying_valuation(p, var_widths(p), bits, None)
-            at_model = replace(p, lambda s: None if type(s.base) is Var else lit(bits(s)))
-            phi = _fold_clashes(simplify(at_model))
-            walked = None if phi == TOP else next(_cofactors(phi, None), None)
-            if walked is None:
+            first = next((v for v in valuations(p) if not holds(p, cl, cr, v)), None)
+            if first is None:
                 assert got is None, case
                 continue
-            want = {x: walked[1].get(x, "").ljust(w, "0") for x, w in var_widths(p).items()}
-            assert got == want, case
-            if sum(var_widths(p).values()) <= 8:
-                first = next(v for v in valuations(p) if not holds(p, cl, cr, v))
+            assert got is not None and not holds(p, cl, cr, got), case
+            assert {x: len(b) for x, b in got.items()} == var_widths(p), case
+            n = sum(var_widths(p).values())
+            if n <= cap:
                 assert got == first, case
             falsified += 1
-            wider += sum(var_widths(p).values()) > cap
+            wider += n > cap
         assert falsified > 40 and wider > 10
 
 

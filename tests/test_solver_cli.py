@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -101,6 +102,21 @@ class TestScripts:
         assert main([str(tmp_path / "missing.smt2")]) == 1
         out, err = capsys.readouterr()
         assert out == "unknown\n" and err.startswith("error: cannot read ")
+
+    def test_a_wide_declaration_costs_only_the_bits_read(self):
+        text = (
+            "(declare-const x (_ BitVec 10000000))"
+            "(assert (= ((_ extract 0 0) x) #b1))(check-sat)"
+        )
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            answer = run(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert answer == (0, "sat")
+        assert peak < 1 << 20
 
     def test_comments_and_options_ignored(self):
         text = "; header\n(set-option :produce-models true)(assert true)(check-sat)\n(exit)"

@@ -15,7 +15,9 @@ the two. A record made by an older script, or of a tree whose
 the fields both records have and names the others once. With
 ``--dump-smt`` it also decides the fixture pairs again under
 ``--dump-smt``, with leaps and single-bit, and records a SHA-256 of each
-query file.
+query file and, in order, the answer TREE's own ``parseq-smt``
+(``solver_cli.run_script``) gives each one. A change that rewrites the
+query files can then show that every answer is unchanged.
 
 Texts are hashed in a normal form that ignores how ``++`` and SMT-LIB
 ``concat`` chains nest and whether adjacent literals are joined, so two
@@ -28,8 +30,9 @@ same hashes. The JSON is hashed with each string in that normal form.
 ``record`` imports ``parseq`` from TREE/src and the inputs from
 TREE/parseqbench/inputs.py, and runs one check at a time in this process.
 ``compare`` prints every difference, then one line that counts them and
-splits the differing checks by the first record's verdict, then one line
-that counts the differing checks per field, and exits 1 if there is a
+splits the differing checks by the first record's verdict and the
+differing dump sets by file hashes and by answers, then one line that
+counts the differing checks per field, and exits 1 if there is a
 difference.
 """
 
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
@@ -138,6 +142,7 @@ def record(tree: str, dump_smt: bool) -> dict:
     from parseq.engine import check_equivalence
     from parseq.frontend import parse_source
     from parseq.smt import SolverConfig
+    from parseq.solver_cli import run_script
 
     def load(name: str):
         return parseq.load(parseq.fixture_path(name))
@@ -155,32 +160,47 @@ def record(tree: str, dump_smt: bool) -> dict:
         res = check_equivalence(parse_source(a), qa, parse_source(b), qb, config=SolverConfig())
         checks[f"random {i}"] = _record(res)
     dumps: dict[str, list[str]] = {}
+    answers: dict[str, list[str]] = {}
     for leaps in (True, False) if dump_smt else ():
         for lf, lq, rf, rq, _ in FIXTURE_PAIRS:
             name = f"{'leaps' if leaps else 'single-bit'} {pair_name((lf, lq, rf, rq))}"
             with tempfile.TemporaryDirectory() as tmp:
                 config = SolverConfig(dump_dir=tmp)
                 check_equivalence(load(lf), lq, load(rf), rq, config=config, leaps=leaps)
-                hashes = []
+                hashes, said = [], []
                 for f in sorted(os.listdir(tmp)):
                     with open(os.path.join(tmp, f)) as fh:
-                        hashes.append(sha(flat_smt(fh.read())))
-                dumps[name] = hashes
+                        text = fh.read()
+                    hashes.append(sha(flat_smt(text)))
+                    out = io.StringIO()
+                    run_script(text, out)
+                    said.append(out.getvalue().strip())
+                dumps[name], answers[name] = hashes, said
             print(name, len(hashes), "dump files", file=sys.stderr)
-    return {"tree": os.path.abspath(tree), "checks": checks, "dump_smt": dumps}
+    return {
+        "tree": os.path.abspath(tree),
+        "checks": checks,
+        "dump_smt": dumps,
+        "dump_answers": answers,
+    }
 
 
 def compare(a: dict, b: dict) -> tuple[list[str], str]:
     """Every difference, and a summary: a line that splits the differing
-    checks by their verdict in ``a`` and counts the differing dump sets,
-    a line that counts the differing checks per field, and a line naming
-    the fields only one record has."""
+    checks by their verdict in ``a`` and counts the dump sets whose file
+    hashes and whose answers differ, a line that counts the differing
+    checks per field, and a line naming the fields and sections only one
+    record has."""
     diffs = []
-    split = {"changed": 0, "Equivalent": 0, "NotEquivalent": 0, "Inconclusive": 0, "dumps": 0}
+    split = {"changed": 0, "Equivalent": 0, "NotEquivalent": 0, "Inconclusive": 0,
+             "dump_smt": 0, "dump_answers": 0}
     fields: Counter[str] = Counter()
-    lacking: set[str] = set()  # fields of one record's checks only
-    for section in ("checks", "dump_smt"):
-        for name in sorted(set(a[section]) | set(b[section])):
+    lacking: set[str] = set()  # fields of one record's checks, or sections of one record
+    for section in ("checks", "dump_smt", "dump_answers"):
+        if (section in a) != (section in b):
+            lacking.add(section)
+            continue
+        for name in sorted(set(a.get(section, ())) | set(b.get(section, ()))):
             x, y = a[section].get(name), b[section].get(name)
             if x == y:
                 continue
@@ -194,9 +214,10 @@ def compare(a: dict, b: dict) -> tuple[list[str], str]:
                 split["changed"] += x["verdict"] != y["verdict"]
                 diffs.append(f"{name}: " + ", ".join(f"{k} {x[k]!r} -> {y[k]!r}" for k in keys))
             elif isinstance(x, list) and isinstance(y, list):
-                split["dumps"] += 1
+                split[section] += 1
                 changed = sum(p != q for p, q in zip(x, y)) + abs(len(x) - len(y))
-                diffs.append(f"{section} {name}: {changed} of {max(len(x), len(y))} files differ")
+                what = "files differ" if section == "dump_smt" else "answers differ"
+                diffs.append(f"{section} {name}: {changed} of {max(len(x), len(y))} {what}")
             else:
                 diffs.append(f"{section} {name}: {x!r} -> {y!r}")
     summary = (
@@ -204,10 +225,12 @@ def compare(a: dict, b: dict) -> tuple[list[str], str]:
         f"{split['Equivalent']} on Equivalent checks, "
         f"{split['NotEquivalent']} on NotEquivalent checks, "
         f"{split['Inconclusive']} on Inconclusive checks, "
-        f"{split['dumps']} in dump sets\n"
+        f"{split['dump_smt']} dump sets with differing files, "
+        f"{split['dump_answers']} with differing answers\n"
         "differing checks per field: "
         + (", ".join(f"{k} {n}" for k, n in sorted(fields.items())) or "none")
-        + (f"\nfields in one record only, not compared: {', '.join(sorted(lacking))}" if lacking else "")
+        + (f"\nfields or sections in one record only, not compared: {', '.join(sorted(lacking))}"
+           if lacking else "")
     )
     return diffs, summary
 
