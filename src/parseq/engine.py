@@ -58,7 +58,7 @@ class EngineError(Exception):
 class Stats(Record):
     __slots__ = (
         "iterations", "skips", "extends", "solver_calls", "wall_time",
-        "refuted", "folded", "contexts", "instances", "extra_solves",
+        "refuted", "folded", "closed_solves", "contexts", "instances", "extra_solves",
     )
 
     def __init__(
@@ -73,16 +73,18 @@ class Stats(Record):
         instances: int = 0,  # premise instances they asserted
         extra_solves: int = 0,  # their solve() calls beyond one per query
         folded: int = 0,  # obligations with a closed body, decided as made
+        closed_solves: int = 0,  # closed bodies among them decided by SAT
     ):
         self.iterations, self.skips, self.extends = iterations, skips, extends
         self.solver_calls, self.wall_time = solver_calls, wall_time
-        self.refuted, self.folded = refuted, folded
+        self.refuted, self.folded, self.closed_solves = refuted, folded, closed_solves
         self.contexts, self.instances, self.extra_solves = contexts, instances, extra_solves
 
     def summary(self) -> str:
         return (
             f"iterations={self.iterations} skips={self.skips} "
             f"extends={self.extends} refuted={self.refuted} folded={self.folded} "
+            f"closed_solves={self.closed_solves} "
             f"solver_calls={self.solver_calls} contexts={self.contexts} instances={self.instances} "
             f"extra_solves={self.extra_solves} wall_time={self.wall_time:.2f}s"
         )
@@ -230,7 +232,7 @@ def pre_bisimulation(
 
     def done(result: Result) -> Result:
         stats.wall_time = time.monotonic() - start
-        stats.folded = bodies.folded
+        stats.folded, stats.closed_solves = bodies.folded, bodies.closed_solves
         for rel in [*by_guard.values(), given]:
             stats.solver_calls += rel.solver_calls
             stats.refuted += rel.refuted

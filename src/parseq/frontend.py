@@ -16,13 +16,19 @@ assigned take the width of their right-hand side. Literals are binary
 (0b101 or a bare bitstring) or hex (0x8100, four bits per digit);
 comments run from '#' to end of line.
 
+Tokens are plain strings, split off by one regular-expression scan of the
+source. A diagnostic's line and column are computed only when it is
+raised, by scanning the source again up to its token.
+
 The module also parses the relation files consumed by check-rel; see
 parse_relation.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
+from typing import Optional
 
 from . import core
 from .core import (
@@ -38,7 +44,6 @@ from .core import (
     Lit,
     Pattern,
     RESULTS,
-    Record,
     Select,
     Slice,
     State,
@@ -84,115 +89,122 @@ class Diagnostic(Exception):
 
 # ---------------------------------------------------------------------------
 # Tokenizer
+#
+# One findall per source: each match skips whitespace and comments, then
+# takes one token: a literal, a name or an operator, else any other
+# character (which tokenize reports), else the end of the text.
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|\#[^\n]*)
-  | (?P<hex>0x[0-9a-fA-F]+)
-  | (?P<bin>0b[01]+)
-  | (?P<num>[0-9]+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>:=|=>|\+\+|&&|\|\||[{}()\[\],;:=!.])
+    (?:\s|\#[^\n]*)*+
+    ( 0x[0-9a-fA-F]+ | 0b[01]+ | [0-9]+ | [A-Za-z_][A-Za-z0-9_]*
+    | := | => | \+\+ | && | \|\| | [{}()\[\],;:=!.]
+    | \S | \Z )
     """,
     re.VERBOSE,
 )
+# the one-character tokens
+_SINGLES = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_0123456789{}()[],;:=!.")
 
 
-class Token(Record):
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind, self.text, self.line, self.col = kind, text, line, col
-
-
-def tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
-    pos, line, bol = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise Diagnostic(
-                f"unexpected character {text[pos]!r}", line, pos - bol + 1
-            )
-        kind = m.lastgroup
-        tok = m.group()
-        if kind != "ws":
-            out.append(Token(kind, tok, line, pos - bol + 1))
-        nl = tok.count("\n")
-        if nl:
-            line += nl
-            bol = pos + tok.rindex("\n") + 1
-        pos = m.end()
-    out.append(Token("eof", "", line, pos - bol + 1))
-    return out
+def tokenize(text: str) -> list[str]:
+    """The tokens of ``text``, ending with "" (once or twice, at the end
+    of the text). Raises Diagnostic at the first character that starts no
+    token."""
+    tokens = _TOKEN_RE.findall(text)
+    bad = [t for t in set(tokens) - _SINGLES if len(t) == 1]
+    if bad:
+        i = min(map(tokens.index, bad))
+        raise Diagnostic(f"unexpected character {tokens[i]!r}", *_position(text, i))
+    return tokens
 
 
-def literal_bits(tok: Token) -> str:
-    if tok.kind == "hex":
-        return "".join(format(int(d, 16), "04b") for d in tok.text[2:])
-    if tok.kind == "bin":
-        return tok.text[2:]
-    if tok.kind == "num" and set(tok.text) <= {"0", "1"}:
-        return tok.text
-    raise Diagnostic(f"not a bitvector literal: {tok.text!r}", tok.line, tok.col)
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The line and column of token ``index`` of ``text``."""
+    at = next(itertools.islice(_TOKEN_RE.finditer(text), index, None)).start(1)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+
+
+def _bits(tok: str) -> Optional[str]:
+    """The bits of literal token ``tok``, or None when it is no literal."""
+    if tok[:2] == "0x":
+        return format(int(tok, 16), f"0{4 * len(tok) - 8}b")
+    if tok[:2] == "0b":
+        return tok[2:]
+    if tok and not tok.strip("01"):
+        return tok
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Parser
+#
+# Every token tokenize returns is ASCII, so a name is a token that
+# isidentifier() and a number one that isdigit().
 
 _KEYWORDS = {"state", "extract", "goto", "select"}
 
 
-def _expected(what: str, tok: Token) -> Diagnostic:
-    """The diagnostic for ``tok`` where ``what`` should stand."""
-    found = tok.text or "end of file"
-    return Diagnostic(f"expected {what}, found {found!r}", tok.line, tok.col)
-
-
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
 
-    def peek(self) -> Token:
+    def error(self, message: str, index: int) -> Diagnostic:
+        """A Diagnostic at token ``index``."""
+        return Diagnostic(message, *_position(self.text, index))
+
+    def expected(self, what: str, index: int) -> Diagnostic:
+        """The diagnostic for token ``index`` where ``what`` should stand."""
+        found = self.tokens[index] or "end of file"
+        return self.error(f"expected {what}, found {found!r}", index)
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
-            raise _expected(repr(text), tok)
-        return tok
+    def expect(self, text: str) -> None:
+        if self.tokens[self.pos] != text:
+            raise self.expected(repr(text), self.pos)
+        self.pos += 1
 
-    def name(self, what: str) -> Token:
+    def name(self, what: str) -> str:
         tok = self.next()
-        if tok.kind != "name" or tok.text in _KEYWORDS:
-            raise _expected(what, tok)
+        if not tok.isidentifier() or tok in _KEYWORDS:
+            raise self.expected(what, self.pos - 1)
         return tok
 
     def number(self) -> int:
         tok = self.next()
-        if tok.kind != "num":
-            raise _expected("a number", tok)
-        return int(tok.text)
+        if not tok.isdigit():
+            raise self.expected("a number", self.pos - 1)
+        return int(tok)
+
+    def literal(self) -> str:
+        tok = self.next()
+        bits = _bits(tok)
+        if bits is None:
+            raise self.error(f"not a bitvector literal: {tok!r}", self.pos - 1)
+        return bits
 
     # expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
         left = self.postfix()
-        if self.peek().text == "++":
-            self.next()
+        if self.peek() == "++":
+            self.pos += 1
             return Concat(left, self.expr())
         return left
 
     def postfix(self) -> Expr:
         e = self.primary()
-        while self.peek().text == "[":
-            self.next()
+        while self.peek() == "[":
+            self.pos += 1
             lo = self.number()
             self.expect(":")
             hi = self.number()
@@ -202,34 +214,33 @@ class _Parser:
 
     def primary(self) -> Expr:
         tok = self.peek()
-        if tok.text == "(":
-            self.next()
+        if tok == "(":
+            self.pos += 1
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind in ("hex", "bin") or (
-            tok.kind == "num" and set(tok.text) <= {"0", "1"}
-        ):
-            return Lit(literal_bits(self.next()))
-        if tok.kind == "name" and tok.text not in _KEYWORDS:
-            return HdrRef(self.next().text)
-        raise _expected("an expression", tok)
+        bits = _bits(tok)
+        if bits is not None:
+            self.pos += 1
+            return Lit(bits)
+        if tok.isidentifier() and tok not in _KEYWORDS:
+            return HdrRef(self.next())
+        raise self.expected("an expression", self.pos)
 
     # states ---------------------------------------------------------------
 
     def pattern(self) -> Pattern:
-        tok = self.peek()
-        if tok.text == "_":
-            self.next()
+        if self.peek() == "_":
+            self.pos += 1
             return Wildcard()
-        return ExactPat(literal_bits(self.next()))
+        return ExactPat(self.literal())
 
     def case(self) -> Case:
-        if self.peek().text == "(":
-            self.next()
+        if self.peek() == "(":
+            self.pos += 1
             pats = [self.pattern()]
-            while self.peek().text == ",":
-                self.next()
+            while self.peek() == ",":
+                self.pos += 1
                 pats.append(self.pattern())
             self.expect(")")
         else:
@@ -240,92 +251,86 @@ class _Parser:
 
     def target(self) -> str:
         tok = self.next()
-        if tok.kind != "name":
-            raise _expected("a state name", tok)
-        return tok.text
+        if not tok.isidentifier():
+            raise self.expected("a state name", self.pos - 1)
+        return tok
 
     def state_body(self):
-        stmts: list[tuple] = []  # ("extract", hdr, width, tok) | ("assign", hdr, expr)
+        stmts: list[tuple] = []  # ("extract", hdr, width, index) | ("assign", hdr, expr, index)
         while True:
             tok = self.peek()
-            if tok.text == "extract":
-                self.next()
+            at = self.pos
+            if tok == "extract":
+                self.pos += 1
                 self.expect("(")
+                at = self.pos
                 hdr = self.name("a header name")
                 self.expect(",")
                 width = self.number()
                 self.expect(")")
                 self.expect(";")
-                stmts.append(("extract", hdr.text, width, hdr))
-            elif tok.kind == "name" and tok.text not in _KEYWORDS:
-                hdr = self.next()
+                stmts.append(("extract", hdr, width, at))
+            elif tok.isidentifier() and tok not in _KEYWORDS:
+                self.pos += 1
                 self.expect(":=")
                 e = self.expr()
                 self.expect(";")
-                stmts.append(("assign", hdr.text, e, hdr))
+                stmts.append(("assign", tok, e, at))
             else:
                 break
-        tok = self.peek()
-        if tok.text == "goto":
-            self.next()
+        if tok == "goto":
+            self.pos += 1
             trans: object = Goto(self.target())
-            if self.peek().text == ";":
-                self.next()
-        elif tok.text == "select":
-            self.next()
+            if self.peek() == ";":
+                self.pos += 1
+        elif tok == "select":
+            self.pos += 1
             self.expect("(")
             exprs = [self.expr()]
-            while self.peek().text == ",":
-                self.next()
+            while self.peek() == ",":
+                self.pos += 1
                 exprs.append(self.expr())
             self.expect(")")
             self.expect("{")
             cases = []
-            while self.peek().text != "}":
+            while self.peek() != "}":
                 cases.append(self.case())
             self.expect("}")
             trans = Select(tuple(exprs), tuple(cases))
         else:
-            raise Diagnostic(
-                "expected 'goto' or 'select' to end the state",
-                tok.line,
-                tok.col,
-            )
+            raise self.error("expected 'goto' or 'select' to end the state", at)
         return stmts, trans
 
     def source_file(self):
         states = []
-        while self.peek().text == "state":
-            self.next()
+        while self.peek() == "state":
+            self.pos += 1
+            at = self.pos
             name = self.name("a state name")
-            if name.text in RESULTS:
-                raise Diagnostic(
-                    f"{name.text!r} is reserved", name.line, name.col
-                )
+            if name in RESULTS:
+                raise self.error(f"{name!r} is reserved", at)
             self.expect("{")
             stmts, trans = self.state_body()
             self.expect("}")
             states.append((name, stmts, trans))
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise _expected("'state'", tok)
+        if self.peek():
+            raise self.expected("'state'", self.pos)
         if not states:
             raise Diagnostic("a source file needs at least one state", 1, 1)
         return states
 
 
-def _infer_sizes(states) -> dict[str, int]:
-    """Header widths: extracts fix them, assignments propagate them."""
+def _infer_sizes(states, text: str) -> dict[str, int]:
+    """Header widths: extracts fix them, assignments propagate them.
+    Diagnostics are placed at the header token of ``text`` that each
+    statement records."""
     sizes: dict[str, int] = {}
-    order: list[str] = []
-
-    def note(name: str) -> None:
-        if name not in order:
-            order.append(name)
+    order: dict[str, None] = {}  # every header, by first mention
+    assigns = []
 
     def expr_headers(e: Expr) -> None:
         if isinstance(e, HdrRef):
-            note(e.name)
+            order[e.name] = None
         elif isinstance(e, Slice):
             expr_headers(e.expr)
         elif isinstance(e, Concat):
@@ -334,49 +339,39 @@ def _infer_sizes(states) -> dict[str, int]:
 
     for _, stmts, trans in states:
         for s in stmts:
-            note(s[1])
-            if s[0] == "assign":
-                expr_headers(s[2])
+            kind, name, arg, at = s
+            order[name] = None
+            if kind == "assign":
+                assigns.append(s)
+                expr_headers(arg)
+            elif sizes.setdefault(name, arg) != arg:
+                raise Diagnostic(
+                    f"header {name!r} extracted at width {arg}, previously {sizes[name]}",
+                    *_position(text, at),
+                )
         if isinstance(trans, Select):
             for e in trans.exprs:
                 expr_headers(e)
 
-    for _, stmts, _ in states:
-        for s in stmts:
-            if s[0] != "extract":
-                continue
-            _, name, width, tok = s
-            if sizes.setdefault(name, width) != width:
-                raise Diagnostic(
-                    f"header {name!r} extracted at width {width}, "
-                    f"previously {sizes[name]}",
-                    tok.line,
-                    tok.col,
-                )
-
     changed = True
     while changed:
         changed = False
-        for _, stmts, _ in states:
-            for s in stmts:
-                if s[0] != "assign" or s[1] in sizes:
-                    continue
-                try:
-                    sizes[s[1]] = width_of(s[2], sizes)
-                except TypeError_:
-                    continue  # not known yet, or left for typecheck to report
-                changed = True
+        for _, name, e, _ in assigns:
+            if name in sizes:
+                continue
+            try:
+                sizes[name] = width_of(e, sizes)
+            except TypeError_:
+                continue  # not known yet, or left for typecheck to report
+            changed = True
 
-    for _, stmts, _ in states:
-        for s in stmts:
-            if s[1] not in sizes:
-                tok = s[3]
-                raise Diagnostic(
-                    f"cannot infer a width for header {s[1]!r} "
-                    "(never extracted, and its assignment's width is unknown)",
-                    tok.line,
-                    tok.col,
-                )
+    for _, name, _, at in assigns:
+        if name not in sizes:
+            raise Diagnostic(
+                f"cannot infer a width for header {name!r} "
+                "(never extracted, and its assignment's width is unknown)",
+                *_position(text, at),
+            )
     for name in order:
         if name not in sizes:
             raise Diagnostic(
@@ -388,14 +383,14 @@ def _infer_sizes(states) -> dict[str, int]:
 def parse_source(text: str) -> Automaton:
     """Parse and typecheck one automaton; raises Diagnostic on failure."""
     states = _Parser(text).source_file()
-    sizes = _infer_sizes(states)
+    sizes = _infer_sizes(states, text)
     out_states = []
     for name, stmts, trans in states:
         op = tuple(
             Extract(s[1]) if s[0] == "extract" else Assign(s[1], s[2])
             for s in stmts
         )
-        out_states.append((name.text, State(op, trans)))
+        out_states.append((name, State(op, trans)))
     aut = Automaton(tuple(sizes.items()), tuple(out_states))
     errors = core.typecheck(aut)
     if errors:
@@ -487,9 +482,9 @@ class _RelParser(_Parser):
 
     def bit_atom(self) -> Bits:
         tok = self.peek()
-        if tok.text == "(":
+        if tok == "(":
             save = self.pos
-            self.next()
+            self.pos += 1
             try:
                 e = self.bit_expr()
                 self.expect(")")
@@ -497,65 +492,60 @@ class _RelParser(_Parser):
             except Diagnostic:
                 self.pos = save
                 raise
-        if tok.kind in ("hex", "bin") or (
-            tok.kind == "num" and set(tok.text) <= {"0", "1"}
-        ):
-            return lit(literal_bits(self.next()))
-        if tok.text in ("left", "right"):
-            side_tok = self.next()
+        bits = _bits(tok)
+        if bits is not None:
+            self.pos += 1
+            return lit(bits)
+        if tok in ("left", "right"):
+            self.pos += 1
             self.expect(".")
             ref = self.name("a header name or 'buf'")
-            side = LEFT if side_tok.text == "left" else RIGHT
-            if ref.text == "buf":
+            side = LEFT if tok == "left" else RIGHT
+            if ref == "buf":
                 return buf(side, self.buflens[side])
             hmap = self.lmap if side == LEFT else self.rmap
-            if ref.text not in hmap:
-                raise Diagnostic(
-                    f"unknown header {ref.text!r} on the {side_tok.text} side",
-                    ref.line,
-                    ref.col,
-                )
-            name = hmap[ref.text]
+            if ref not in hmap:
+                raise self.error(f"unknown header {ref!r} on the {tok} side", self.pos - 1)
+            name = hmap[ref]
             return hdr(name, side, self.sizes[name])
-        raise _expected("a bit expression", tok)
+        raise self.expected("a bit expression", self.pos)
 
     def bit_postfix(self) -> Bits:
         e = self.bit_atom()
-        while self.peek().text == "[":
-            tok = self.next()
+        while self.peek() == "[":
+            at = self.pos
+            self.pos += 1
             lo = self.number()
             self.expect(":")
             hi = self.number()
             self.expect("]")
             if not lo <= hi < e.width:
-                raise Diagnostic(
-                    f"slice [{lo}:{hi}] out of range for width {e.width}", tok.line, tok.col
-                )
+                raise self.error(f"slice [{lo}:{hi}] out of range for width {e.width}", at)
             e = e.slice(lo, hi)
         return e
 
     def bit_expr(self) -> Bits:
         e = self.bit_postfix()
-        while self.peek().text == "++":
-            self.next()
+        while self.peek() == "++":
+            self.pos += 1
             e += self.bit_postfix()
         return e
 
     def atom(self) -> Formula:
         tok = self.peek()
-        if tok.text == "true":
-            self.next()
+        if tok == "true":
+            self.pos += 1
             return TOP
-        if tok.text == "false":
-            self.next()
+        if tok == "false":
+            self.pos += 1
             return BOT
-        if tok.text == "!":
-            self.next()
+        if tok == "!":
+            self.pos += 1
             return Not(self.atom())
-        if tok.text == "(":
+        if tok == "(":
             save = self.pos
             try:
-                self.next()
+                self.pos += 1
                 f = self.formula()
                 self.expect(")")
                 return f
@@ -567,22 +557,22 @@ class _RelParser(_Parser):
 
     def conjunction(self) -> Formula:
         parts = [self.atom()]
-        while self.peek().text == "&&":
-            self.next()
+        while self.peek() == "&&":
+            self.pos += 1
             parts.append(self.atom())
         return conj(parts)
 
     def disjunction(self) -> Formula:
         parts = [self.conjunction()]
-        while self.peek().text == "||":
-            self.next()
+        while self.peek() == "||":
+            self.pos += 1
             parts.append(self.conjunction())
         return disj(parts)
 
     def formula(self) -> Formula:
         left = self.disjunction()
-        if self.peek().text == "=>":
-            self.next()
+        if self.peek() == "=>":
+            self.pos += 1
             return Implies(left, self.formula())
         return left
 
@@ -606,36 +596,36 @@ def parse_relation(
     p = _RelParser(text, lheaders, rheaders, aut.sizes)
     init_parts: list[Formula] = []
     extra: list[Guarded] = []
-    while p.peek().kind != "eof":
+    while p.peek():
         tok = p.peek()
-        if tok.text == "init":
-            p.next()
+        if tok == "init":
+            p.pos += 1
             p.expect(":")
             p.buflens = {LEFT: 0, RIGHT: 0}
             init_parts.append(p.formula())
-        elif tok.text == "pair":
-            p.next()
-            sides = []
+        elif tok == "pair":
+            p.pos += 1
+            sides = []  # (what, states, the state name, its token's index, buffer length)
             for what, states in (("left", lstates), ("right", rstates)):
+                at = p.pos
                 q = p.name(f"a {what} state name")
-                sides.append((what, states, q, p.peek(), p.number()))
+                sides.append((what, states, q, at, p.number()))
             p.expect(":")
             p.buflens = {side: s[-1] for side, s in zip((LEFT, RIGHT), sides)}
             body = p.formula()
             templates = []
-            for what, states, q, n, buflen in sides:
-                if q.text not in states:
-                    raise Diagnostic(f"unknown {what} state {q.text!r}", q.line, q.col)
-                size = aut.opsize_of(states[q.text])
+            for what, states, q, at, buflen in sides:
+                if q not in states:
+                    raise p.error(f"unknown {what} state {q!r}", at)
+                size = aut.opsize_of(states[q])
                 if buflen >= size:
-                    raise Diagnostic(
+                    raise p.error(
                         f"buffer length {buflen} is not below the {size}-bit "
-                        f"operation of state {q.text!r}",
-                        n.line,
-                        n.col,
+                        f"operation of state {q!r}",
+                        at + 1,
                     )
-                templates.append(Template(states[q.text], buflen))
+                templates.append(Template(states[q], buflen))
             extra.append(Guarded(*templates, body))
         else:
-            raise _expected("'init' or 'pair'", tok)
+            raise p.expected("'init' or 'pair'", p.pos)
     return conj(init_parts), extra

@@ -26,6 +26,7 @@ from parseq.confrel import (
     hdr,
     render_guarded,
     var,
+    var_widths,
 )
 import parseq.engine
 import parseq.sat
@@ -461,6 +462,42 @@ class TestCounters:
         holding = sum(rel.context is not None for rel in relations)
         assert res.stats.contexts == holding >= 1
         assert f"contexts={holding} " in res.stats.summary()
+
+    def test_closed_solves_are_the_wide_closed_decisions(self, monkeypatch, internal_config):
+        wide = []
+        real = parseq.smt.valid_closed
+
+        def counting(body, config):
+            if sum(var_widths(body).values()) > parseq.smt.INSTANCE_VAR_BITS:
+                wide.append(body)
+            return real(body, config)
+
+        monkeypatch.setattr(parseq.smt, "valid_closed", counting)
+        res = check_equivalence(
+            load_fixture("sloppy"), "parse_eth", load_fixture("strict"), "parse_eth",
+            config=internal_config,
+        )
+        assert res.verdict == NOT_EQUIVALENT
+        assert res.stats.closed_solves == len(wide) > 0
+        assert f"closed_solves={len(wide)} " in res.stats.summary()
+
+    def test_each_premise_is_aligned_once_per_check(self, monkeypatch, internal_config):
+        # a premise's aligned bits are kept on its Body, which every
+        # guard's context shares
+        aligned = Counter()
+        real = parseq.smt._aligned_bits
+
+        def counting(p):
+            aligned[p] += 1
+            return real(p)
+
+        monkeypatch.setattr(parseq.smt, "_aligned_bits", counting)
+        res = check_equivalence(
+            load_fixture("ipopt_generic"), "parse_0", load_fixture("ipopt_timestamp"), "parse_0",
+            config=internal_config, leaps=False,
+        )
+        assert res.verdict == EQUIVALENT and res.stats.instances > 0
+        assert aligned and set(aligned.values()) == {1}
 
     def test_simulation_refutes_without_translating(self, monkeypatch, internal_config):
         # to_fol_bv and check_sat serve --dump-smt, the other backends and

@@ -4,6 +4,7 @@ import pytest
 
 from _gen import random_automaton
 from conftest import ALL_FIXTURES, load_fixture
+from parseq import fixture_path
 from parseq.core import ACCEPT, Goto, Select, Wildcard, disjoint_sum, typecheck
 from parseq.confrel import BOT, TOP, Eq, Guarded, Implies
 from parseq.frontend import (
@@ -11,6 +12,7 @@ from parseq.frontend import (
     parse_relation,
     parse_source,
     pretty_print,
+    tokenize,
 )
 
 
@@ -113,6 +115,46 @@ class TestParsing:
     def test_empty_source_rejected(self):
         with pytest.raises(Diagnostic):
             parse_source("# nothing here\n")
+
+
+# What a re-spaced source puts between two tokens.
+GAPS = ["", " ", "\t", "\n", "\r\n", "  \n\t", "# é $ %\n", " #\n", "\n# a comment\n  "]
+
+
+def _respaced(text: str, rng) -> str:
+    """``text``'s tokens with random whitespace and comments between them,
+    never nothing where a name or number token meets another."""
+    out = [rng.choice(GAPS)]
+    word = False
+    for tok in filter(None, tokenize(text)):
+        if word and (tok[0].isalnum() or tok[0] == "_"):
+            out.append(rng.choice(GAPS[1:]))
+        else:
+            out.append(rng.choice(GAPS))
+        out.append(tok)
+        word = tok[-1].isalnum() or tok[-1] == "_"
+    out.append(rng.choice(GAPS + ["# a comment with no newline"]))
+    return "".join(out)
+
+
+class TestLexing:
+    def test_respaced_sources_parse_alike(self, rng):
+        sources = []
+        for name in ALL_FIXTURES:
+            with open(fixture_path(name)) as fh:
+                sources.append(fh.read())
+        for _ in range(60):
+            text = pretty_print(random_automaton(rng))
+            try:
+                parse_source(text)
+            except Diagnostic:
+                continue  # no surface form; see test_generated_round_trips
+            sources.append(text)
+        assert len(sources) >= len(ALL_FIXTURES) + 30
+        for text in sources:
+            aut = parse_source(text)
+            for _ in range(3):
+                assert parse_source(_respaced(text, rng)) == aut
 
 
 class TestPrettyPrint:
@@ -234,6 +276,35 @@ SOURCE_DIAGNOSTICS = [
     ),
     ("state s { extract(h, 1); select(k) { _ => accept } }", "header 'k' is read but never extracted or assigned", 0, 0),
     ("state s { extract(h, 1); goto nowhere }", "state 's': goto to undeclared state 'nowhere'", 0, 0),
+    # how the lexer counts lines and columns, and which characters it takes
+    ("state s { extract(h, 1); goto accept }\r\n$", "unexpected character '$'", 2, 1),
+    ("\tstate s { extract(h, 1); goto nowhere2 } goto", "expected 'state', found 'goto'", 1, 43),
+    ("state s { extract(h, 1); goto accépt }", "unexpected character 'é'", 1, 34),
+    ("state s { extract(h, ²); goto accept }", "unexpected character '²'", 1, 22),
+    ("state s { extract(h, 1); select(h) { 0x => accept } }", "expected '=>', found 'x'", 1, 39),
+    ("state s { extract(h, 1); g := h + h; goto accept }", "unexpected character '+'", 1, 33),
+]
+
+# Sources the lexer takes as they are, each with the pretty-printed
+# automaton it parses to.
+ACCEPTED_SOURCES = [
+    (
+        "state s { extract(h, 1); goto accept } # é $ %\n",
+        "state s {\n  extract(h, 1);\n  goto accept\n}\n",
+    ),
+    (
+        "state s { extract(h, 1); goto accept }\n# no newline after this comment",
+        "state s {\n  extract(h, 1);\n  goto accept\n}\n",
+    ),
+    (
+        "state s { extract(h, 4); select(h) { 0xF => accept } }",
+        "state s {\n  extract(h, 4);\n  select(h) {\n    0b1111 => accept\n  }\n}\n",
+    ),
+    (
+        "state s{extract(h,2);select(h[0:0]++h[1:1]){0b10=>accept _=>reject}}",
+        "state s {\n  extract(h, 2);\n  select(h[0:0] ++ h[1:1]) {\n"
+        "    0b10 => accept\n    _ => reject\n  }\n}\n",
+    ),
 ]
 
 RELATION_DIAGNOSTICS = [
@@ -273,6 +344,10 @@ class TestGoldenDiagnostics:
         with pytest.raises(Diagnostic) as e:
             parse_source(text)
         assert _diagnosed(e.value) == (message, line, col)
+
+    @pytest.mark.parametrize("text, printed", ACCEPTED_SOURCES)
+    def test_accepted(self, text, printed):
+        assert pretty_print(parse_source(text)) == printed
 
     @pytest.mark.parametrize("text, message, line, col", RELATION_DIAGNOSTICS)
     def test_relation(self, text, message, line, col):

@@ -659,6 +659,19 @@ class TestClosedBodies:
             assert fold(g, bodies, internal_config) is g
         assert decided == [valid, false] and bodies.folded == 6
 
+    @pytest.mark.parametrize("backend", ["internal", "enum"])
+    def test_sat_decisions_are_counted(self, backend):
+        """``closed_solves`` counts the closed bodies decided by a SAT
+        search: those wider than ``INSTANCE_VAR_BITS``, outside enum, once
+        per body."""
+        bodies, config = Bodies(), SolverConfig(backend=backend)
+        for bits in (INSTANCE_VAR_BITS, INSTANCE_VAR_BITS + 1):
+            body = Not(Eq(var("w", bits), lit("0" * bits)))
+            for t in (T0, T1):
+                assert fold(Guarded(t, T1, body), bodies, config) == Guarded(t, T1, BOT)
+        assert bodies.folded == 4
+        assert bodies.closed_solves == (backend == "internal")
+
     def test_a_false_conjunct_entails_every_goal_at_once(self, monkeypatch, internal_config):
         aut = tiny_automaton()
         rel = GuardRelation(T0, T1)

@@ -51,7 +51,6 @@ from parseq.core import (
     Wildcard,
 )
 from parseq.engine import Entry, Result, Stats, Witness
-from parseq.frontend import Token
 from parseq.lanes import lane_bits, sat_name, simulate
 from parseq.oracle import Distinguisher
 from parseq.reach import ReachSet, TemplatePair
@@ -111,7 +110,7 @@ VALUES = {
 }
 # records that nothing compares or hashes: equal only to themselves
 IDENTITY = {
-    Token, Distinguisher, FilteredEntailment, ReachSet, Entry, Renaming,
+    Distinguisher, FilteredEntailment, ReachSet, Entry, Renaming,
     Stats, Witness, Result, SolverConfig,
 }
 

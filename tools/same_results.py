@@ -10,7 +10,10 @@ witness text, a SHA-256 of the witness JSON (``Witness.to_json``) and a
 SHA-256 of the reach set's dump. The witness text renders each entry with
 ``render_guarded`` and the JSON renders each body with ``render``; both
 read a buffer's width from the entry's guard, so each hash checks one of
-the two. A record made by an older script, or of a tree whose
+the two. It also records, for every fixture file and every
+``random-small`` source, a SHA-256 of ``pretty_print(parse_source(text))``,
+so that a change to the frontend can show that it builds the same
+automata. A record made by an older script, or of a tree whose
 ``Result.stats`` has other counters, lacks some fields; ``compare`` checks
 the fields both records have and names the others once. With
 ``--dump-smt`` it also decides the fixture pairs again under
@@ -30,8 +33,9 @@ same hashes. The JSON is hashed with each string in that normal form.
 ``record`` imports ``parseq`` from TREE/src and the inputs from
 TREE/parseqbench/inputs.py, and runs one check at a time in this process.
 ``compare`` prints every difference, then one line that counts them and
-splits the differing checks by the first record's verdict and the
-differing dump sets by file hashes and by answers, then one line that
+splits the differing checks by the first record's verdict, and counts the
+differing parses and the differing dump sets by file hashes and by
+answers, then one line that
 counts the differing checks per field, and exits 1 if there is a
 difference.
 """
@@ -140,13 +144,22 @@ def record(tree: str, dump_smt: bool) -> dict:
     import parseq
     from inputs import FIXTURE_PAIRS, pair_name, random_pairs
     from parseq.engine import check_equivalence
-    from parseq.frontend import parse_source
+    from parseq.frontend import parse_source, pretty_print
     from parseq.smt import SolverConfig
     from parseq.solver_cli import run_script
 
     def load(name: str):
         return parseq.load(parseq.fixture_path(name))
 
+    parses: dict[str, str] = {}
+    population = random_pairs(RANDOM_SEED, RANDOM_COUNT)
+    fixtures = os.path.dirname(parseq.fixture_path("any"))
+    for name in sorted(f for f in os.listdir(fixtures) if f.endswith(".p4a")):
+        with open(os.path.join(fixtures, name)) as fh:
+            parses[f"fixture {name}"] = sha(pretty_print(parse_source(fh.read())))
+    for i, (a, _, b, _) in enumerate(population):
+        parses[f"random {i} left"] = sha(pretty_print(parse_source(a)))
+        parses[f"random {i} right"] = sha(pretty_print(parse_source(b)))
     checks: dict[str, dict] = {}
     for leaps in (True, False):
         for lf, lq, rf, rq, _ in FIXTURE_PAIRS:
@@ -156,7 +169,7 @@ def record(tree: str, dump_smt: bool) -> dict:
             name = f"{'leaps' if leaps else 'single-bit'} {pair_name((lf, lq, rf, rq))}"
             checks[name] = _record(res)
             print(name, checks[name]["verdict"], file=sys.stderr)
-    for i, (a, qa, b, qb) in enumerate(random_pairs(RANDOM_SEED, RANDOM_COUNT)):
+    for i, (a, qa, b, qb) in enumerate(population):
         res = check_equivalence(parse_source(a), qa, parse_source(b), qb, config=SolverConfig())
         checks[f"random {i}"] = _record(res)
     dumps: dict[str, list[str]] = {}
@@ -180,6 +193,7 @@ def record(tree: str, dump_smt: bool) -> dict:
     return {
         "tree": os.path.abspath(tree),
         "checks": checks,
+        "parses": parses,
         "dump_smt": dumps,
         "dump_answers": answers,
     }
@@ -187,16 +201,16 @@ def record(tree: str, dump_smt: bool) -> dict:
 
 def compare(a: dict, b: dict) -> tuple[list[str], str]:
     """Every difference, and a summary: a line that splits the differing
-    checks by their verdict in ``a`` and counts the dump sets whose file
-    hashes and whose answers differ, a line that counts the differing
+    checks by their verdict in ``a`` and counts the differing parses and
+    the dump sets whose file hashes and whose answers differ, a line that counts the differing
     checks per field, and a line naming the fields and sections only one
     record has."""
     diffs = []
     split = {"changed": 0, "Equivalent": 0, "NotEquivalent": 0, "Inconclusive": 0,
-             "dump_smt": 0, "dump_answers": 0}
+             "parses": 0, "dump_smt": 0, "dump_answers": 0}
     fields: Counter[str] = Counter()
     lacking: set[str] = set()  # fields of one record's checks, or sections of one record
-    for section in ("checks", "dump_smt", "dump_answers"):
+    for section in ("checks", "parses", "dump_smt", "dump_answers"):
         if (section in a) != (section in b):
             lacking.add(section)
             continue
@@ -219,12 +233,14 @@ def compare(a: dict, b: dict) -> tuple[list[str], str]:
                 what = "files differ" if section == "dump_smt" else "answers differ"
                 diffs.append(f"{section} {name}: {changed} of {max(len(x), len(y))} {what}")
             else:
+                split[section] += section == "parses"
                 diffs.append(f"{section} {name}: {x!r} -> {y!r}")
     summary = (
         f"{len(diffs)} difference(s): {split['changed']} verdict changes; "
         f"{split['Equivalent']} on Equivalent checks, "
         f"{split['NotEquivalent']} on NotEquivalent checks, "
         f"{split['Inconclusive']} on Inconclusive checks, "
+        f"{split['parses']} differing parses, "
         f"{split['dump_smt']} dump sets with differing files, "
         f"{split['dump_answers']} with differing answers\n"
         "differing checks per field: "
