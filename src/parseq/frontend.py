@@ -17,8 +17,8 @@ assigned take the width of their right-hand side. Literals are binary
 comments run from '#' to end of line.
 
 Tokens are plain strings, split off by one regular-expression scan of the
-source. A diagnostic's line and column are computed only when it is
-raised, by scanning the source again up to its token.
+source. A diagnostic's line and column are computed only when they are
+read, by scanning the source again up to its token.
 
 The module also parses the relation files consumed by check-rel; see
 parse_relation.
@@ -72,14 +72,29 @@ from .confrel import (
 
 
 class Diagnostic(Exception):
-    """A positioned syntax or type error in a source file."""
+    """A positioned syntax or type error in a source file. One made at a
+    ``token``, a pair of the source and the token's index, works out its
+    line and column when they are first read: a diagnostic the parser
+    discards as it backtracks costs no scan of the source."""
 
-    def __init__(self, message: str, line: int = 0, col: int = 0):
-        self.message = message
-        self.line = line
-        self.col = col
-        where = f"{line}:{col}: " if line else ""
-        super().__init__(f"{where}{message}")
+    def __init__(self, message: str, line: int = 0, col: int = 0, token=None):
+        super().__init__(message)
+        self.message, self._where, self._token = message, (line, col), token
+
+    line = property(lambda self: self._place()[0])
+    col = property(lambda self: self._place()[1])
+
+    def _place(self) -> tuple[int, int]:
+        if self._token:
+            text, index = self._token
+            at = next(itertools.islice(_TOKEN_RE.finditer(text), index, None)).start(1)
+            self._where = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+            self._token = None
+        return self._where
+
+    def __str__(self) -> str:
+        line, col = self._place()
+        return f"{line}:{col}: {self.message}" if line else self.message
 
     def in_file(self, path: str) -> str:
         """The diagnostic as ``PATH:LINE:COL: message``, or ``PATH: message``
@@ -92,11 +107,12 @@ class Diagnostic(Exception):
 #
 # One findall per source: each match skips whitespace and comments, then
 # takes one token: a literal, a name or an operator, else any other
-# character (which tokenize reports), else the end of the text.
+# character (which tokenize reports), else the end of the text. The skip
+# never has to give anything back, since after it some alternative matches.
 
 _TOKEN_RE = re.compile(
     r"""
-    (?:\s|\#[^\n]*)*+
+    (?:\s|\#[^\n]*)*
     ( 0x[0-9a-fA-F]+ | 0b[01]+ | [0-9]+ | [A-Za-z_][A-Za-z0-9_]*
     | := | => | \+\+ | && | \|\| | [{}()\[\],;:=!.]
     | \S | \Z )
@@ -115,14 +131,8 @@ def tokenize(text: str) -> list[str]:
     bad = [t for t in set(tokens) - _SINGLES if len(t) == 1]
     if bad:
         i = min(map(tokens.index, bad))
-        raise Diagnostic(f"unexpected character {tokens[i]!r}", *_position(text, i))
+        raise Diagnostic(f"unexpected character {tokens[i]!r}", token=(text, i))
     return tokens
-
-
-def _position(text: str, index: int) -> tuple[int, int]:
-    """The line and column of token ``index`` of ``text``."""
-    at = next(itertools.islice(_TOKEN_RE.finditer(text), index, None)).start(1)
-    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 def _bits(tok: str) -> Optional[str]:
@@ -153,7 +163,7 @@ class _Parser:
 
     def error(self, message: str, index: int) -> Diagnostic:
         """A Diagnostic at token ``index``."""
-        return Diagnostic(message, *_position(self.text, index))
+        return Diagnostic(message, token=(self.text, index))
 
     def expected(self, what: str, index: int) -> Diagnostic:
         """The diagnostic for token ``index`` where ``what`` should stand."""
@@ -246,8 +256,7 @@ class _Parser:
         else:
             pats = [self.pattern()]
         self.expect("=>")
-        target = self.target()
-        return Case(tuple(pats), target)
+        return Case(tuple(pats), self.target())
 
     def target(self) -> str:
         tok = self.next()
@@ -347,7 +356,7 @@ def _infer_sizes(states, text: str) -> dict[str, int]:
             elif sizes.setdefault(name, arg) != arg:
                 raise Diagnostic(
                     f"header {name!r} extracted at width {arg}, previously {sizes[name]}",
-                    *_position(text, at),
+                    token=(text, at),
                 )
         if isinstance(trans, Select):
             for e in trans.exprs:
@@ -370,7 +379,7 @@ def _infer_sizes(states, text: str) -> dict[str, int]:
             raise Diagnostic(
                 f"cannot infer a width for header {name!r} "
                 "(never extracted, and its assignment's width is unknown)",
-                *_position(text, at),
+                token=(text, at),
             )
     for name in order:
         if name not in sizes:

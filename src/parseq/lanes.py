@@ -207,12 +207,10 @@ class Body:
     """What a check derives from one body, whatever its guard: per side,
     one past the highest buffer bit it reads; its variables' widths; and,
     each made on first use, its canonical form (``wp``), the lanes on
-    which it holds as a goal and as a premise (``simulate_body``), for a
-    premise with variables, the configuration bits its equations align
-    with each variable bit (``smt.GuardContext``), and, for a closed body,
-    whether it is valid (``smt.fold``)."""
+    which it holds as a goal and as a premise (``simulate_body``), and,
+    for a closed body, whether it is valid (``smt.fold``)."""
 
-    __slots__ = ("reads", "widths", "canonical", "goal", "premise", "aligned", "valid")
+    __slots__ = ("reads", "widths", "canonical", "goal", "premise", "valid")
 
     def __init__(self, body: Formula):
         self.reads, self.widths = {LEFT: 0, RIGHT: 0}, {}
@@ -222,7 +220,7 @@ class Body:
                 self.widths[b.name] = b.width
             elif type(b) is BufRef and s.hi >= self.reads[b.side]:
                 self.reads[b.side] = s.hi + 1
-        self.canonical = self.goal = self.premise = self.aligned = self.valid = None
+        self.canonical = self.goal = self.premise = self.valid = None
 
 
 class Bodies(dict):

@@ -154,7 +154,7 @@ def to_fol_bv(
     becomes a width-carrying variable (bufL/bufR, L_h/R_h per header,
     sanitized for SMT-LIB and collision-free, v_x per bit variable).
     Raises SolverFailure once time.monotonic() passes ``deadline``."""
-    context = GuardContext(aut, ent.t1, ent.t2, Bodies())
+    context = GuardContext(aut, ent.t1, ent.t2)
     context.entails([Guarded(ent.t1, ent.t2, p) for p in ent.premises], ent.conclusion, deadline)
     buflens = guard_buflens(ent.t1, ent.t2)
     names = _name_table(list(ent.premises) + [ent.conclusion])
@@ -389,6 +389,12 @@ def check_sat(assertions: list[Formula], deadline: Optional[float] = None) -> bo
 INSTANCE_VAR_BITS = 10  # the widest premise an instance search takes in one pass
 
 
+def _by_sat(widths: dict[str, int]) -> bool:
+    """Does ``_falsifying_valuation`` search by SAT, rather than in one
+    pass, for a formula with variables ``widths``?"""
+    return sum(widths.values()) > INSTANCE_VAR_BITS
+
+
 def _falsifying_valuation(
     p: Formula, widths: dict[str, int], bits: Callable[[Seg], str], deadline: Optional[float]
 ) -> Optional[Valuation]:
@@ -404,7 +410,7 @@ def _falsifying_valuation(
     ``deadline`` passes."""
     if deadline is not None and time.monotonic() > deadline:
         raise SolverFailure("solver timeout")
-    if sum(widths.values()) <= INSTANCE_VAR_BITS:
+    if not _by_sat(widths):
         return lowest_false(p, widths, bits)
     at_model = replace(p, lambda s: None if type(s.base) is Var else lit(bits(s)))
     bl = Blaster()
@@ -441,19 +447,16 @@ class GuardContext:
     without variables and the instances in the order they were asserted:
     with a goal's negation, a ground query that is unsat exactly when the
     goal is entailed (``to_fol_bv``).
-
-    A premise's variable widths and aligned bits (``_aligned_bits``) are
-    read from, and kept on, its Body in ``bodies``, the check's table.
     """
 
-    def __init__(self, aut: Automaton, t1: Template, t2: Template, bodies: Bodies):
+    def __init__(self, aut: Automaton, t1: Template, t2: Template):
         self.aut = aut
         self.buflens = guard_buflens(t1, t2)
-        self.bodies = bodies
         self.blaster = Blaster(self._base)
         self.asserted = 0  # how many conjuncts of the relation are premises
         self.assertions: list[Formula] = []  # what was asserted, in order
-        self.pending: list[tuple[Formula, Body]] = []  # premises with variables
+        # premises with variables, each with its _aligned_bits and var_widths
+        self.pending: list[tuple[Formula, dict[tuple[str, int], list[Seg]], dict[str, int]]] = []
         self.instances = 0  # instances of pending premises asserted
         self.extra_solves = 0  # solve() calls beyond one per goal
         self._goal: tuple[Optional[Formula], int] = (None, 0)  # last goal, its literal
@@ -470,15 +473,17 @@ class GuardContext:
         return self.blaster.model_bits(sat_name(s.base), s.lo, s.hi)
 
     def _falsified_instance(
-        self, p: Formula, known: Body, deadline: Optional[float]
+        self,
+        p: Formula,
+        aligned: dict[tuple[str, int], list[Seg]],
+        widths: dict[str, int],
+        deadline: Optional[float],
     ) -> Optional[Formula]:
-        """An instance of pending premise ``p`` (with Body ``known``) false
-        under the last model, simplified, or None when the model satisfies
-        ``p``."""
-        v = _falsifying_valuation(p, known.widths, self._model_bits, deadline)
+        """An instance of pending premise ``p`` false under the last
+        model, simplified, or None when the model satisfies ``p``."""
+        v = _falsifying_valuation(p, widths, self._model_bits, deadline)
         if v is None:
             return None
-        aligned = known.aligned
 
         def project(x: str, i: int) -> Segment:
             same = (c for c in aligned.get((x, i), ()) if self._model_bits(c) == v[x][i])
@@ -497,14 +502,12 @@ class GuardContext:
         time.monotonic() passes ``deadline``."""
         for r in rel[self.asserted :]:
             p = r.body
-            known = self.bodies[p]
-            if known.widths:
+            widths = var_widths(p)
+            if widths:
                 for s in segments(p):
                     if type(s.base) is not Var:
                         self._base(s)
-                if known.aligned is None:
-                    known.aligned = _aligned_bits(p)
-                self.pending.append((p, known))
+                self.pending.append((p, _aligned_bits(p), widths))
             elif p is self._goal[0]:
                 self.assertions.append(p)
                 self.blaster.sat.add_clause([self._goal[1]])
@@ -519,8 +522,8 @@ class GuardContext:
         while solver.solve():
             found = [
                 inst
-                for p, known in self.pending
-                if (inst := self._falsified_instance(p, known, deadline)) is not None
+                for p, aligned, widths in self.pending
+                if (inst := self._falsified_instance(p, aligned, widths, deadline)) is not None
             ]
             if not found:
                 return False
@@ -594,7 +597,7 @@ class GuardRelation(list):
         if self.refutes(goal, aut, deadline):
             return False
         if self.context is None:
-            self.context = GuardContext(aut, self.t1, self.t2, self.bodies)
+            self.context = GuardContext(aut, self.t1, self.t2)
         self.solver_calls += 1
         return self.context.entails(self, goal, deadline)
 
@@ -741,15 +744,15 @@ def fold(g: Guarded, bodies: Bodies, config: SolverConfig) -> Optional[Guarded]:
     (``Body.valid``), and counted in ``bodies.folded``: None when the
     body is valid, so that ``g`` holds everywhere, ``g``'s guard with the
     body false when it is not, else ``g`` itself. A decision that takes a
-    SAT search, one of more than ``INSTANCE_VAR_BITS`` variable bits
-    outside enum, is counted in ``bodies.closed_solves``."""
+    SAT search (``_by_sat``, outside enum) is counted in
+    ``bodies.closed_solves``."""
     body = g.body
     if type(body) is Bottom or not closed(body):
         return g
     known = bodies[body]
     if known.valid is None:
         known.valid = valid_closed(body, config)
-        if config.backend != "enum" and sum(known.widths.values()) > INSTANCE_VAR_BITS:
+        if config.backend != "enum" and _by_sat(known.widths):
             bodies.closed_solves += 1
     bodies.folded += 1
     return None if known.valid else Guarded(g.t1, g.t2, BOT)

@@ -481,24 +481,6 @@ class TestCounters:
         assert res.stats.closed_solves == len(wide) > 0
         assert f"closed_solves={len(wide)} " in res.stats.summary()
 
-    def test_each_premise_is_aligned_once_per_check(self, monkeypatch, internal_config):
-        # a premise's aligned bits are kept on its Body, which every
-        # guard's context shares
-        aligned = Counter()
-        real = parseq.smt._aligned_bits
-
-        def counting(p):
-            aligned[p] += 1
-            return real(p)
-
-        monkeypatch.setattr(parseq.smt, "_aligned_bits", counting)
-        res = check_equivalence(
-            load_fixture("ipopt_generic"), "parse_0", load_fixture("ipopt_timestamp"), "parse_0",
-            config=internal_config, leaps=False,
-        )
-        assert res.verdict == EQUIVALENT and res.stats.instances > 0
-        assert aligned and set(aligned.values()) == {1}
-
     def test_simulation_refutes_without_translating(self, monkeypatch, internal_config):
         # to_fol_bv and check_sat serve --dump-smt, the other backends and
         # tests; the internal backend simulates, then blasts in contexts

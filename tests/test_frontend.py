@@ -4,6 +4,7 @@ import pytest
 
 from _gen import random_automaton
 from conftest import ALL_FIXTURES, load_fixture
+import parseq.frontend
 from parseq import fixture_path
 from parseq.core import ACCEPT, Goto, Select, Wildcard, disjoint_sum, typecheck
 from parseq.confrel import BOT, TOP, Eq, Guarded, Implies
@@ -355,3 +356,26 @@ class TestGoldenDiagnostics:
         with pytest.raises(Diagnostic) as e:
             parse_relation(text, lmap.states, rmap.states, lmap.headers, rmap.headers, total)
         assert _diagnosed(e.value) == (message, line, col)
+
+    def test_a_discarded_diagnostic_scans_nothing(self, monkeypatch):
+        # The relation parser backtracks over "(" by discarding a Diagnostic;
+        # only a diagnostic whose position is read scans the source again.
+        scans = []
+        real = parseq.frontend._TOKEN_RE
+
+        class Counting:
+            findall = real.findall
+
+            def finditer(self, text):
+                scans.append(text)
+                return real.finditer(text)
+
+        monkeypatch.setattr(parseq.frontend, "_TOKEN_RE", Counting())
+        total, lmap, rmap = disjoint_sum(load_fixture("mpls_ref_small"), load_fixture("mpls_vec_small"))
+        args = lmap.states, rmap.states, lmap.headers, rmap.headers, total
+        init, _ = parse_relation("init: (left.mpls ++ left.mpls) = 0b01", *args)
+        assert init != TOP and scans == []
+        with pytest.raises(Diagnostic) as e:
+            parse_relation("init: (left.mpls = 0b1", *args)
+        assert scans == []
+        assert _diagnosed(e.value) == ("expected ')', found '='", 1, 18) and len(scans) == 1
