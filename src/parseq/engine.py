@@ -216,17 +216,11 @@ def pre_bisimulation(
     # what the check derives from each body (its lanes, canonical form and,
     # for a closed body, its validity), shared by wp and every guard
     bodies = preds.bodies
-
-    def relation(t1: Template, t2: Template) -> GuardRelation:
-        rel = GuardRelation(t1, t2)
-        rel.bodies = bodies
-        return rel
-
     # R indexed by guard: an entailment only reads the goal's own guard
     by_guard: dict[tuple[Template, Template], GuardRelation] = {}
     # phi_extra, the premise every obligation at the initial guard is
     # checked against
-    given = relation(t_init1, t_init2)
+    given = GuardRelation(t_init1, t_init2, bodies=bodies)
     frontier: deque[tuple[Guarded, str]] = deque()
     enqueued: set[Guarded] = set()
 
@@ -301,7 +295,8 @@ def pre_bisimulation(
             phi, origin = frontier.popleft()
             same_guard = by_guard.get((phi.t1, phi.t2))
             if same_guard is None:
-                same_guard = by_guard[phi.t1, phi.t2] = relation(phi.t1, phi.t2)
+                same_guard = GuardRelation(phi.t1, phi.t2, bodies=bodies)
+                by_guard[phi.t1, phi.t2] = same_guard
             if decide_entailment(same_guard, phi, aut, config):
                 stats.skips += 1
             else:

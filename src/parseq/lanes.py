@@ -6,12 +6,17 @@ al., *Improvements to Combinational Equivalence Checking*, ICCAD 2006).
 A lane is one configuration pair; each configuration bit is a Python int
 holding its value on every lane, and a formula evaluates to the int of
 the lanes on which it holds. Lanes can also stand for valuations of a
-formula's variables: then n variable bits take 2^n lanes, or 2^n blocks
-of lanes, one per valuation in the order of ``valuations``.
+formula's variables: n variable bits take 2^n blocks of lanes, one per
+valuation in the order of ``valuations``, and every configuration bit is
+the same on each block (``_on_valuations``).
 
 The internal backend (``smt``) simulates each body here before it blasts
-anything, and finds its premise instances here too. The checks of what a
-formula may read under a guard live here, as the first layer to read it.
+anything, as a goal (``goal_lanes``: one block of random lanes) and, if
+it becomes a premise, as a premise (``premise_lanes``: one block of
+random configuration lanes per valuation). Its instance search evaluates
+a premise under the configuration bits of a model, one lane per
+valuation (``lowest_false``). The checks of what a formula may read
+under a guard live here, as the first layer to read it.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .confrel import (
     Valuation,
     Var,
     segments,
-    var_widths,
 )
 
 
@@ -86,8 +90,6 @@ _M64 = (1 << 64) - 1
 # SAT name -> lane values of its bits 0, 1, ...: the memo of ``lane_bits``.
 # The values are fixed, so checks sharing it in one process answer alike.
 _LANE_BITS: dict[str, list[int]] = {}
-# (n, block) -> the lanes of ``valuation_lanes``, which are fixed too
-_VALUATION_LANES: dict[tuple[int, int], list[int]] = {}
 
 
 def lane_bits(name: str, width: int) -> list[int]:
@@ -108,22 +110,6 @@ def lane_bits(name: str, width: int) -> list[int]:
             lanes = (lanes << 64) | z ^ (z >> 31)
         bits.append(lanes)
     return bits
-
-
-def valuation_lanes(n: int, block: int) -> list[int]:
-    """The lanes of n variable bits over 2^n blocks of ``block`` lanes,
-    block j holding valuation j of ``valuations``: bit q (0 first) is set
-    on block j exactly when bit q of j, written in n binary digits with
-    the most significant first, is 1."""
-    out = _VALUATION_LANES.get((n, block))
-    if out is None:
-        out = []
-        for q in range(n):
-            half = block << (n - 1 - q)  # lanes per run of equal bits
-            ones = ((1 << half) - 1) << half
-            out.append(ones * (((1 << (block << n)) - 1) // ((1 << 2 * half) - 1)))
-        _VALUATION_LANES[n, block] = out
-    return out
 
 
 def _split(widths: list[tuple[str, int]], seq: Sequence) -> dict[str, Sequence]:
@@ -179,6 +165,33 @@ def simulate(phi: Formula, lanes: Callable[[Seg], list[int]], full: int = ALL_LA
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def _on_valuations(
+    phi: Formula, widths: dict[str, int], block: int, config: Callable[[Seg], list[int]]
+) -> int:
+    """The lanes on which ``phi`` holds over 2^n blocks of ``block``
+    lanes, block j holding valuation j of its n variable bits (``widths``)
+    in the order of ``valuations``. Each configuration segment reads its
+    lanes of one block through ``config``, repeated on every block."""
+    widths = sorted(widths.items())
+    n = sum(w for _, w in widths)
+    full = (1 << (block << n)) - 1
+    copies = full // ((1 << block) - 1)  # bit 0 of each block
+    # bit q (0 first) is set on block j exactly when bit q of j, written
+    # in n binary digits with the most significant first, is 1
+    valuation = []
+    for q in range(n):
+        half = block << (n - 1 - q)  # lanes per run of equal bits
+        valuation.append((((1 << half) - 1) << half) * (full // ((1 << 2 * half) - 1)))
+    at = _split(widths, valuation)
+
+    def lanes(s: Seg) -> list[int]:
+        if type(s.base) is Var:
+            return at[s.base.name][s.lo : s.hi + 1]
+        return [r * copies for r in config(s)]
+
+    return simulate(phi, lanes, full)
+
+
 def lowest_false(
     phi: Formula, var_bits: dict[str, int], bits: Callable[[Seg], str]
 ) -> Optional[Valuation]:
@@ -186,28 +199,57 @@ def lowest_false(
     as ``var_bits``) in the order of ``valuations`` under which phi is
     false, each configuration segment holding ``bits(s)``, or None: one
     simulation with one lane per valuation."""
-    widths = sorted(var_bits.items())
-    n = sum(w for _, w in widths)
-    full = (1 << (1 << n)) - 1
-    at = _split(widths, valuation_lanes(n, 1))
+    n = sum(var_bits.values())
+    holds = _on_valuations(phi, var_bits, 1, lambda s: [1 if c == "1" else 0 for c in bits(s)])
+    false = ((1 << (1 << n)) - 1) & ~holds
+    if not false:
+        return None
+    first = (false & -false).bit_length() - 1
+    return _split(sorted(var_bits.items()), format(first, f"0{n}b") if n else "")
+
+
+def _random(aut: Automaton) -> Callable[[Seg], list[int]]:
+    """Each segment's lanes on ``LANES`` random configuration pairs: the
+    ``lane_bits`` of its base's ``sat_name``, so they fit any guard. A
+    header is checked against the automaton; the guard checks the buffer
+    reads (``Body.reads``)."""
 
     def lanes(s: Seg) -> list[int]:
         b = s.base
-        if type(b) is Var:
-            return at[b.name][s.lo : s.hi + 1]
-        return [full if c == "1" else 0 for c in bits(s)]
+        if type(b) is BHdrRef:
+            check_header(b, aut)
+        return lane_bits(sat_name(b), s.hi + 1)[s.lo : s.hi + 1]
 
-    false = full & ~simulate(phi, lanes, full)
-    if not false:
-        return None
-    return _split(widths, format((false & -false).bit_length() - 1, f"0{n}b") if n else "")
+    return lanes
+
+
+def goal_lanes(body: Formula, aut: Automaton) -> int:
+    """The lanes on which ``body`` holds as a goal: its variables take
+    random lanes, as configuration bits do."""
+    return simulate(body, _random(aut))
+
+
+def premise_lanes(body: Formula, widths: dict[str, int], aut: Automaton) -> int:
+    """The lanes on which ``body`` holds as a premise: those on which it
+    holds for each valuation of its variables (``widths``), none when it
+    has more than ``SIM_VAR_BITS`` variable bits. One simulation covers
+    the 2^n valuations, one block of ``LANES`` lanes each."""
+    n = sum(widths.values())
+    if n > SIM_VAR_BITS:
+        return 0
+    holds = _on_valuations(body, widths, LANES, _random(aut))
+    every = ALL_LANES
+    for j in range(1 << n):
+        every &= holds >> (LANES * j)
+    return every
 
 
 class Body:
     """What a check derives from one body, whatever its guard: per side,
     one past the highest buffer bit it reads; its variables' widths; and,
     each made on first use, its canonical form (``wp``), the lanes on
-    which it holds as a goal and as a premise (``simulate_body``), and,
+    which it holds as a goal (``goal_lanes``) and as a premise
+    (``premise_lanes``, or the goal lanes when it has no variables), and,
     for a closed body, whether it is valid (``smt.fold``)."""
 
     __slots__ = ("reads", "widths", "canonical", "goal", "premise", "valid")
@@ -228,65 +270,11 @@ class Bodies(dict):
     keyed by the body's value, so that equal bodies built apart share
     one; ``folded`` counts the obligations ``smt.fold`` decided, and
     ``closed_solves`` the closed bodies it decided by SAT. A body's
-    meaning does not depend on its guard, so every guard of the check,
-    and ``wp``, share the table."""
+    meaning does not depend on its guard, so ``wp`` and every guard of
+    the check share the table: each ``GuardRelation`` is made with it."""
 
     folded = closed_solves = 0
 
     def __missing__(self, body: Formula) -> Body:
         known = self[body] = Body(body)
         return known
-
-
-def simulate_body(body: Formula, aut: Automaton, premise: bool) -> tuple[int, Optional[int]]:
-    """The lanes on which ``body`` holds as a goal, and as a premise when
-    ``premise`` is set, in one pass; the premise lanes are None when they
-    were not asked for and the goal's pass cannot tell them.
-
-    A premise holds on a lane when it holds for each valuation of its
-    variables, and holds on no lane when it has more than
-    ``SIM_VAR_BITS`` variable bits. A goal's variables take random lanes,
-    as configuration bits do. A body without variables holds alike as
-    both. For a premise of 1 to ``SIM_VAR_BITS`` variable bits, one
-    ``simulate`` covers 2^n + 1 blocks of ``LANES`` lanes: block j has
-    valuation j, the last block the goal's random variables, and every
-    configuration bit is the same on each block. Most goals never become
-    premises, so a goal alone takes one block. Every bit reads
-    ``lane_bits`` of its ``sat_name``, so the lanes fit any guard; a header is
-    checked against the automaton, and the guard checks the buffer reads
-    (``Body.reads``)."""
-    widths = var_widths(body) if premise else {}  # a goal's pass finds them itself
-    n = sum(widths.values())
-    # valuation blocks before the goal's
-    blocks = 1 << n if 0 < n <= SIM_VAR_BITS else 0
-    shift, full = 0, ALL_LANES
-    if blocks:
-        shift = LANES * blocks
-        full = (1 << (shift + LANES)) - 1
-        copies = full // ALL_LANES  # bit 0 of each block
-        at = _split(sorted(widths.items()), valuation_lanes(n, LANES))
-
-    def lanes(s: Seg) -> list[int]:
-        b = s.base
-        t = type(b)
-        if t is BHdrRef:
-            check_header(b, aut)
-        elif t is Var:
-            widths[b.name] = b.width
-        random = lane_bits(sat_name(b), s.hi + 1)[s.lo : s.hi + 1]
-        if not blocks:
-            return random
-        if t is Var:
-            return [v | r << shift for v, r in zip(at[b.name][s.lo : s.hi + 1], random)]
-        return [r * copies for r in random]
-
-    holds = simulate(body, lanes, full)
-    goal = holds >> shift
-    if not widths:
-        return goal, goal
-    if not blocks:  # a goal's pass, or a premise too wide to enumerate
-        return goal, 0 if sum(widths.values()) > SIM_VAR_BITS else None
-    every = ALL_LANES
-    for j in range(blocks):
-        every &= holds >> (LANES * j)
-    return goal, every

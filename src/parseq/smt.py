@@ -65,9 +65,10 @@ from .lanes import (
     InternalError,
     check_buffer,
     check_header,
+    goal_lanes,
     lowest_false,
+    premise_lanes,
     sat_name,
-    simulate_body,
 )
 from .sat import SolverFailure
 
@@ -426,9 +427,8 @@ class GuardContext:
     its GuardRelation for the first goal that simulation cannot refute.
 
     Premises and goals arrive simplified. A premise without variables is
-    blasted once, as a permanent clause (a goal that joins as a premise
-    reuses its literal). A premise with variables is kept pending and
-    instantiated lazily, from models (Ge & de Moura, *Complete
+    blasted as a permanent clause. A premise with variables is kept
+    pending and instantiated lazily, from models (Ge & de Moura, *Complete
     Instantiation for Quantified Formulas in SMT*, CAV 2009). Each goal is
     solved under the assumption of its negation. On sat, each pending
     premise is evaluated under the model's configuration bits for a
@@ -459,7 +459,6 @@ class GuardContext:
         self.pending: list[tuple[Formula, dict[tuple[str, int], list[Seg]], dict[str, int]]] = []
         self.instances = 0  # instances of pending premises asserted
         self.extra_solves = 0  # solve() calls beyond one per goal
-        self._goal: tuple[Optional[Formula], int] = (None, 0)  # last goal, its literal
 
     def _base(self, s: Seg) -> tuple[str, int]:
         return sat_name(s.base), base_width(s, self.aut, self.buflens)
@@ -508,14 +507,10 @@ class GuardContext:
                     if type(s.base) is not Var:
                         self._base(s)
                 self.pending.append((p, _aligned_bits(p), widths))
-            elif p is self._goal[0]:
-                self.assertions.append(p)
-                self.blaster.sat.add_clause([self._goal[1]])
             else:
                 self._assert(p)
         self.asserted = len(rel)
         goal = self.blaster.formula(conclusion)
-        self._goal = (conclusion, goal)
         solver = self.blaster.sat
         solver.assumptions = [-goal]
         solver.deadline = deadline
@@ -561,23 +556,29 @@ class GuardRelation(list):
 
     A query is simulated first, on ``LANES`` random configuration pairs.
     ``alive`` holds the lanes that satisfy every conjunct as a premise
-    (``simulate_body``). A goal that is false on a live lane, under random
-    values for its own variables, is not entailed: that lane is a
-    counter-model; ``refutes`` is this simulation alone. Only a goal the
-    simulation cannot refute builds the guard's GuardContext, which then
-    decides it and every later one.
+    (``premise_lanes``). A goal that is false on a live lane, under random
+    values for its own variables (``goal_lanes``), is not entailed: that
+    lane is a counter-model; ``refutes`` is this simulation alone. Only a
+    goal the simulation cannot refute builds the guard's GuardContext,
+    which then decides it and every later one.
 
-    A body is simulated once as a goal, and once more, with its
-    valuations, if it becomes a premise (``simulate_body``), into its
-    Body in ``bodies``. The engine gives every relation of a check the
-    check's table. Each query still checks the body's buffer reads
+    A body is simulated at most once per role, into its Body in
+    ``bodies``: the check's table, which every relation of the check is
+    made with, or a table of its own. A premise without variables takes
+    its goal lanes. Each query still checks the body's buffer reads
     against this guard."""
 
     __slots__ = (
         "t1", "t2", "context", "alive", "simulated", "refuted", "solver_calls", "bodies"
     )
 
-    def __init__(self, t1: Template, t2: Template, conjuncts: Iterable[Guarded] = ()):
+    def __init__(
+        self,
+        t1: Template,
+        t2: Template,
+        conjuncts: Iterable[Guarded] = (),
+        bodies: Optional[Bodies] = None,
+    ):
         super().__init__(conjuncts)
         self.t1, self.t2 = t1, t2
         self.context: Optional[GuardContext] = None
@@ -585,7 +586,7 @@ class GuardRelation(list):
         self.simulated = 0  # how many conjuncts ``alive`` has met
         self.refuted = 0  # queries answered by simulation
         self.solver_calls = 0  # queries answered by a solver
-        self.bodies = Bodies()
+        self.bodies = Bodies() if bodies is None else bodies
 
     def entails(self, goal: Formula, aut: Automaton, deadline: Optional[float]) -> bool:
         """Do the conjuncts entail ``goal``? Raises SolverFailure once
@@ -602,12 +603,14 @@ class GuardRelation(list):
         return self.context.entails(self, goal, deadline)
 
     def simulation(self, body: Formula, aut: Automaton, premise: bool = False) -> Body:
-        """``body``'s Body, with its goal lanes, and its premise lanes when
-        ``premise`` is set, made on first use, after checking that its
+        """``body``'s Body, with its premise lanes when ``premise`` is set
+        and else its goal lanes, made on first use, after checking that its
         buffer reads fit this guard."""
         known = self.bodies[body]
-        if known.goal is None or premise and known.premise is None:
-            known.goal, known.premise = simulate_body(body, aut, premise)
+        if known.goal is None and not (premise and known.widths):
+            known.goal = goal_lanes(body, aut)
+        if premise and known.premise is None:
+            known.premise = premise_lanes(body, known.widths, aut) if known.widths else known.goal
         check_buffer(LEFT, known.reads[LEFT], self.t1.buflen)
         check_buffer(RIGHT, known.reads[RIGHT], self.t2.buflen)
         return known

@@ -11,6 +11,7 @@ stderr.
 
 from __future__ import annotations
 
+import re
 import sys
 from typing import Union
 
@@ -37,36 +38,21 @@ class ParseError(Exception):
     pass
 
 
+# One findall per script, as the .p4a lexer does it: each match skips
+# whitespace and ``;`` comments, then takes one token: a parenthesis, a
+# |quoted symbol|, a "string" (either one, unterminated, runs to the end
+# of the text), a symbol, else the end of the text.
+_TOKEN_RE = re.compile(r'(?:\s|;[^\n]*)*([()]|\|[^|]*\|?|"[^"]*"?|[^\s();]+|\Z)')
+
+
 def tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch in "()":
-            out.append(ch)
-            i += 1
-        elif ch == "|":
-            j = text.index("|", i + 1)
-            out.append(text[i : j + 1])
-            i = j + 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            out.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "();":
-                j += 1
-            out.append(text[i:j])
-            i = j
-    return out
+    """The tokens of an SMT-LIB script. Raises ParseError for a quoted
+    symbol that is not closed."""
+    tokens = _TOKEN_RE.findall(text)
+    del tokens[tokens.index("") :]  # the end of the text, once or twice
+    if tokens and tokens[-1][0] == "|" and not tokens[-1].endswith("|", 1):
+        raise ParseError("unterminated quoted symbol")
+    return tokens
 
 
 def parse_sexps(tokens: list[str]) -> list[Sexp]:

@@ -242,16 +242,18 @@ def side_rewind(
     t_dst: Template,
     k: int,
     aut: Automaton,
-) -> Optional[Rewind]:
-    """The rewind of the read READ from t_src to t_dst, or None when no
-    such read ends at t_dst. ``rewinds`` of (side, t_src, k) is built on
+) -> Rewind:
+    """The rewind of the read READ from t_src to t_dst, a template such a
+    read ends at: ``preds`` holds a pair only where each side steps to
+    its guard, and ``rewinds``' targets are exactly those of
+    ``reach.sigma_side``. ``rewinds`` of (side, t_src, k) is built on
     first use and kept in ``preds`` for the rest of the check: every pair
     that steps from t_src on this side with a k-bit read shares it."""
     key = (side, t_src, k)
     table = preds.rewinds.get(key)
     if table is None:
         table = preds.rewinds[key] = rewinds(side, t_src, READ, k, aut)
-    return table.get(t_dst)
+    return table[t_dst]
 
 
 def transparent(r: Rewind) -> bool:
@@ -296,8 +298,6 @@ def wp(
         k = leap_size(pair.left, pair.right, aut) if leaps else 1
         left = side_rewind(preds, LEFT, pair.left, psig.t1, k, aut)
         right = side_rewind(preds, RIGHT, pair.right, psig.t2, k, aut)
-        if left is None or right is None:
-            continue
         if (
             transparent(left) and transparent(right)
             and reads[LEFT] <= pair.left.buflen and reads[RIGHT] <= pair.right.buflen

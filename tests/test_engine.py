@@ -449,8 +449,8 @@ class TestCounters:
         class Recorded(GuardRelation):
             __slots__ = ()
 
-            def __init__(self, t1, t2):
-                super().__init__(t1, t2)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 relations.append(self)
 
         monkeypatch.setattr(parseq.engine, "GuardRelation", Recorded)
@@ -567,21 +567,26 @@ class TestRepeatedChecks:
 class TestSharedSimulation:
     def test_each_body_is_simulated_once_per_check(self, monkeypatch, internal_config):
         """Equal bodies share one Body, however often they were built; the
-        check simulates each once as a goal and once as a premise, and
-        every guard that queries it still checks its buffer reads."""
+        check simulates each at most once as a goal and once as a premise,
+        and every guard that queries it still checks its buffer reads."""
         simulated, queried = Counter(), Counter()
-        simulate_body = parseq.smt.simulate_body
+        goal_lanes, premise_lanes = parseq.smt.goal_lanes, parseq.smt.premise_lanes
         simulation = GuardRelation.simulation
 
-        def counted(body, aut, premise):
-            simulated[body, premise] += 1
-            return simulate_body(body, aut, premise)
+        def counted_goal(body, aut):
+            simulated[body, "goal"] += 1
+            return goal_lanes(body, aut)
+
+        def counted_premise(body, widths, aut):
+            simulated[body, "premise"] += 1
+            return premise_lanes(body, widths, aut)
 
         def query(rel, body, aut, premise=False):
             queried[body, rel.t1, rel.t2] += 1
             return simulation(rel, body, aut, premise)
 
-        monkeypatch.setattr(parseq.smt, "simulate_body", counted)
+        monkeypatch.setattr(parseq.smt, "goal_lanes", counted_goal)
+        monkeypatch.setattr(parseq.smt, "premise_lanes", counted_premise)
         monkeypatch.setattr(GuardRelation, "simulation", query)
         res = check_equivalence(
             load_fixture("mpls_ref"), "q1", load_fixture("mpls_vec"), "q3",

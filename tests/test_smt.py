@@ -41,7 +41,16 @@ from parseq.confrel import (
     var,
     var_widths,
 )
-from parseq.lanes import LANES, SIM_VAR_BITS, Bodies, lane_bits, sat_name, simulate, simulate_body
+from parseq.lanes import (
+    LANES,
+    SIM_VAR_BITS,
+    Bodies,
+    goal_lanes,
+    lane_bits,
+    premise_lanes,
+    sat_name,
+    simulate,
+)
 from parseq.smt import (
     INSTANCE_VAR_BITS,
     Blaster,
@@ -362,10 +371,18 @@ class TestGuardContext:
         assert rel.context is not None
 
     def test_a_goal_joining_as_premise_is_not_blasted_again(self, monkeypatch, internal_config):
-        """No formula is blasted twice in a context."""
+        """A formula blasted again in a context is the literal it was,
+        with no new SAT variable or gate."""
         blasted = []
         formula = Blaster.formula
-        monkeypatch.setattr(Blaster, "formula", lambda bl, f: blasted.append(f) or formula(bl, f))
+
+        def counted(bl, f):
+            before = bl.sat.nvars, len(bl.sat.clauses)
+            out = formula(bl, f)
+            blasted.append((f, out, (bl.sat.nvars, len(bl.sat.clauses)) != before))
+            return out
+
+        monkeypatch.setattr(Blaster, "formula", counted)
         aut = tiny_automaton()
         rel = GuardRelation(T0, T1)
         rel.append(Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1"))))
@@ -383,9 +400,13 @@ class TestGuardContext:
         weaker = Guarded(T0, T1, Eq(hdr("h", LEFT, 2).slice(0, 0), lit("0")))
         assert decide_entailment(rel, weaker, aut, internal_config)
         # the premises that joined before the context are blasted when it
-        # is built, a goal that joins as a premise reuses its literal, and
-        # the pending premise needed no instance
-        assert blasted == [rel[0].body, early.body, joining.body, weaker.body]
+        # is built, a goal that joins as a premise is blasted again to its
+        # literal with no new variable or gate, and the pending premise
+        # needed no instance
+        bodies = [rel[0].body, early.body, joining.body, joining.body, weaker.body]
+        assert [f for f, _, _ in blasted] == bodies
+        (_, as_goal, _), (_, as_premise, grew) = blasted[2:4]
+        assert as_premise == as_goal and not grew
         assert rel.refuted == 1 and rel.context.instances == 0
 
     def test_goal_variables_may_differ_in_width(self, internal_config):
@@ -476,21 +497,16 @@ def _formula_with_variables(rng, aut, t1, t2, names):
 
 class TestBitParallelPasses:
     def test_body_lanes_match_the_per_valuation_reference(self, rng):
-        """One simulation over 2^n + 1 blocks gives a premise the lanes of
-        one simulation per valuation, and a goal the lanes of a plain one;
-        a goal's own pass leaves the premise lanes unmade."""
+        """One simulation over 2^n blocks gives a premise the lanes of one
+        simulation per valuation, and a goal the lanes of a plain one."""
         widths = set()
         for case in range(300):
             aut, t1, t2, _ = random_guard(rng)
             names = ["y0", "y1", "y2", "y3", "y4"][: rng.randint(0, 5)]
             p = _formula_with_variables(rng, aut, t1, t2, names)
-            goal, premise = simulate_body(p, aut, premise=True)
-            goal_only, unmade = simulate_body(p, aut, premise=False)
-            assert premise == _per_valuation_premise_lanes(p), case
-            assert goal == goal_only == simulate(p, _random_lanes), case
-            n = sum(var_widths(p).values())
-            assert unmade == (None if 0 < n <= SIM_VAR_BITS else premise), case
-            widths.add(n)
+            assert premise_lanes(p, var_widths(p), aut) == _per_valuation_premise_lanes(p), case
+            assert goal_lanes(p, aut) == simulate(p, _random_lanes), case
+            widths.add(sum(var_widths(p).values()))
         assert set(range(SIM_VAR_BITS + 3)) <= widths
 
     @pytest.mark.parametrize("cap", [0, 2, INSTANCE_VAR_BITS])
@@ -536,9 +552,8 @@ class TestSharedSimulation:
     def test_a_shared_simulation_still_checks_each_guard(self, internal_config):
         """A body simulated at one guard is checked again at the next: its
         buffer reads must fit each guard it is queried at."""
-        aut = tiny_automaton()
-        wide, narrow = GuardRelation(T1, T1), GuardRelation(T0, T0)
-        bodies = wide.bodies = narrow.bodies = Bodies()
+        aut, bodies = tiny_automaton(), Bodies()
+        wide, narrow = GuardRelation(T1, T1, bodies=bodies), GuardRelation(T0, T0, bodies=bodies)
         body = Eq(buf(RIGHT, 1), lit("1"))
         assert not decide_entailment(wide, Guarded(T1, T1, body), aut, internal_config)
         assert list(bodies) == [body]
@@ -551,17 +566,23 @@ class TestSharedSimulation:
         role, a closed one is decided once, and each guard still checks
         the buffer reads."""
         simulated, decided = Counter(), []
-        simulate_real, valid_real = parseq.smt.simulate_body, parseq.smt.valid_closed
+        goal_real, premise_real = parseq.smt.goal_lanes, parseq.smt.premise_lanes
+        valid_real = parseq.smt.valid_closed
 
-        def counted_simulation(body, aut, premise):
-            simulated[body, premise] += 1
-            return simulate_real(body, aut, premise)
+        def counted_goal(body, aut):
+            simulated[body, "goal"] += 1
+            return goal_real(body, aut)
+
+        def counted_premise(body, widths, aut):
+            simulated[body, "premise"] += 1
+            return premise_real(body, widths, aut)
 
         def counted_decision(body, config):
             decided.append(body)
             return valid_real(body, config)
 
-        monkeypatch.setattr(parseq.smt, "simulate_body", counted_simulation)
+        monkeypatch.setattr(parseq.smt, "goal_lanes", counted_goal)
+        monkeypatch.setattr(parseq.smt, "premise_lanes", counted_premise)
         monkeypatch.setattr(parseq.smt, "valid_closed", counted_decision)
         aut, bodies = tiny_automaton(), Bodies()
 
@@ -570,8 +591,7 @@ class TestSharedSimulation:
 
         assert apart() is not apart() and apart() == apart()
         for t1 in (T0, T1):
-            rel = GuardRelation(t1, T1)
-            rel.bodies = bodies
+            rel = GuardRelation(t1, T1, bodies=bodies)
             assert not decide_entailment(rel, Guarded(t1, T1, apart()), aut, internal_config)
             rel.append(Guarded(t1, T1, apart()))
             goal = Eq(hdr("h", RIGHT, 2), lit("10"))
@@ -581,8 +601,7 @@ class TestSharedSimulation:
             g = Guarded(t1, T1, Or((Eq(var("v0"), lit("1")), Eq(var("v0"), lit("0")))))
             assert fold(g, bodies, internal_config) is None
         assert len(decided) == 1 and bodies.folded == 2 and len(bodies) == 3
-        narrow = GuardRelation(T1, T0)
-        narrow.bodies = bodies
+        narrow = GuardRelation(T1, T0, bodies=bodies)
         with pytest.raises(InternalError, match="beyond its 0 bit"):
             decide_entailment(narrow, Guarded(T1, T0, apart()), aut, internal_config)
 
@@ -677,7 +696,8 @@ class TestClosedBodies:
         rel = GuardRelation(T0, T1)
         rel.append(Guarded(T0, T1, Eq(buf(RIGHT, 1), lit("1"))))
         rel.append(Guarded(T0, T1, BOT))
-        monkeypatch.setattr(parseq.smt, "simulate_body", None)
+        monkeypatch.setattr(parseq.smt, "goal_lanes", None)
+        monkeypatch.setattr(parseq.smt, "premise_lanes", None)
         for body in (Eq(buf(RIGHT, 1), lit("0")), Eq(hdr("h", LEFT, 2), var("x", 2))):
             assert decide_entailment(rel, Guarded(T0, T1, body), aut, internal_config)
         assert rel.refuted == rel.solver_calls == 0 and rel.context is None

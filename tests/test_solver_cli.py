@@ -118,6 +118,30 @@ class TestScripts:
         assert answer == (0, "sat")
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("; head (x\n(a ; b)\n c)\n;tail", ["(", "a", "c", ")"]),
+            ("(|a b; c|)|x|y", ["(", "|a b; c|", ")", "|x|", "y"]),
+            ('(set-info :source "a (b); |c|")', ["(", "set-info", ":source", '"a (b); |c|"', ")"]),
+            ('(x "ab; c)\n', ["(", "x", '"ab; c)\n']),
+            ('(a|b c"d) ""e', ["(", "a|b", 'c"d', ")", '""', "e"]),
+            ("\t(a\u00a0b)\r\n", ["(", "a", "b", ")"]),
+            ("", []),
+        ],
+        ids=["comments", "quoted-symbols", "string", "unterminated-string", "bars-in-symbols",
+             "whitespace", "empty"],
+    )
+    def test_tokens(self, text, tokens):
+        assert tokenize(text) == tokens
+
+    @pytest.mark.parametrize(
+        "text", ["(check-sat) |abc", "(check-sat)|", "(assert |a) b (check-sat)"]
+    )
+    def test_unterminated_quoted_symbol_is_rejected(self, capsys, text):
+        assert run(text) == (1, "unknown")
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_comments_and_options_ignored(self):
         text = "; header\n(set-option :produce-models true)(assert true)(check-sat)\n(exit)"
         assert run(text)[1] == "sat"

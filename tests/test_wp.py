@@ -312,8 +312,7 @@ class TestWideLeaps:
         one, two = _wide_pair(8, "[0:0]", "0b0", "a[0:0]")
         total, _, _, reach = _summed(one, two)
         preds = predecessors(reach, total)
-        rel = GuardRelation(T_ACCEPT, T_REJECT)
-        rel.bodies = preds.bodies
+        rel = GuardRelation(T_ACCEPT, T_REJECT, bodies=preds.bodies)
         goal = Guarded(T_ACCEPT, T_REJECT, Eq(var(READ), lit("1")))
         assert not decide_entailment(rel, goal, total, self.INTERNAL)
         assert list(preds.bodies) == [goal.body]
